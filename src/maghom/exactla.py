@@ -59,20 +59,6 @@ class RowReducer:
                 return True
         return False
 
-    def contains(self, vec):
-        return not any(self._reduce(vec))
-
-
-def rank(rows, p=None):
-    red = RowReducer(p)
-    for r in rows:
-        red.add(r)
-    return red.rank
-
-
-def rank_of_vectors(vecs, p=None):
-    return rank(vecs, p)
-
 
 def rref(rows, ncols, p=None):
     """Reduced row echelon form; returns (rows, pivot column list)."""
@@ -145,14 +131,4 @@ def solve_columns(cols, target, p=None):
     out = [zero] * ncols
     for r, pc in zip(red, pivots):
         out[pc] = r[ncols]
-    return out
-
-
-def image_basis(cols, p=None):
-    """Subset of the given columns forming a basis of their span."""
-    red = RowReducer(p)
-    out = []
-    for c in cols:
-        if red.add(c):
-            out.append(c)
     return out

@@ -36,9 +36,6 @@ class SparseMatrix:
         else:
             self.entries.pop(key, None)
 
-    def column(self, c):
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
-
     def to_rows(self):
         """Dense list-of-lists copy."""
         rows = [[0] * self.ncols for _ in range(self.nrows)]
@@ -83,12 +80,3 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
-
-
-def coordinate_dump(matrix, header_fields):
-    """Exchange format: '% key: value' header lines then 'row col value'."""
-    lines = [f"% {k}: {v}" for k, v in header_fields]
-    lines.append(f"% shape: {matrix.nrows} {matrix.ncols}")
-    for (r, c) in sorted(matrix.entries):
-        lines.append(f"{r} {c} {matrix.entries[(r, c)]}")
-    return "\n".join(lines) + "\n"

@@ -3,11 +3,16 @@
 The pipeline is a sparse elimination pass that consumes +-1 pivots first
 (boundary matrices almost always reduce completely there), followed by a
 dense minimal-magnitude-pivot Smith reduction of whatever small residue is
-left.  Arithmetic is plain Python int, so there is no overflow to manage.
+left.  The unit pivots are taken from a lazy min-heap ordered by Markowitz
+cost, which keeps fill-in down without rescanning every unit per pivot.
+The Smith form is unique, so the pivot order changes the work done but
+never the divisors.  Arithmetic is plain Python int, so there is no
+overflow to manage.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .matrices import SparseMatrix
@@ -89,19 +94,24 @@ def _dense_snf(rows):
 
 
 def _divisor_chain(divs):
-    """Normalize positive divisors into a divisibility chain d1 | d2 | ..."""
+    """Normalize nonzero divisors into a divisibility chain d1 | d2 | ...
+
+    A unit divides everything, so only the divisors above 1 go through the
+    pairwise gcd/lcm sweep; the ones are put in front of them.
+    """
     d = [abs(x) for x in divs if x]
+    rest = [x for x in d if x != 1]
     changed = True
     while changed:
         changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i]:
-                    g = gcd(d[i], d[j])
-                    l = d[i] // g * d[j]
-                    d[i], d[j] = g, l
+        for i in range(len(rest)):
+            for j in range(i + 1, len(rest)):
+                if rest[j] % rest[i]:
+                    g = gcd(rest[i], rest[j])
+                    l = rest[i] // g * rest[j]
+                    rest[i], rest[j] = g, l
                     changed = True
-    return tuple(sorted(d))
+    return (1,) * (len(d) - len(rest)) + tuple(sorted(rest))
 
 
 def smith_normal_form(matrix):
@@ -121,48 +131,60 @@ def smith_normal_form(matrix):
 
     rows = {}
     cols = {}
-    units = set()
     for (r, c), v in items:
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
-        if v in (1, -1):
-            units.add((r, c))
 
+    def cost(r, c):
+        # Markowitz cost: the fill-in a pivot at (r, c) can cause at most
+        return (len(rows[r]) - 1) * (len(cols[c]) - 1)
+
+    # Every live unit has at least one heap entry; an entry's cost may be
+    # stale.  A stale overestimate only costs fill-in, an underestimate is
+    # pushed back on pop, and dead entries are skipped.
+    heap = [
+        (cost(r, c), r, c)
+        for r, row in rows.items()
+        for c, v in row.items()
+        if v in (1, -1)
+    ]
+    heapify(heap)
     ones = 0
-    while units:
-        # Markowitz-style cost keeps fill-in down
-        r, c = min(
-            units,
-            key=lambda rc: (len(rows[rc[0]]) - 1) * (len(cols[rc[1]]) - 1),
-        )
-        piv = rows[r][c]
+    while heap:
+        stored, r, c = heappop(heap)
+        piv = rows.get(r, {}).get(c)
+        if piv not in (1, -1):
+            continue
+        now = cost(r, c)
+        if now > stored:
+            heappush(heap, (now, r, c))
+            continue
         piv_items = list(rows[r].items())
         for r2 in list(cols[c]):
             if r2 == r:
                 continue
             f = rows[r2][c] * piv  # piv is +-1 so this is the exact multiplier
             row2 = rows[r2]
+            new_units = []
             for c2, v in piv_items:
-                nv = row2.get(c2, 0) - f * v
+                old = row2.get(c2, 0)
+                nv = old - f * v
                 if nv:
-                    if c2 not in row2:
-                        cols.setdefault(c2, set()).add(r2)
+                    if not old:
+                        cols[c2].add(r2)
                     row2[c2] = nv
-                    if nv in (1, -1):
-                        units.add((r2, c2))
-                    else:
-                        units.discard((r2, c2))
+                    if nv in (1, -1) and old not in (1, -1):
+                        new_units.append(c2)
                 else:
-                    if c2 in row2:
-                        del row2[c2]
-                        cols[c2].discard(r2)
-                        units.discard((r2, c2))
+                    del row2[c2]
+                    cols[c2].discard(r2)
+            for c2 in new_units:
+                heappush(heap, (cost(r2, c2), r2, c2))
             if not row2:
                 del rows[r2]
         # pivot row and column are now spent
         for c2 in rows[r]:
             cols[c2].discard(r)
-            units.discard((r, c2))
         del rows[r]
         ones += 1
 

@@ -3,10 +3,15 @@
 import random
 
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy.polys.matrices import DomainMatrix
 
+from maghom.chains import BigradedComplex
+from maghom.graphs import digraph
 from maghom.matrices import SparseMatrix
-from maghom.snf import rank_mod_p, rank_z, smith_normal_form
+from maghom.snf import _divisor_chain, rank_mod_p, rank_z, smith_normal_form
 
 
 def oracle_divisors(rows):
@@ -109,3 +114,73 @@ def test_rank_mod_p_against_sympy():
                 [[gf(v) for v in row] for row in rows], (4, 4), gf
             )
             assert rank_mod_p(as_sparse(rows), p) == dm.rank()
+
+
+def test_divisor_chain_direct():
+    assert _divisor_chain((1, 4, 1, 6)) == (1, 1, 2, 12)
+    assert _divisor_chain((1, -1, 1)) == (1, 1, 1)
+    assert _divisor_chain(()) == ()
+
+
+@st.composite
+def int_matrices(draw):
+    """Small dense integer matrices with at least one non-unit entry.
+
+    The non-units leave work for the dense residue after the unit pivots.
+    """
+    nr = draw(st.integers(1, 6))
+    nc = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-9, 9), min_size=nc, max_size=nc)
+    rows = draw(st.lists(row, min_size=nr, max_size=nr))
+    i, j = draw(st.integers(0, nr - 1)), draw(st.integers(0, nc - 1))
+    rows[i][j] = draw(st.sampled_from([2, -2, 3, -4, 6, 9]))
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrices())
+def test_snf_matches_sympy_property(rows):
+    divs, rank = smith_normal_form(rows)
+    assert divs == oracle_divisors(rows)
+    assert rank == len(divs)
+    assert smith_normal_form(as_sparse(rows)) == (divs, rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_snf_invariant_under_row_and_column_permutations(data):
+    rows = data.draw(int_matrices())
+    rperm = data.draw(st.permutations(range(len(rows))))
+    cperm = data.draw(st.permutations(range(len(rows[0]))))
+    permuted = [[rows[i][j] for j in cperm] for i in rperm]
+    assert smith_normal_form(permuted) == smith_normal_form(rows)
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return digraph(n, [e for e, kept in zip(pairs, keep) if kept])
+
+
+def domain_rank(mat, domain):
+    """Rank of a SparseMatrix over a sympy domain (QQ or a finite field)."""
+    rows = [[domain(v) for v in row] for row in mat.to_rows()]
+    return DomainMatrix(rows, (mat.nrows, mat.ncols), domain).rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_digraphs(),
+    st.sampled_from(["eulerian", "ordinary"]),
+    st.sampled_from([2, 3, 5]),
+)
+def test_boundary_ranks_match_sympy(G, kind, p):
+    complex_ = BigradedComplex.build(G, kind, None if kind == "eulerian" else 3)
+    for k, l in complex_.bidegrees():
+        mat = complex_.boundary(k, l)
+        if not (mat.nrows and mat.ncols):
+            continue
+        assert smith_normal_form(mat)[1] == domain_rank(mat, sympy.QQ), (k, l)
+        assert rank_mod_p(mat, p) == domain_rank(mat, sympy.GF(p)), (k, l, p)
