@@ -82,9 +82,6 @@ def rho(n, pairs):
     return DirectedGraph(n, frozenset(es), symmetric=True)
 
 
-undirected_graph = rho
-
-
 @lru_cache(maxsize=None)
 def adjacency(G):
     """Sorted successor lists, one tuple per vertex."""
@@ -398,15 +395,6 @@ def is_weakly_connected(G):
     return len(seen) == G.n
 
 
-def is_strongly_connected(G):
-    if G.n <= 1:
-        return True
-    dist = distance_matrix(G)
-    return all(
-        dist[u][v] is not INF for u in range(G.n) for v in range(G.n) if u != v
-    )
-
-
 # ---------------------------------------------------------------------------
 # morphisms and isomorphism
 
@@ -541,12 +529,6 @@ def canonical_form(n, pairs):
 
     assign(0, 0)
     return best
-
-
-def canonical_undirected(G):
-    if not G.symmetric:
-        raise GraphError("canonical form implemented for undirected graphs")
-    return canonical_form(G.n, G.undirected_pairs())
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,21 @@ def parse_ring(text):
     raise ValueError(f"unknown ring {text!r}; expected Z, Q, or Fp:<p>")
 
 
+def parse_field(ring, needs):
+    """Characteristic of a field ring: None for Q, p for Fp:<p> or p.
+
+    Raises ValueError naming the computation (needs, e.g. "path homology
+    needs") for anything that is not a field.
+    """
+    if isinstance(ring, str) and ring.startswith("Fp:"):
+        ring = parse_ring(ring)
+    if ring == "Q":
+        return None
+    if isinstance(ring, int) and ring >= 2:
+        return ring
+    raise ValueError(f"{needs} field coefficients, got {ring!r}")
+
+
 def ring_name(ring):
     if ring in ("Z", "Q"):
         return ring

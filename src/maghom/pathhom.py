@@ -8,33 +8,33 @@ groups are the largest subspaces the differential does not lead astray:
 
     Omega_n = { x in span(A_n) : d(x) in span(A_{n-1}) }
 
-The strong variant restricts to allowed paths with pairwise distinct
-vertices and asks the boundary to stay on those.  Over a field the
-homology ranks come from plain rank bookkeeping:
+(Grigor'yan, Lin, Muranov and Yau, *Homologies of path complexes and
+digraphs*, 2012).  The strong variant restricts to allowed paths with
+pairwise distinct vertices and asks the boundary to stay on those.
 
-    rank H_n = dim Omega_n - rank(d on Omega_n) - rank(d on Omega_{n+1}).
+No basis of Omega_n is ever built.  Let full_n be the face sum from A_n
+into every (n-1)-tuple it hits, and stray_n its rows on tuples outside
+A_{n-1}.  Then Omega_n = ker stray_n, and since ker full_n lies inside
+ker stray_n, the differential restricted to Omega_n has rank
+rank full_n - rank stray_n.  Substituting into
+rank H_n = dim Omega_n - rank d_n - rank d_{n+1} gives
+
+    rank H_n = |A_n| - rank full_n - rank full_{n+1} + rank stray_{n+1},
+
+with the augmentation (rank 1 on a nonempty vertex set) in place of
+full_0 for reduced homology.  Each rank is a sparse Smith-form rank,
+over Q or mod p, so the arithmetic stays exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .exactla import RowReducer, nullspace
+from .exactla import nullspace
 from .graphs import adjacency
+from .homology import parse_field
 from .matrices import SparseMatrix
-
-
-def _field(ring):
-    if isinstance(ring, str) and ring.startswith("Fp:"):
-        from .homology import parse_ring
-
-        ring = parse_ring(ring)
-    if ring == "Q":
-        return None
-    if isinstance(ring, int) and ring >= 2:
-        return ring
-    raise ValueError(f"path homology needs field coefficients, got {ring!r}")
+from .snf import rank_mod_p, rank_z
 
 
 @lru_cache(maxsize=None)
@@ -69,53 +69,29 @@ def _faces(path):
         yield (-1) ** i, path[:i] + path[i + 1 :]
 
 
-def omega_basis(G, n, strong=False, p=None):
-    """Basis vectors of Omega_n in allowed-path coordinates."""
-    paths = allowed_paths(G, n, strong)
-    if not paths:
-        return []
-    stray_index = {}
-    stray_rows = {}
-    if n > 0:
-        lower = set(allowed_paths(G, n - 1, strong))
-        for j, path in enumerate(paths):
-            for sign, face in _faces(path):
-                if face in lower:
-                    continue
-                r = stray_index.setdefault(face, len(stray_index))
-                row = stray_rows.setdefault(r, {})
-                row[j] = row.get(j, 0) + sign
-    if not stray_index:
-        one = 1 if p else Fraction(1)
-        return [
-            [one if i == j else 0 for i in range(len(paths))]
-            for j in range(len(paths))
-        ]
-    dense = []
-    for r in range(len(stray_index)):
-        row = [0] * len(paths)
-        for j, v in stray_rows.get(r, {}).items():
-            row[j] = v
-        dense.append(row)
-    return nullspace(dense, len(paths), p)
+def _face_sums(G, n, strong, stray_only):
+    """Face sum from allowed n-paths onto the tuples it hits: full_n or stray_n.
 
-
-def _allowed_boundary(G, n, strong):
-    """Full face sum from allowed n-paths into allowed (n-1)-path coordinates.
-
-    Stray faces are simply not recorded; on Omega vectors they cancel by
-    construction, so the restriction of this matrix is the differential.
+    Rows are numbered by first hit.  With stray_only, faces that are
+    allowed (n-1)-paths are left out.  The differential vanishes on
+    vertices, so n = 0 gives the zero map.
     """
     paths = allowed_paths(G, n, strong)
-    lower = allowed_paths(G, n - 1, strong)
-    index = {t: i for i, t in enumerate(lower)}
-    mat = SparseMatrix(len(lower), len(paths))
-    for j, path in enumerate(paths):
+    allowed = set(allowed_paths(G, n - 1, strong)) if stray_only else ()
+    index = {}
+    entries = {}
+    for j, path in enumerate(paths if n > 0 else ()):
         for sign, face in _faces(path):
-            row = index.get(face)
-            if row is not None:
-                mat.add_at(row, j, sign)
-    return mat
+            if face not in allowed:
+                key = (index.setdefault(face, len(index)), j)
+                entries[key] = entries.get(key, 0) + sign
+    return SparseMatrix(len(index), len(paths), entries)
+
+
+def omega_basis(G, n, strong=False, p=None):
+    """Basis vectors of Omega_n = ker stray_n in allowed-path coordinates."""
+    stray = _face_sums(G, n, strong, stray_only=True)
+    return nullspace(stray.to_rows(), stray.ncols, p)
 
 
 def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):
@@ -124,7 +100,7 @@ def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):
     The strong variant is bounded by the vertex count, so kmax is only
     mandatory without strong.  Returns {degree: rank} with zeros dropped.
     """
-    p = _field(ring)
+    p = parse_field(ring, "path homology needs")
     if strong:
         top = G.n - 1 if kmax is None else min(kmax, G.n - 1)
     else:
@@ -134,24 +110,18 @@ def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):
     if top < 0:
         return {}
 
-    dims = {}
-    ranks = {}
-    for n in range(top + 2):
-        basis = omega_basis(G, n, strong, p)
-        dims[n] = len(basis)
-        if n >= 1 and basis:
-            mat = _allowed_boundary(G, n, strong)
-            red = RowReducer(p)
-            for vec in basis:
-                red.add(mat.apply(vec))
-            ranks[n] = red.rank
-        elif n >= 1:
-            ranks[n] = 0
-    ranks[0] = 1 if reduced and dims.get(0, 0) else 0
+    def rank(mat):
+        return rank_z(mat) if p is None else rank_mod_p(mat, p)
+
+    full = {0: 1 if reduced and G.n else 0}
+    stray = {}
+    for n in range(1, top + 2):
+        full[n] = rank(_face_sums(G, n, strong, stray_only=False))
+        stray[n] = rank(_face_sums(G, n, strong, stray_only=True))
 
     out = {}
     for n in range(top + 1):
-        h = dims.get(n, 0) - ranks.get(n, 0) - ranks.get(n + 1, 0)
+        h = len(allowed_paths(G, n, strong)) - full[n] - full[n + 1] + stray[n + 1]
         if h:
             out[n] = h
     return out

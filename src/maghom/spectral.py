@@ -24,20 +24,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import GraphError
 from .exactla import RowReducer, nullspace, solve_columns
 from .filtration import injective_word_filtration, nerve_filtration
-
-
-def _field(ring):
-    if isinstance(ring, str) and ring.startswith("Fp:"):
-        from .homology import parse_ring
-
-        ring = parse_ring(ring)
-    if ring == "Q":
-        return None
-    if isinstance(ring, int) and ring >= 2:
-        return ring
-    raise ValueError(f"spectral sequences need field coefficients, got {ring!r}")
+from .graphs import is_weakly_connected
+from .homology import homology_table, parse_field
+from .pathhom import path_homology
 
 
 def _mul(A, B, out_rows, inner, out_cols, p):
@@ -60,7 +52,7 @@ def _mul(A, B, out_rows, inner, out_cols, p):
 class SpectralSequence:
     def __init__(self, filtered, ring="Q"):
         self.fc = filtered
-        self.p = _field(ring)
+        self.p = parse_field(ring, "spectral sequences need")
         self._kernels = {}
         self._entries = {}
         self._diff_ranks = {}
@@ -324,9 +316,6 @@ def rmpss_report(G, ring="Q", rmax=None):
     page two must be strong path homology, and the final totals must be
     the homology of the complex of injective words.
     """
-    from .homology import homology_table
-    from .pathhom import path_homology
-
     ss = rmpss(G, ring)
     stable = ss.stable_r
     upto = stable if rmax is None else min(rmax, stable)
@@ -406,8 +395,6 @@ def mpss_report(G, l_max, ring="Q", rmax=2):
     Page one must be the (truncated) ordinary trail homology.  Deeper
     pages are available by raising rmax, at window-sized cost per step.
     """
-    from .homology import homology_table
-
     ss = mpss(G, l_max, ring)
     upto = min(rmax, ss.stable_r)
     pages = [{"r": r, "entries": _page_entries(ss, r)} for r in range(1, upto + 1)]
@@ -434,11 +421,6 @@ def mpss_report(G, l_max, ring="Q", rmax=2):
 def diagonal_convergence(G, ring="Q"):
     """For connected, regularly diagonal G the strong path homology must
     match the homology of the complex of injective words rank for rank."""
-    from .errors import GraphError
-    from .graphs import is_weakly_connected
-    from .homology import homology_table
-    from .pathhom import path_homology
-
     if not is_weakly_connected(G):
         raise GraphError("diagonal convergence needs a connected graph")
     full = homology_table(G, "eulerian", "Z")

@@ -110,6 +110,21 @@ def test_path_homology_commands():
     assert code == 2  # needs --kmax
 
 
+def test_path_homology_over_prime_fields():
+    code, out, _ = run(
+        ["compute", "ph", "--family", "complete:4", "--ring", "Fp:2", "--kmax", "4"]
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["ring"] == "F2"
+    assert data["ranks"] == {"0": 1}
+    code, out, _ = run(["compute", "rph", "--family", "complete:3", "--ring", "Fp:3"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["ring"] == "F3"
+    assert data["ranks"] == {"0": 1, "2": 2}
+
+
 def test_inj_and_magnitude():
     code, out, _ = run(["compute", "inj", "--family", "complete:3"])
     assert code == 0

@@ -5,16 +5,23 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from maghom.graphs import digraph, family, point, transitive_tournament
-from maghom.pathhom import allowed_paths, omega_basis, path_homology
+from maghom.pathhom import _face_sums, allowed_paths, omega_basis, path_homology
+from maghom.snf import rank_mod_p, rank_z
+from test_snf import small_digraphs
 
 
-def oracle_omega_dims_and_homology(G, top, strong):
+def oracle_omega_dims_and_homology(G, top, strong, domain=sympy.QQ, reduced=False):
     """Dimensions of the boundary-invariant spans and their homology ranks.
 
     Work in the free module on all vertex tuples so faces with repeats
-    count as obstructions, then intersect with the allowed span.
+    count as obstructions, then intersect with the allowed span.  Ranks
+    are taken over domain (sympy.QQ or a finite field sympy.GF(p)); with
+    reduced, the augmentation takes the place of the zero map on vertices.
     """
     def allowed(n):
         out = []
@@ -33,59 +40,40 @@ def oracle_omega_dims_and_homology(G, top, strong):
             faces[face] = faces.get(face, 0) + (-1) ** i
         return faces
 
-    omegas = {}
-    for n in range(top + 2):
-        paths = allowed(n)
-        if not paths:
-            omegas[n] = sympy.zeros(0, 0)
-            continue
-        if n == 0:
-            # the differential vanishes on vertices, nothing to obstruct
-            omegas[n] = (paths, sympy.eye(len(paths)))
-            continue
-        lower = set(allowed(n - 1))
-        # rows: the forbidden faces hit by each allowed path
-        forbidden = {}
-        rows = []
-        for t in paths:
-            col = {}
-            for face, c in raw_boundary(t).items():
-                if c and face not in lower:
-                    if face not in forbidden:
-                        forbidden[face] = len(forbidden)
-                    col[forbidden[face]] = c
-            rows.append(col)
-        m = sympy.zeros(max(len(forbidden), 1), len(paths))
-        for j, col in enumerate(rows):
+    def matrix(cols, nrows):
+        rows = {}
+        for j, col in enumerate(cols):
             for i, c in col.items():
-                m[i, j] = c
-        null = m.nullspace()
-        basis = sympy.zeros(len(paths), len(null))
-        for j, vec in enumerate(null):
-            for i in range(len(paths)):
-                basis[i, j] = vec[i]
-        omegas[n] = (paths, basis)
+                rows.setdefault(i, {})[j] = domain(c)
+        return DomainMatrix(rows, (nrows, len(cols)), domain)
 
     dims = {}
     dranks = {}
     for n in range(top + 2):
-        if isinstance(omegas[n], sympy.MatrixBase):
-            dims[n] = 0
-            dranks[n] = 0
+        paths = allowed(n)
+        if not paths:
+            dims[n] = dranks[n] = 0
             continue
-        paths, basis = omegas[n]
-        dims[n] = basis.cols
-        if n == 0 or basis.cols == 0:
-            dranks[n] = 0
-            continue
-        lower_paths = omegas[n - 1][0] if not isinstance(omegas[n - 1], sympy.MatrixBase) else []
-        index = {t: i for i, t in enumerate(lower_paths)}
-        d = sympy.zeros(max(len(lower_paths), 1), len(paths))
-        for j, t in enumerate(paths):
-            for face, c in raw_boundary(t).items():
-                if face in index:
-                    d[index[face], j] += c
-        dranks[n] = (d * basis).rank()
+        # the differential vanishes on vertices, nothing to obstruct
+        lower = {t: i for i, t in enumerate(allowed(n - 1))} if n else {}
+        forbidden = {}
+        obstructions = []  # per path: the forbidden faces it hits
+        boundaries = []  # per path: the allowed faces it hits
+        for t in paths:
+            ob, bd = {}, {}
+            for face, c in raw_boundary(t).items() if n else ():
+                if c and face in lower:
+                    bd[lower[face]] = c
+                elif c:
+                    ob[forbidden.setdefault(face, len(forbidden))] = c
+            obstructions.append(ob)
+            boundaries.append(bd)
+        basis = matrix(obstructions, len(forbidden)).nullspace()
+        dims[n] = basis.shape[0]
+        d = matrix(boundaries, len(lower))
+        dranks[n] = (d * basis.transpose()).rank() if n and dims[n] else 0
+    if reduced and dims[0]:
+        dranks[0] = 1
 
     hom = {}
     for n in range(top + 1):
@@ -201,3 +189,64 @@ def test_point_and_rings():
     )
     with pytest.raises(ValueError):
         path_homology(K3, strong=True, ring="Z")
+
+
+FIELDS = [(None, sympy.QQ), (2, sympy.GF(2)), (3, sympy.GF(3))]
+
+
+def ring_of(p):
+    return "Q" if p is None else f"Fp:{p}"
+
+
+@pytest.mark.parametrize("p, domain", FIELDS, ids=["Q", "F2", "F3"])
+def test_homology_matches_oracle_over_each_field(p, domain):
+    for G in small_graphs():
+        for strong in (False, True):
+            for reduced in (False, True):
+                _, hom = oracle_omega_dims_and_homology(G, 3, strong, domain, reduced)
+                got = path_homology(
+                    G, kmax=3, strong=strong, ring=ring_of(p), reduced=reduced
+                )
+                assert got == hom, (G, strong, reduced, p)
+
+
+def test_torsion_shows_mod_2_only():
+    # arrows run from each face of the six-vertex triangulation of the
+    # projective plane to the faces one dimension up; the path homology
+    # of this face digraph is the homology of RP^2, whose Z/2 in degree 1
+    # shows up over F_2 (in degrees 1 and 2) but not over Q or F_3
+    triangles = [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+    ]
+    faces = sorted(
+        {f for t in triangles for k in (1, 2, 3) for f in itertools.combinations(t, k)}
+    )
+    index = {f: i for i, f in enumerate(faces)}
+    edges = [
+        (index[f], index[s])
+        for s in faces
+        if len(s) > 1
+        for f in itertools.combinations(s, len(s) - 1)
+    ]
+    G = digraph(len(faces), edges)
+    assert path_homology(G, kmax=3, ring="Q") == {0: 1}
+    assert path_homology(G, kmax=3, ring="Fp:3") == {0: 1}
+    assert path_homology(G, kmax=3, ring="Fp:2") == {0: 1, 1: 1, 2: 1}
+    assert path_homology(G, strong=True, ring="Fp:2", reduced=True) == {1: 1, 2: 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs(), st.booleans(), st.sampled_from(FIELDS))
+def test_four_rank_formula_matches_oracle_on_random_digraphs(G, strong, field):
+    p, domain = field
+    kmax = None if strong else 3
+    top = G.n - 1 if strong else kmax
+    dims, hom = oracle_omega_dims_and_homology(G, top, strong, domain)
+    assert path_homology(G, kmax=kmax, strong=strong, ring=ring_of(p)) == hom
+    # dim Omega_n = |A_n| - rank stray_n, the identity the formula rests on
+    for n in range(top + 2):
+        stray = _face_sums(G, n, strong, stray_only=True)
+        rank = rank_z(stray) if p is None else rank_mod_p(stray, p)
+        want = len(allowed_paths(G, n, strong)) - rank
+        assert want == dims[n] == len(omega_basis(G, n, strong, p)), (n, p)

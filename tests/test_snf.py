@@ -11,7 +11,13 @@ from sympy.polys.matrices import DomainMatrix
 from maghom.chains import BigradedComplex
 from maghom.graphs import digraph
 from maghom.matrices import SparseMatrix
-from maghom.snf import _divisor_chain, rank_mod_p, rank_z, smith_normal_form
+from maghom.snf import (
+    _dense_snf,
+    _divisor_chain,
+    rank_mod_p,
+    rank_z,
+    smith_normal_form,
+)
 
 
 def oracle_divisors(rows):
@@ -144,6 +150,18 @@ def test_snf_matches_sympy_property(rows):
     assert divs == oracle_divisors(rows)
     assert rank == len(divs)
     assert smith_normal_form(as_sparse(rows)) == (divs, rank)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrices())
+def test_dense_snf_returns_a_divisor_chain(rows):
+    # smith_normal_form relies on this: its ones and the dense divisors
+    # already form a chain, so _divisor_chain's sweep has nothing to fix
+    divs = _dense_snf(rows)
+    assert all(d > 0 for d in divs)
+    for a, b in zip(divs, divs[1:]):
+        assert b % a == 0, divs
+    assert tuple(divs) == oracle_divisors(rows)
 
 
 @settings(max_examples=60, deadline=None)
