@@ -5,7 +5,7 @@ prints a report, ``maghom verify-paper`` runs the named reproduction
 checks.  JSON output is deterministic for a fixed configuration (sorted
 keys, no timestamps); per-check timing goes to stderr and to the
 markdown rendering only.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 resource cap.
+failure or internal arithmetic error, 2 usage error, 3 resource cap.
 """
 
 from __future__ import annotations
@@ -490,6 +490,9 @@ def main(argv=None):
         return 2
     except MaghomError as exc:
         print(f"maghom: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"maghom: internal error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -115,20 +115,3 @@ def nullspace(rows, ncols, p=None):
         basis.append(v)
     return basis
 
-
-def solve_columns(cols, target, p=None):
-    """Coefficients c with Sum c_j * cols[j] == target, or None.
-
-    Free variables are pinned to zero, so the answer is deterministic.
-    """
-    ncols = len(cols)
-    nrows = len(target)
-    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    red, pivots = rref(aug, ncols + 1, p)
-    if ncols in pivots:
-        return None
-    zero = 0 if p is not None else Fraction(0)
-    out = [zero] * ncols
-    for r, pc in zip(red, pivots):
-        out[pc] = r[ncols]
-    return out

@@ -1,35 +1,57 @@
 """Spectral sequence of a length-filtered chain complex.
 
-Entries come from cycle ladders inside the filtration:
+Over a field every page is read off one persistence pairing (Basu &
+Parida, *Spectral sequences, exact couples and persistent homology of
+filtrations*, Expo. Math. 2017).  Cells of one degree are ordered by
+(weight, tuple), so the column reduction of each boundary pairs a birth
+cell of weight b in degree n - 1 with a death cell of weight d in degree
+n.  The pair shows at both ends on pages 1 .. d - b and is killed by
+d_{d-b}; an unpaired cell lives forever.  With d_r : E_r(p, n) ->
+E_r(p - r, n - 1),
 
-    Z_r(p, n) = { x in F_p C_n : dx in F_{p-r} C_{n-1} }
-    E_r(p, n) = Z_r(p, n) / ( Z_{r-1}(p-1, n) + d Z_{r-1}(p+r-1, n+1) )
+    rank E_r(p, n) = unpaired cells at (p, n)
+                     + births and deaths at (p, n) of lifetime >= r,
+    rank d_r       = deaths at (p, n) of lifetime exactly r.
 
-with the page differential induced by d, dropping the filtration index
-by r and the degree by 1.  Coefficients are a field (the rationals by
-default), so entries are dimensions plus representative bases.
+Degrees are reduced from the top down with clearing (Chen & Kerber,
+*Persistent homology computation with a twist*, EuroCG 2011): a cell
+already paired as a birth is a cycle, so its column is skipped.  Columns
+are sparse; over Q they are combined fraction-free in integers, over F_p
+in integers mod p.
 
-Everything is computed inside weight windows: a column of weight at
-most p - r satisfies the Z_r condition for free, so
-
-    Z_r(p, n) = F_{p-r} C_n  (+)  ker M,
-
-where M is the boundary restricted to cells of weight in (p-r, p] on
-both sides.  Denominators, representatives, differentials, and page
-maps all live on those windows too, which keeps the linear algebra at
-the scale of a few bidegrees instead of whole degree slices.
+Matrices of differentials and page maps are taken on page one only,
+where E_1(p, n) is the homology of the graded piece at weight p.  Each
+entry's representatives and denominators are computed once, and all
+images into an entry are solved for in one elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter, defaultdict
+from math import gcd, inf
 
 from .errors import GraphError
-from .exactla import RowReducer, nullspace, solve_columns
+from .exactla import RowReducer, nullspace, rref
 from .filtration import injective_word_filtration, nerve_filtration
 from .graphs import is_weakly_connected
 from .homology import homology_table, parse_field
 from .pathhom import path_homology
+
+
+def _alive(lifetimes, r):
+    """How many of the counted lifetimes reach page r."""
+    return sum(m for life, m in lifetimes.items() if life >= r)
+
+
+def _apply(cols, vec):
+    """Dense columns times a vector."""
+    out = [0] * len(cols[0])
+    for col, x in zip(cols, vec):
+        if x:
+            for i, v in enumerate(col):
+                if v:
+                    out[i] += v * x
+    return out
 
 
 def _mul(A, B, out_rows, inner, out_cols, p):
@@ -49,24 +71,17 @@ def _mul(A, B, out_rows, inner, out_cols, p):
     return out
 
 
+def _page_one_only(r):
+    if r != 1:
+        raise ValueError(f"page maps are computed on page one only, not page {r}")
+
+
 class SpectralSequence:
     def __init__(self, filtered, ring="Q"):
         self.fc = filtered
         self.p = parse_field(ring, "spectral sequences need")
-        self._kernels = {}
-        self._entries = {}
-        self._diff_ranks = {}
-        self._cols = {}
-
-    def _columns(self, n):
-        """Sparse columns of the degree-n boundary: lists of (row, value)."""
-        if n not in self._cols:
-            mat = self.fc.boundary(n)
-            cols = [[] for _ in range(mat.ncols)]
-            for (i, j), v in mat.entries.items():
-                cols[j].append((i, v))
-            self._cols[n] = cols
-        return self._cols[n]
+        self._bars = None
+        self._page_one = {}
 
     @property
     def top_weight(self):
@@ -81,177 +96,93 @@ class SpectralSequence:
         """All page differentials vanish once r exceeds every weight."""
         return self.top_weight + 1
 
-    def _window(self, n, lo, hi):
-        """Index range [a, b) of degree-n cells with weight in (lo, hi]."""
-        return self.fc.prefix_dim(n, lo), self.fc.prefix_dim(n, hi)
+    def _reduce(self, col, pivots):
+        """Clear the lowest entry of col against pivots while one matches.
 
-    def _kernel(self, r, p, n):
-        """Basis of ker(boundary restricted to the (p-r, p] windows).
-
-        Together with the free block F_{p-r} C_n this spans Z_r(p, n);
-        vectors are in window coordinates.
+        Over Q the step col <- a * col - c * piv keeps the entries integral.
         """
-        if n < 0 or p < 0:
-            return []
-        key = (min(r, p + 1), p, n)
-        if key in self._kernels:
-            return self._kernels[key]
-        a1, b1 = self._window(n, p - r, p)
-        width = b1 - a1
-        if width == 0:
-            basis = []
-        else:
-            rows = {}
-            if n >= 1:
-                a0, b0 = self._window(n - 1, p - r, p)
-                if b0 > a0:
-                    mat = self.fc.boundary(n)
-                    for (i, j), v in mat.entries.items():
-                        if a0 <= i < b0 and a1 <= j < b1:
-                            rows.setdefault(i, [0] * width)[j - a1] = v
-            if rows:
-                basis = nullspace([rows[i] for i in sorted(rows)], width, self.p)
+        p = self.p
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                break
+            if p:
+                a, c = 1, col[low] * pow(piv[low], -1, p)
             else:
-                one = 1 if self.p else Fraction(1)
-                basis = [
-                    [one if i == j else 0 for i in range(width)]
-                    for j in range(width)
-                ]
-        self._kernels[key] = basis
-        return basis
+                g = gcd(piv[low], col[low])
+                a, c = piv[low] // g, col[low] // g
+            if a != 1:
+                for i in col:
+                    col[i] *= a
+            for i, v in piv.items():
+                x = col.get(i, 0) - c * v
+                if p:
+                    x %= p
+                if x:
+                    col[i] = x
+                else:
+                    del col[i]
+        if col and not p:
+            g = gcd(*col.values())
+            col = {i: v // g for i, v in col.items()}
+        return col
 
-    def _window_image(self, n_from, vec, a_from, p, r):
-        """Window part in (p-r, p] of the boundary of an embedded vector.
+    def _pairing(self):
+        """Lifetimes by bidegree, as two {(p, n): Counter} maps.
 
-        vec sits at degree n_from with coordinates starting at a_from;
-        the result is in the degree-(n_from - 1) window coordinates.
+        The first counts births, deaths and unpaired cells (lifetime
+        inf) at (p, n); the second counts the deaths alone.
         """
-        a0, b0 = self._window(n_from - 1, p - r, p)
-        out = [0] * (b0 - a0)
-        if b0 == a0:
-            return out
-        cols = self._columns(n_from)
-        for j, v in enumerate(vec):
-            if v:
-                for i, w in cols[a_from + j]:
-                    if a0 <= i < b0:
-                        out[i - a0] += v * w
-        if self.p:
-            out = [x % self.p for x in out]
-        return out
-
-    def _entry(self, r, p, n):
-        """Denominator basis and extending representatives at E_r(p, n).
-
-        All vectors are in the degree-n window (p-r, p] coordinates.
-        """
-        key = (r, p, n)
-        if key in self._entries:
-            return self._entries[key]
-        numerator = self._kernel(r, p, n)
-        if not numerator:
-            self._entries[key] = ([], [])
-            return self._entries[key]
-        a1, b1 = self._window(n, p - r, p)
-        width = b1 - a1
-
-        denom_gens = []
-        # lower ladder: Z_{r-1}(p-1, n) meets the window in its kernel part,
-        # which sits on the prefix (p-r, p-1] of this window
-        for vec in self._kernel(r - 1, p - 1, n):
-            denom_gens.append(vec + [0] * (width - len(vec)))
-        # boundaries: images of Z_{r-1}(p+r-1, n+1); the free block
-        # contributes its columns of weight inside (p-r, p]
-        if n + 1 <= self.fc.top_degree:
-            a_up, b_up = self._window(n + 1, p - r, p)
-            cols_up = self._columns(n + 1)
-            for j in range(a_up, b_up):
-                col = [0] * width
-                hit = False
-                for i, w in cols_up[j]:
-                    if a1 <= i < b1:
-                        col[i - a1] = w
-                        hit = True
-                if hit:
-                    denom_gens.append(col)
-            a_k, _ = self._window(n + 1, p, p + r - 1)
-            for vec in self._kernel(r - 1, p + r - 1, n + 1):
-                img = self._window_image(n + 1, vec, a_k, p, r)
-                if any(img):
-                    denom_gens.append(img)
-
-        red = RowReducer(self.p)
-        denom = []
-        for vec in denom_gens:
-            if red.add(vec):
-                denom.append(vec)
-        reps = []
-        for vec in numerator:
-            if red.add(vec):
-                reps.append(vec)
-        self._entries[key] = (denom, reps)
-        return self._entries[key]
+        if self._bars is None:
+            ends, deaths = defaultdict(Counter), defaultdict(Counter)
+            births = ()
+            for n in range(self.top_degree, -1, -1):
+                w_here, w_below = self.fc.weights(n), self.fc.weights(n - 1)
+                cols = [{} for _ in w_here]
+                for (i, j), v in self.fc.boundary(n).entries.items():
+                    if self.p:
+                        v %= self.p
+                    if v:
+                        cols[j][i] = v
+                pivots = {}
+                for j, col in enumerate(cols):
+                    if j in births:  # a cycle, counted above as its pair's birth
+                        continue
+                    col = self._reduce(col, pivots)
+                    if not col:
+                        ends[(w_here[j], n)][inf] += 1
+                        continue
+                    low = max(col)
+                    pivots[low] = col
+                    b, d = w_below[low], w_here[j]
+                    ends[(b, n - 1)][d - b] += 1
+                    ends[(d, n)][d - b] += 1
+                    deaths[(d, n)][d - b] += 1
+                births = pivots
+            self._bars = (ends, deaths)
+        return self._bars
 
     def entry_rank(self, r, p, n):
-        return len(self._entry(r, p, n)[1])
+        return _alive(self._pairing()[0].get((p, n), {}), r)
 
     def page(self, r):
         """Nonzero entries of page r as {(p, n): rank}."""
-        out = {}
-        for n in range(self.top_degree + 1):
-            for p in range(self.top_weight + 1):
-                m = self.entry_rank(r, p, n)
-                if m:
-                    out[(p, n)] = m
-        return out
-
-    def differential(self, r, p, n):
-        """Matrix of d_r from E_r(p, n) to E_r(p - r, n - 1)."""
-        _, reps = self._entry(r, p, n)
-        if not reps:
-            return []
-        denom_t, reps_t = self._entry(r, p - r, n - 1)
-        a1, _ = self._window(n, p - r, p)
-        cols = reps_t + denom_t
-        out_cols = []
-        for z in reps:
-            img = self._window_image(n, z, a1, p - r, r)
-            if not any(img):
-                out_cols.append([0] * len(reps_t))
-                continue
-            x = solve_columns(cols, img, self.p)
-            if x is None:
-                raise ArithmeticError(
-                    f"page {r} image at ({p},{n}) left its target entry"
-                )
-            out_cols.append(x[: len(reps_t)])
-        return [list(row) for row in zip(*out_cols)] if reps_t else []
+        ranks = {key: _alive(bars, r) for key, bars in self._pairing()[0].items()}
+        return {key: m for key, m in ranks.items() if m}
 
     def differential_rank(self, r, p, n):
-        key = (r, p, n)
-        if key not in self._diff_ranks:
-            if not self.entry_rank(r, p, n) or not self.entry_rank(r, p - r, n - 1):
-                self._diff_ranks[key] = 0
-            else:
-                rows = self.differential(r, p, n)
-                red = RowReducer(self.p)
-                for col in zip(*rows):
-                    red.add(list(col))
-                self._diff_ranks[key] = red.rank
-        return self._diff_ranks[key]
+        return self._pairing()[1].get((p, n), {}).get(r, 0)
 
     def turn_consistent(self, r):
         """Check E_{r+1} equals the homology of (E_r, d_r) entrywise."""
-        for n in range(self.top_degree + 1):
-            for p in range(self.top_weight + 1):
-                here = self.entry_rank(r, p, n)
-                if not here and not self.entry_rank(r + 1, p, n):
-                    continue
-                out_rank = self.differential_rank(r, p, n)
-                in_rank = self.differential_rank(r, p + r, n + 1)
-                if self.entry_rank(r + 1, p, n) != here - out_rank - in_rank:
-                    return False
-        return True
+        return all(
+            self.entry_rank(r + 1, p, n)
+            == self.entry_rank(r, p, n)
+            - self.differential_rank(r, p, n)
+            - self.differential_rank(r, p + r, n + 1)
+            for (p, n) in self._pairing()[0]
+        )
 
     def infinity_page(self):
         return self.page(self.stable_r)
@@ -263,36 +194,83 @@ class SpectralSequence:
             out[n] = out.get(n, 0) + m
         return out
 
+    def _graded(self, n, p):
+        """Index range [a, b) of the degree-n cells of weight exactly p."""
+        return self.fc.prefix_dim(n, p - 1), self.fc.prefix_dim(n, p)
+
+    def _block(self, n, p_from, p_to):
+        """Dense columns of the degree-n boundary from weight p_from to p_to."""
+        a, b = self._graded(n, p_from)
+        lo, hi = self._graded(n - 1, p_to)
+        cols = [[0] * (hi - lo) for _ in range(b - a)]
+        for (i, j), v in self.fc.boundary(n).entries.items():
+            if lo <= i < hi and a <= j < b:
+                cols[j - a][i - lo] = v
+        return cols
+
+    def _page_one_entry(self, p, n):
+        """Denominators and representatives of E_1(p, n).
+
+        Vectors are in the coordinates of the degree-n cells of weight p.
+        """
+        if (p, n) not in self._page_one:
+            here = self._block(n, p, p)
+            cycles = nullspace(list(zip(*here)), len(here), self.p)
+            red = RowReducer(self.p)
+            denom = [c for c in self._block(n + 1, p, p) if any(c) and red.add(c)]
+            self._page_one[(p, n)] = (denom, [z for z in cycles if red.add(z)])
+        return self._page_one[(p, n)]
+
+    def _coordinates(self, p, n, images):
+        """Columns of the page-one classes of images in E_1(p, n).
+
+        One elimination of [representatives | denominators | images]
+        solves for every image; one outside cycles + boundaries raises.
+        """
+        denom, reps = self._page_one_entry(p, n)
+        basis = reps + denom
+        if not any(map(any, images)):
+            return [[0] * len(images) for _ in reps]
+        red, pivots = rref(zip(*basis, *images), len(basis) + len(images), self.p)
+        if len(pivots) > len(basis):
+            raise ArithmeticError(f"an image in E_1({p},{n}) is not a page-one class")
+        return [row[len(basis) :] for row in red[: len(reps)]]
+
+    def differential(self, r, p, n):
+        """Matrix of d_1 from E_1(p, n) to E_1(p - 1, n - 1); r must be 1."""
+        _page_one_only(r)
+        reps = self._page_one_entry(p, n)[1]
+        if not reps:
+            return []
+        down = self._block(n, p, p - 1)
+        return self._coordinates(p - 1, n - 1, [_apply(down, z) for z in reps])
+
 
 def page_map(source, target, r, p, n, cell_map=None):
-    """Matrix on E_r(p, n) of a filtration- and weight-preserving cell map.
+    """Matrix on E_1(p, n) of a filtration- and weight-preserving cell map.
 
     cell_map sends a source cell to a target cell (identity by default)
     and must commute with the boundary; weights must match exactly.
+    Only page one is supported, so r must be 1.
     """
     if source.p != target.p:
         raise ValueError("page maps need matching coefficient fields")
-    _, reps = source._entry(r, p, n)
-    denom_t, reps_t = target._entry(r, p, n)
+    _page_one_only(r)
+    reps = source._page_one_entry(p, n)[1]
     if not reps:
-        return [[0] * 0 for _ in reps_t]
-    sa, sb = source._window(n, p - r, p)
-    ta, tb = target._window(n, p - r, p)
-    t_index = {c: i - ta for i, c in enumerate(target.fc.cells(n)) if ta <= i < tb}
-    s_cells = source.fc.cells(n)
-    cols = reps_t + denom_t
-    out_cols = []
+        return [[] for _ in target._page_one_entry(p, n)[1]]
+    a, b = source._graded(n, p)
+    ta, tb = target._graded(n, p)
+    index = {c: i for i, c in enumerate(target.fc.cells(n)[ta:tb])}
+    cells = source.fc.cells(n)[a:b]
+    moved = [index[c if cell_map is None else cell_map(c)] for c in cells]
+    images = []
     for z in reps:
         img = [0] * (tb - ta)
-        for i, v in enumerate(z):
-            if v:
-                cell = s_cells[sa + i] if cell_map is None else cell_map(s_cells[sa + i])
-                img[t_index[cell]] = v
-        x = solve_columns(cols, img, source.p)
-        if x is None:
-            raise ArithmeticError(f"cell map image at ({p},{n}) is not a page class")
-        out_cols.append(x[: len(reps_t)])
-    return [list(row) for row in zip(*out_cols)] if reps_t else []
+        for i, v in zip(moved, z):
+            img[i] += v
+        images.append(img)
+    return target._coordinates(p, n, images)
 
 
 def rmpss(G, ring="Q"):
@@ -303,10 +281,23 @@ def mpss(G, l_max, ring="Q"):
     return SpectralSequence(nerve_filtration(G, l_max), ring)
 
 
-def _page_entries(ss, r):
-    return [
-        {"l": p, "k": n, "rank": m} for (p, n), m in sorted(ss.page(r).items())
-    ]
+def _pages(ss, rmax):
+    """Pages 1 .. min(rmax, stable_r) as lists of JSON-ready entries."""
+    upto = ss.stable_r if rmax is None else min(rmax, ss.stable_r)
+    pages = []
+    for r in range(1, upto + 1):
+        page = sorted(ss.page(r).items())
+        entries = [{"l": p, "k": n, "rank": m} for (p, n), m in page]
+        pages.append({"r": r, "entries": entries})
+    return pages
+
+
+def _table_mismatch(page_entries, table):
+    """Bidegrees (l, k) where a page disagrees with a homology table's ranks."""
+    keys = set(page_entries) | {(l, k) for (k, l) in table.entries}
+    return sorted(
+        (l, k) for l, k in keys if page_entries.get((l, k), 0) != table.rank(k, l)
+    )
 
 
 def rmpss_report(G, ring="Q", rmax=None):
@@ -317,45 +308,21 @@ def rmpss_report(G, ring="Q", rmax=None):
     the homology of the complex of injective words.
     """
     ss = rmpss(G, ring)
-    stable = ss.stable_r
-    upto = stable if rmax is None else min(rmax, stable)
-    pages = [{"r": r, "entries": _page_entries(ss, r)} for r in range(1, upto + 1)]
-
-    field = "Q" if ring == "Q" else ring
-    emh = homology_table(G, "eulerian", field)
-    e1 = ss.page(1)
-    e1_mismatches = _table_mismatch(e1, emh)
-
+    field = ss.p or "Q"
+    e1_mismatches = _table_mismatch(ss.page(1), homology_table(G, "eulerian", field))
     sph = path_homology(G, strong=True, ring=field)
-    diag = {n: ss.entry_rank(2, n, n) for n in range(ss.top_degree + 1)}
-    diag = {n: m for n, m in diag.items() if m}
-
-    totals = {n: m for n, m in ss.total_ranks().items() if m}
+    diag = {n: m for n in range(ss.top_degree + 1) if (m := ss.entry_rank(2, n, n))}
+    totals = ss.total_ranks()
     word = {k: g.rank for k, g in ss.fc.total_homology(field).items() if g.rank}
-
     return {
-        "stable_page": stable,
-        "pages": pages,
+        "stable_page": ss.stable_r,
+        "pages": _pages(ss, rmax),
         "e1_matches_eulerian_homology": not e1_mismatches,
         "e1_mismatches": e1_mismatches,
         "e2_diagonal_matches_strong_path_homology": diag == sph,
         "einf_totals_match_word_homology": totals == word,
         "einf_totals": {str(k): v for k, v in sorted(totals.items())},
     }
-
-
-def _table_mismatch(page_entries, table):
-    """Bidegrees where a page disagrees with a homology table's ranks."""
-    bad = []
-    seen = set()
-    for (l, k), m in page_entries.items():
-        seen.add((k, l))
-        if table.rank(k, l) != m:
-            bad.append((l, k))
-    for (k, l) in table.entries:
-        if (k, l) not in seen and table.rank(k, l):
-            bad.append((l, k))
-    return sorted(bad)
 
 
 def page_one_inclusion_report(G, l_max, ring="Q"):
@@ -372,7 +339,6 @@ def page_one_inclusion_report(G, l_max, ring="Q"):
             f"l_max={l_max} is below the top injective word length {reg.top_weight}"
         )
     ord_ = mpss(G, l_max, ring)
-    field = reg.p
     checked = 0
     for (p, n) in sorted(reg.page(1)):
         s = reg.entry_rank(1, p, n)
@@ -381,8 +347,8 @@ def page_one_inclusion_report(G, l_max, ring="Q"):
         m = ord_.entry_rank(1, p - 1, n - 1)
         f_here = page_map(reg, ord_, 1, p, n)
         f_down = page_map(reg, ord_, 1, p - 1, n - 1)
-        left = _mul(f_down, reg.differential(1, p, n), m, t, s, field)
-        right = _mul(ord_.differential(1, p, n), f_here, m, so, s, field)
+        left = _mul(f_down, reg.differential(1, p, n), m, t, s, reg.p)
+        right = _mul(ord_.differential(1, p, n), f_here, m, so, s, reg.p)
         if left != right:
             return {"commutes": False, "failed_at": (p, n), "checked": checked}
         checked += 1
@@ -392,26 +358,21 @@ def page_one_inclusion_report(G, l_max, ring="Q"):
 def mpss_report(G, l_max, ring="Q", rmax=2):
     """Truncated ordinary sequence: pages up to rmax plus page-one checks.
 
-    Page one must be the (truncated) ordinary trail homology.  Deeper
-    pages are available by raising rmax, at window-sized cost per step.
+    Page one must be the (truncated) ordinary trail homology.  Every page
+    is read off the same persistence pairing, so raising rmax costs
+    next to nothing.
     """
     ss = mpss(G, l_max, ring)
-    upto = min(rmax, ss.stable_r)
-    pages = [{"r": r, "entries": _page_entries(ss, r)} for r in range(1, upto + 1)]
-
-    field = "Q" if ring == "Q" else ring
-    mh = homology_table(G, "ordinary", field, l_max=l_max)
+    mh = homology_table(G, "ordinary", ss.p or "Q", l_max=l_max)
     mismatches = _table_mismatch(ss.page(1), mh)
-
     inclusion = None
     if rmpss(G, ring).top_weight <= l_max:
         inclusion = page_one_inclusion_report(G, l_max, ring)
-
     return {
         "l_max": l_max,
         "truncated": True,
         "stable_page": ss.stable_r,
-        "pages": pages,
+        "pages": _pages(ss, rmax),
         "e1_matches_ordinary_homology": not mismatches,
         "e1_mismatches": mismatches,
         "page_one_inclusion": inclusion,
@@ -426,7 +387,7 @@ def diagonal_convergence(G, ring="Q"):
     full = homology_table(G, "eulerian", "Z")
     if any(k != l for (k, l) in full.entries):
         raise GraphError("not regularly diagonal")
-    field = "Q" if ring == "Q" else ring
+    field = parse_field(ring, "diagonal convergence needs") or "Q"
     sph = path_homology(G, strong=True, ring=field)
     fc = injective_word_filtration(G)
     word = {k: g.rank for k, g in fc.total_homology(field).items() if g.rank}

@@ -6,6 +6,9 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+from test_spectral import CYCLE_4_TRUNCATED_PAGES
+
+from maghom import cli
 from maghom.cli import main
 
 
@@ -213,3 +216,34 @@ def test_console_script_roundtrip():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["groups"]["3,5"] == {"rank": 8, "torsion": []}
+
+
+def test_internal_arithmetic_error_exits_1_with_nothing_on_stdout(monkeypatch):
+    message = "page 1 image at (2,2) left its target entry"
+
+    def broken(*args, **kwargs):
+        raise ArithmeticError(message)
+
+    # the CLI calls the name it imported from maghom.spectral
+    monkeypatch.setattr(cli, "rmpss_report", broken)
+    code, out, err = run(["compute", "rmpss", "--family", "complete:3"])
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"maghom: internal error: {message}"
+
+
+def test_spectral_sequences_of_four_and_five_cycles():
+    # the final page of the five-cycle is the homology of injective
+    # words: 44 = D_5 derangements in degree 4; a per-window algorithm
+    # needs minutes here, the persistence pairing well under a second
+    code, out, _ = run(["compute", "rmpss", "--family", "cycle:5"])
+    assert code == 0
+    assert json.loads(out)["einf_totals"] == {"0": 1, "4": 44}
+    argv = ["compute", "mpss", "--family", "cycle:4", "--lmax", "4", "--rmax", "4"]
+    code, out, _ = run(argv)
+    assert code == 0
+    pages = {
+        page["r"]: {(e["l"], e["k"]): e["rank"] for e in page["entries"]}
+        for page in json.loads(out)["pages"]
+    }
+    assert pages == CYCLE_4_TRUNCATED_PAGES

@@ -175,8 +175,8 @@ def test_snf_invariant_under_row_and_column_permutations(data):
 
 
 @st.composite
-def small_digraphs(draw):
-    n = draw(st.integers(1, 5))
+def small_digraphs(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return digraph(n, [e for e, kept in zip(pairs, keep) if kept])

@@ -1,9 +1,13 @@
 """Spectral sequences of the length filtration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_snf import small_digraphs
 
+from maghom.exactla import RowReducer
 from maghom.graphs import digraph, family, transitive_tournament
-from maghom.homology import homology_table
+from maghom.homology import homology_table, parse_ring
 from maghom.pathhom import path_homology
 from maghom.spectral import (
     diagonal_convergence,
@@ -154,3 +158,93 @@ def test_field_characteristic_changes_nothing_here():
     # small torsion-free cases: same ranks over Q and F2
     for G in (family("complete", 3), transitive_tournament(3)):
         assert rmpss(G, ring="Q").total_ranks() == rmpss(G, ring="Fp:2").total_ranks()
+
+
+# pages of the old window-based code, recorded before the persistence pairing
+DIR_CYCLE_4_PAGES = {
+    1: {(0, 0): 4, (1, 1): 4, (5, 2): 4, (6, 3): 4, (7, 3): 4, (9, 3): 4},
+    2: {(0, 0): 1, (1, 1): 1, (5, 2): 1, (6, 3): 1, (7, 3): 4, (9, 3): 4},
+    3: {(0, 0): 1, (1, 1): 1, (5, 2): 1, (6, 3): 1, (7, 3): 4, (9, 3): 4},
+    4: {(0, 0): 1, (1, 1): 1, (5, 2): 1, (6, 3): 1, (7, 3): 4, (9, 3): 4},
+}
+CYCLE_4_TRUNCATED_PAGES = {
+    1: {(0, 0): 4, (1, 1): 8, (2, 2): 12, (3, 3): 16, (4, 4): 20},
+    2: {(0, 0): 1, (4, 4): 11},
+    3: {(0, 0): 1, (4, 4): 11},
+    4: {(0, 0): 1, (4, 4): 11},
+}
+
+
+def matrix_rank(rows, p):
+    red = RowReducer(p)
+    for row in rows:
+        red.add(row)
+    return red.rank
+
+
+def test_pinned_pages():
+    ss = rmpss(family("dir_cycle", 4))
+    assert {r: ss.page(r) for r in range(1, 5)} == DIR_CYCLE_4_PAGES
+    ss = mpss(family("cycle", 4), 4)
+    assert {r: ss.page(r) for r in range(1, 5)} == CYCLE_4_TRUNCATED_PAGES
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_digraphs(max_n=4), st.sampled_from(["Q", "Fp:2", "Fp:3"]), st.booleans())
+def test_pages_against_smith_form_homology(G, ring, regular):
+    if regular:
+        ss, table = rmpss(G, ring), homology_table(G, "eulerian", ring)
+    else:
+        ss, table = mpss(G, 3, ring), homology_table(G, "ordinary", ring, l_max=3)
+    # page one is the homology of the graded pieces
+    want = {(l, k): g.rank for (k, l), g in table.entries.items() if g.rank}
+    assert ss.page(1) == want
+    # the final page adds up to the homology of the whole complex
+    total = ss.fc.total_homology(parse_ring(ring))
+    assert ss.total_ranks() == {k: g.rank for k, g in total.items() if g.rank}
+    chi = None
+    for r in range(1, ss.stable_r + 1):
+        here, after = ss.page(r), ss.page(r + 1)
+        assert all(m <= here.get(key, 0) for key, m in after.items()), r
+        euler = sum((-1) ** n * m for (_, n), m in here.items())
+        assert chi is None or euler == chi
+        chi = euler
+        for (p, n), m in here.items():
+            out = ss.differential_rank(r, p, n)
+            into = ss.differential_rank(r, p + r, n + 1)
+            assert ss.entry_rank(r + 1, p, n) == m - out - into, (r, p, n)
+    # page-one matrices have the shapes and ranks the pairing counts
+    for (p, n), m in ss.page(1).items():
+        assert matrix_rank(page_map(ss, ss, 1, p, n), ss.p) == m
+        d1 = ss.differential(1, p, n)
+        assert len(d1) == ss.entry_rank(1, p - 1, n - 1)
+        assert all(len(row) == m for row in d1)
+        assert matrix_rank(d1, ss.p) == ss.differential_rank(1, p, n)
+
+
+def test_reports_take_prime_field_rings():
+    G = family("complete", 3)
+    rep = rmpss_report(G, ring="Fp:2")
+    assert rep["einf_totals_match_word_homology"]
+    assert rep["einf_totals"] == {"0": 1, "2": 2}
+    assert mpss_report(G, 4, ring="Fp:3")["e1_matches_ordinary_homology"]
+    assert diagonal_convergence(G, ring="Fp:2")["match"]
+
+
+def test_maps_are_page_one_only():
+    ss = rmpss(family("complete", 3))
+    with pytest.raises(ValueError):
+        ss.differential(2, 2, 2)
+    with pytest.raises(ValueError):
+        page_map(ss, ss, 2, 1, 1)
+
+
+def test_page_map_refuses_a_map_that_is_not_a_chain_map():
+    # the cycle (3, 4, 5) of the triangle would go to (0, 1, 2), whose
+    # boundary keeps the length: not a page-one class
+    G = digraph(6, [(0, 1), (1, 2), (3, 4), (4, 3), (4, 5), (5, 4), (3, 5), (5, 3)])
+    ss = rmpss(G)
+    swap = {(0, 1, 2): (3, 4, 5), (3, 4, 5): (0, 1, 2)}
+    assert len(page_map(ss, ss, 1, 2, 2)) == ss.entry_rank(1, 2, 2)
+    with pytest.raises(ArithmeticError):
+        page_map(ss, ss, 1, 2, 2, cell_map=lambda c: swap.get(c, c))
