@@ -430,7 +430,6 @@ def build_parser():
     comp.add_argument("--n", type=int, help="vertex count (gamma)")
     comp.add_argument("--s", type=int, help="edge deficit (gamma)")
     comp.add_argument("--format", choices=("json", "csv", "md"), default="json")
-    comp.add_argument("--jobs", type=int, default=None, help=argparse.SUPPRESS)
 
     ver = sub.add_parser("verify-paper", help="run the reproduction checks")
     ver.add_argument(
@@ -448,11 +447,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    jobs = args.jobs if args.jobs else _default_jobs()
-    if jobs < 1:
-        parser.error("--jobs must be at least 1")
     try:
         if args.mode == "verify-paper":
+            jobs = args.jobs if args.jobs else _default_jobs()
+            if jobs < 1:
+                parser.error("--jobs must be at least 1")
             if args.list:
                 for name in CHECKS:
                     print(name)
@@ -476,7 +475,6 @@ def main(argv=None):
             n=args.n,
             s=args.s,
             format=args.format,
-            jobs=jobs,
         )
         return cmd_compute(cfg)
     except ResourceCapError as exc:

@@ -15,9 +15,8 @@ so the filtration is respected by the full face-sum differential.
 from __future__ import annotations
 
 from .chains import _eulerian_buckets, _trail_buckets
-from .errors import GraphError
-from .matrices import SparseMatrix
-from .snf import smith_normal_form
+from .homology import chain_homology
+from .words import face_sum
 
 
 class FilteredComplex:
@@ -80,46 +79,15 @@ class FilteredComplex:
 
     def boundary(self, k):
         if k not in self._boundaries:
-            domain = self.cells(k)
-            codomain = self.cells(k - 1)
-            index = {t: i for i, t in enumerate(codomain)}
-            mat = SparseMatrix(len(codomain), len(domain))
-            if k >= 1:
-                for j, cell in enumerate(domain):
-                    for i in range(k + 1):
-                        face = cell[:i] + cell[i + 1 :]
-                        if self._drop_degenerate and any(
-                            a == b for a, b in zip(face, face[1:])
-                        ):
-                            continue
-                        if face not in index:
-                            raise GraphError(f"face {face} of {cell} is missing")
-                        mat.add_at(index[face], j, (-1) ** i)
-            self._boundaries[k] = mat
+            self._boundaries[k] = face_sum(
+                self.cells(k), self.cells(k - 1), self._drop_degenerate
+            )
         return self._boundaries[k]
 
     def total_homology(self, ring="Z"):
         """Homology of the underlying complex, filtration forgotten."""
-        from .homology import AbelianGroupInvariant, _group_from_snf
-
-        zero = ((), 0)
-        stats = {}
-
-        def snf_at(k):
-            if k not in stats:
-                mat = self.boundary(k)
-                stats[k] = smith_normal_form(mat) if mat.nnz else ((), 0)
-            return stats[k]
-
-        out = {}
-        for k in self.degrees():
-            dim = self.dim(k)
-            out_stats = snf_at(k) if k >= 1 else zero
-            in_stats = snf_at(k + 1) if self.dim(k + 1) else zero
-            g = _group_from_snf(dim, out_stats, in_stats, ring)
-            if not g.trivial:
-                out[k] = g
-        return out
+        dims = {k: self.dim(k) for k in self.degrees()}
+        return chain_homology(dims, self.boundary, ring)
 
 
 def injective_word_filtration(G):

@@ -1,25 +1,26 @@
-"""Homology of the bigraded trail complexes.
+"""Homology of chain complexes, and the bigraded trail complexes.
 
-Everything is computed once over the integers via Smith normal form and
-then read off for the requested coefficients: the rational rank is the
-number of Smith divisors, the mod-p rank is the number of divisors p
-does not divide, and the torsion summands are the divisors exceeding 1.
+One loop, ``chain_homology``, serves every complex in the package (trail
+complexes, word complexes, filtered total complexes).  Each differential
+goes through integer Smith normal form once, and the requested
+coefficients are read off it: the rational rank is the number of Smith
+divisors, the mod-p rank is the number of divisors p does not divide,
+and the torsion summands are the divisors exceeding 1.
+
+``les_verify`` checks the long exact sequence at one length.  Its cycle
+bases are the kernel columns of one sparse column reduction per boundary
+(``matrices.reduce_columns``), and each map rank is rank [images |
+boundaries] - rank boundaries, both Smith-form ranks of sparse matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .chains import (
-    BigradedComplex,
-    boundary_matrix,
-    certified_length_bound,
-    enumerate_basis,
-)
+from .chains import KINDS, BigradedComplex, certified_length_bound
 from .errors import GraphError
-from .exactla import RowReducer, nullspace
-from .snf import smith_normal_form
+from .matrices import SparseMatrix, combine, reduce_columns
+from .snf import rank_z, smith_normal_form
 
 
 def parse_ring(text):
@@ -146,19 +147,36 @@ class HomologyTable:
         return "\n".join(lines) + "\n"
 
 
-def _group_from_snf(dim, out_stats, in_stats, ring):
-    out_divs, out_rank = out_stats
-    in_divs, in_rank = in_stats
-    if ring == "Z" or ring == "Q":
-        rank = dim - out_rank - in_rank
-        torsion = tuple(d for d in in_divs if d > 1) if ring == "Z" else ()
-    else:
-        p = ring
-        out_p = sum(1 for d in out_divs if d % p)
-        in_p = sum(1 for d in in_divs if d % p)
-        rank = dim - out_p - in_p
-        torsion = ()
-    return AbelianGroupInvariant(rank, torsion)
+def chain_homology(dims, boundary, ring="Z", reduced=False):
+    """Homology of one chain complex from the Smith forms of its differentials.
+
+    dims maps a degree to the rank of its chain group, and boundary(k) is
+    the differential out of degree k >= 1 as a SparseMatrix.  With
+    reduced, the augmentation takes the place of the zero map on degree
+    0.  Returns {degree: AbelianGroupInvariant}, trivial groups dropped.
+    """
+    if isinstance(ring, str):
+        ring = parse_ring(ring)
+    snf = {}
+
+    def divisors(k):
+        if k not in snf:
+            mat = boundary(k) if k >= 1 and dims.get(k) else None
+            snf[k] = smith_normal_form(mat)[0] if mat is not None and mat.nnz else ()
+        return snf[k]
+
+    def rank(divs):
+        return len(divs) if ring in ("Z", "Q") else sum(1 for d in divs if d % ring)
+
+    out = {}
+    for k, dim in sorted(dims.items()):
+        outgoing = (1,) if reduced and k == 0 else divisors(k)
+        incoming = divisors(k + 1)
+        torsion = tuple(d for d in incoming if d > 1) if ring == "Z" else ()
+        g = AbelianGroupInvariant(dim - rank(outgoing) - rank(incoming), torsion)
+        if not g.trivial:
+            out[k] = g
+    return out
 
 
 def homology_table(G, kind="eulerian", ring="Z", l_max=None):
@@ -166,54 +184,28 @@ def homology_table(G, kind="eulerian", ring="Z", l_max=None):
     if isinstance(ring, str):
         ring = parse_ring(ring)
     complex_ = BigradedComplex.build(G, kind, l_max)
-    zero = ((), 0)
-    stats = {}
-
-    def snf_at(k, l):
-        key = (k, l)
-        if key not in stats:
-            mat = complex_.boundary(k, l)
-            stats[key] = smith_normal_form(mat) if mat.nnz else ((), 0)
-        return stats[key]
-
-    entries = {}
+    by_length = {}
     for (k, l), dim in complex_.counts().items():
-        out_stats = snf_at(k, l) if k >= 1 else zero
-        in_stats = snf_at(k + 1, l) if complex_.dim(k + 1, l) else zero
-        g = _group_from_snf(dim, out_stats, in_stats, ring)
-        if not g.trivial:
-            entries[(k, l)] = g
+        by_length.setdefault(l, {})[k] = dim
+    entries = {}
+    for l, dims in by_length.items():
+        groups = chain_homology(dims, lambda k: complex_.boundary(k, l), ring)
+        entries.update(((k, l), g) for k, g in groups.items())
     return HomologyTable(kind, ring, entries, complex_.l_max, complex_.certified, G.n)
 
 
-def _cycle_vectors(G, kind, k, l):
-    """Rational basis of the cycle space at (k, l), as dense column vectors."""
-    dim = len(enumerate_basis(G, kind, k, l))
-    if dim == 0:
-        return []
-    if k == 0:
-        return [[Fraction(int(i == j)) for i in range(dim)] for j in range(dim)]
-    mat = boundary_matrix(G, kind, k, l)
-    return nullspace(mat.to_rows(), dim, None)
+def _map_rank(images, boundaries):
+    """Rank on homology of a map, from chain-level images of a cycle basis.
 
-
-def _boundary_columns(G, kind, k, l):
-    """Columns of the differential landing in (k, l), as dense vectors."""
-    return boundary_matrix(G, kind, k + 1, l).to_columns()
-
-
-def _induced_rank(images, boundary_cols):
-    """Rank of a map on homology from chain-level images of cycles.
-
-    The rank equals rank([images | boundaries]) - rank(boundaries).
+    The rank is rank [images | boundaries] - rank boundaries, over Q.
     """
-    red = RowReducer(None)
-    for col in boundary_cols:
-        red.add(col)
-    base = red.rank
-    for col in images:
-        red.add(col)
-    return red.rank - base
+    both = SparseMatrix(
+        boundaries.nrows, boundaries.ncols + len(images), boundaries.entries
+    )
+    for j, image in enumerate(images, boundaries.ncols):
+        for i, v in image.items():
+            both.add_at(i, j, v)
+    return rank_z(both) - rank_z(boundaries)
 
 
 def les_verify(G, l):
@@ -222,80 +214,70 @@ def les_verify(G, l):
     At a fixed length the ordinary complex is finite (each step has length
     at least one), so no truncation is involved.  Returns per-degree ranks
     of the three homologies and of the maps between them, plus the three
-    exactness identities the ranks must satisfy.
+    exactness identities the ranks must satisfy.  Cycle bases are the V
+    columns of the zero columns in the column reduction of each boundary;
+    every map rank comes from chain-level images, never from the
+    exactness identities.
     """
-    dist_kinds = ("eulerian", "ordinary", "discriminant")
-    tables = {kind: homology_table(G, kind, "Q", l_max=l) for kind in dist_kinds}
-    e = {k: tables["eulerian"].rank(k, l) for k in range(l + 2)}
-    m = {k: tables["ordinary"].rank(k, l) for k in range(l + 2)}
-    d = {k: tables["discriminant"].rank(k, l) for k in range(l + 2)}
+    emx, mx, dmx = (BigradedComplex.build(G, kind, l) for kind in KINDS)
+
+    def cycles(c, k):
+        return reduce_columns(c.boundary(k, l).columns(), record=True)[1]
+
+    def ranks(c):
+        dims = {k: c.dim(k, l) for k in range(l + 2)}
+        groups = chain_homology(dims, lambda k: c.boundary(k, l), "Q")
+        return {k: g.rank for k, g in groups.items()}
+
+    e, m, d = ranks(emx), ranks(mx), ranks(dmx)
 
     r_incl = {}
     r_proj = {}
     r_conn = {}
     for k in range(l + 1):
-        mc_basis = enumerate_basis(G, "ordinary", k, l)
-        mc_index = {t: i for i, t in enumerate(mc_basis)}
-        dmc_basis = enumerate_basis(G, "discriminant", k, l)
-        dmc_index = {t: i for i, t in enumerate(dmc_basis)}
-        emc_basis = enumerate_basis(G, "eulerian", k, l)
-        emc_index = {t: i for i, t in enumerate(emc_basis)}
+        emc, mc, dmc = emx.basis(k, l), mx.basis(k, l), dmx.basis(k, l)
+        mc_index = {t: i for i, t in enumerate(mc)}
+        dmc_index = {t: i for i, t in enumerate(dmc)}
 
         # inclusion on homology
-        images = []
-        for z in _cycle_vectors(G, "eulerian", k, l):
-            vec = [Fraction(0)] * len(mc_basis)
-            for i, t in enumerate(emc_basis):
-                if z[i]:
-                    vec[mc_index[t]] = Fraction(z[i])
-            images.append(vec)
-        r_incl[k] = _induced_rank(images, _boundary_columns(G, "ordinary", k, l))
+        images = [
+            {mc_index[emc[i]]: v for i, v in z.items()} for z in cycles(emx, k)
+        ]
+        r_incl[k] = _map_rank(images, mx.boundary(k + 1, l))
 
         # projection on homology
-        images = []
-        for z in _cycle_vectors(G, "ordinary", k, l):
-            vec = [Fraction(0)] * len(dmc_basis)
-            for i, t in enumerate(mc_basis):
-                if z[i] and t in dmc_index:
-                    vec[dmc_index[t]] = Fraction(z[i])
-            images.append(vec)
-        r_proj[k] = _induced_rank(images, _boundary_columns(G, "discriminant", k, l))
+        images = [
+            {dmc_index[mc[i]]: v for i, v in z.items() if mc[i] in dmc_index}
+            for z in cycles(mx, k)
+        ]
+        r_proj[k] = _map_rank(images, dmx.boundary(k + 1, l))
 
         # connecting map: lift a quotient cycle, push it through the full
         # differential, read the result in the all-distinct basis
+        r_conn[k] = 0
         if k >= 1:
-            full = boundary_matrix(G, "ordinary", k, l)
-            lower_basis = enumerate_basis(G, "ordinary", k - 1, l)
-            lower_emc = enumerate_basis(G, "eulerian", k - 1, l)
-            lower_index = {t: i for i, t in enumerate(lower_emc)}
+            full = mx.boundary(k, l).columns()
+            lower = mx.basis(k - 1, l)
+            lower_index = {t: i for i, t in enumerate(emx.basis(k - 1, l))}
             images = []
-            for z in _cycle_vectors(G, "discriminant", k, l):
-                lift = [Fraction(0)] * len(mc_basis)
-                for i, t in enumerate(dmc_basis):
-                    if z[i]:
-                        lift[mc_index[t]] = Fraction(z[i])
-                pushed = full.apply(lift)
-                vec = [Fraction(0)] * len(lower_emc)
-                for i, t in enumerate(lower_basis):
-                    if pushed[i]:
-                        if t not in lower_index:
-                            raise GraphError(
-                                f"connecting image of a cycle hit repeat trail {t}"
-                            )
-                        vec[lower_index[t]] = Fraction(pushed[i])
-                images.append(vec)
-            r_conn[k] = _induced_rank(images, _boundary_columns(G, "eulerian", k - 1, l))
-        else:
-            r_conn[k] = 0
+            for z in cycles(dmx, k):
+                pushed = combine(full, {mc_index[dmc[i]]: v for i, v in z.items()})
+                for i in pushed:
+                    if lower[i] not in lower_index:
+                        raise GraphError(
+                            f"connecting image of a cycle hit repeat trail {lower[i]}"
+                        )
+                images.append({lower_index[lower[i]]: v for i, v in pushed.items()})
+            r_conn[k] = _map_rank(images, emx.boundary(k, l))
 
     checks = []
     failures = []
     for k in range(l + 1):
         row = {
             "k": k,
-            "exact_at_ordinary": r_incl[k] + r_proj[k] == m[k],
-            "exact_at_discriminant": r_proj[k] + r_conn[k] == d[k],
-            "exact_at_eulerian": r_conn.get(k + 1, 0) + r_incl[k] == e[k],
+            "exact_at_ordinary": r_incl[k] + r_proj[k] == m.get(k, 0),
+            "exact_at_discriminant": r_proj[k] + r_conn[k] == d.get(k, 0),
+            "exact_at_eulerian": r_conn.get(k + 1, 0) + r_incl[k] == e.get(k, 0),
         }
         checks.append(row)
         for name in ("ordinary", "discriminant", "eulerian"):
@@ -303,9 +285,9 @@ def les_verify(G, l):
                 failures.append(f"degree {k} at the {name} term")
     return {
         "l": l,
-        "eulerian": {k: v for k, v in e.items() if v},
-        "ordinary": {k: v for k, v in m.items() if v},
-        "discriminant": {k: v for k, v in d.items() if v},
+        "eulerian": e,
+        "ordinary": m,
+        "discriminant": d,
         "rank_inclusion": {k: v for k, v in r_incl.items() if v},
         "rank_projection": {k: v for k, v in r_proj.items() if v},
         "rank_connecting": {k: v for k, v in r_conn.items() if v},

@@ -23,17 +23,18 @@ rank H_n = dim Omega_n - rank d_n - rank d_{n+1} gives
 
 with the augmentation (rank 1 on a nonempty vertex set) in place of
 full_0 for reduced homology.  Each rank is a sparse Smith-form rank,
-over Q or mod p, so the arithmetic stays exact.
+over Q or mod p, so the arithmetic stays exact.  Only ``omega_basis``
+builds vectors, as the kernel columns of one sparse column reduction of
+stray_n (``matrices.reduce_columns``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactla import nullspace
 from .graphs import adjacency
 from .homology import parse_field
-from .matrices import SparseMatrix
+from .matrices import SparseMatrix, reduce_columns
 from .snf import rank_mod_p, rank_z
 
 
@@ -89,9 +90,13 @@ def _face_sums(G, n, strong, stray_only):
 
 
 def omega_basis(G, n, strong=False, p=None):
-    """Basis vectors of Omega_n = ker stray_n in allowed-path coordinates."""
+    """Basis vectors of Omega_n = ker stray_n in allowed-path coordinates.
+
+    They are the V columns of the stray columns that reduce to zero.
+    """
     stray = _face_sums(G, n, strong, stray_only=True)
-    return nullspace(stray.to_rows(), stray.ncols, p)
+    kernel = reduce_columns(stray.columns(p), p, record=True)[1]
+    return [[z.get(j, 0) for j in range(stray.ncols)] for z in kernel]
 
 
 def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):

@@ -15,26 +15,28 @@ E_r(p - r, n - 1),
 
 Degrees are reduced from the top down with clearing (Chen & Kerber,
 *Persistent homology computation with a twist*, EuroCG 2011): a cell
-already paired as a birth is a cycle, so its column is skipped.  Columns
-are sparse; over Q they are combined fraction-free in integers, over F_p
-in integers mod p.
+already paired as a birth is a cycle, so its column is skipped.  The
+reduction is ``matrices.reduce_column``: sparse, fraction-free over Q and
+mod p over F_p.
 
 Matrices of differentials and page maps are taken on page one only,
-where E_1(p, n) is the homology of the graded piece at weight p.  Each
-entry's representatives and denominators are computed once, and all
-images into an entry are solved for in one elimination.
+where E_1(p, n) is the homology of the graded piece at weight p.  The
+same reduction, recording its column operations, gives each entry's
+representatives, and the class coordinates of an image are read off by
+reducing it against those and the boundaries.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from math import gcd, inf
+from fractions import Fraction
+from math import inf
 
 from .errors import GraphError
-from .exactla import RowReducer, nullspace, rref
 from .filtration import injective_word_filtration, nerve_filtration
 from .graphs import is_weakly_connected
 from .homology import homology_table, parse_field
+from .matrices import combine, reduce_column, reduce_columns
 from .pathhom import path_homology
 
 
@@ -43,32 +45,10 @@ def _alive(lifetimes, r):
     return sum(m for life, m in lifetimes.items() if life >= r)
 
 
-def _apply(cols, vec):
-    """Dense columns times a vector."""
-    out = [0] * len(cols[0])
-    for col, x in zip(cols, vec):
-        if x:
-            for i, v in enumerate(col):
-                if v:
-                    out[i] += v * x
-    return out
-
-
-def _mul(A, B, out_rows, inner, out_cols, p):
-    """Shape-explicit product; A is out_rows x inner, B is inner x out_cols."""
-    out = [[0] * out_cols for _ in range(out_rows)]
-    for i in range(out_rows):
-        row = out[i]
-        for t in range(inner):
-            a = A[i][t]
-            if a:
-                brow = B[t]
-                for j in range(out_cols):
-                    if brow[j]:
-                        row[j] += a * brow[j]
-    if p:
-        return [[x % p for x in row] for row in out]
-    return out
+def _product(A, B, ncols, p):
+    """A B for matrices given as row lists; B has ncols columns, even with no rows."""
+    out = [[sum(x * row[j] for x, row in zip(a, B)) for j in range(ncols)] for a in A]
+    return [[x % p for x in row] for row in out] if p else out
 
 
 def _page_one_only(r):
@@ -81,6 +61,7 @@ class SpectralSequence:
         self.fc = filtered
         self.p = parse_field(ring, "spectral sequences need")
         self._bars = None
+        self._cols = {}
         self._page_one = {}
 
     @property
@@ -96,38 +77,6 @@ class SpectralSequence:
         """All page differentials vanish once r exceeds every weight."""
         return self.top_weight + 1
 
-    def _reduce(self, col, pivots):
-        """Clear the lowest entry of col against pivots while one matches.
-
-        Over Q the step col <- a * col - c * piv keeps the entries integral.
-        """
-        p = self.p
-        while col:
-            low = max(col)
-            piv = pivots.get(low)
-            if piv is None:
-                break
-            if p:
-                a, c = 1, col[low] * pow(piv[low], -1, p)
-            else:
-                g = gcd(piv[low], col[low])
-                a, c = piv[low] // g, col[low] // g
-            if a != 1:
-                for i in col:
-                    col[i] *= a
-            for i, v in piv.items():
-                x = col.get(i, 0) - c * v
-                if p:
-                    x %= p
-                if x:
-                    col[i] = x
-                else:
-                    del col[i]
-        if col and not p:
-            g = gcd(*col.values())
-            col = {i: v // g for i, v in col.items()}
-        return col
-
     def _pairing(self):
         """Lifetimes by bidegree, as two {(p, n): Counter} maps.
 
@@ -139,22 +88,16 @@ class SpectralSequence:
             births = ()
             for n in range(self.top_degree, -1, -1):
                 w_here, w_below = self.fc.weights(n), self.fc.weights(n - 1)
-                cols = [{} for _ in w_here]
-                for (i, j), v in self.fc.boundary(n).entries.items():
-                    if self.p:
-                        v %= self.p
-                    if v:
-                        cols[j][i] = v
                 pivots = {}
-                for j, col in enumerate(cols):
+                for j, col in enumerate(self.fc.boundary(n).columns(self.p)):
                     if j in births:  # a cycle, counted above as its pair's birth
                         continue
-                    col = self._reduce(col, pivots)
+                    col, _ = reduce_column(col, pivots, self.p)
                     if not col:
                         ends[(w_here[j], n)][inf] += 1
                         continue
                     low = max(col)
-                    pivots[low] = col
+                    pivots[low] = (col, None)
                     b, d = w_below[low], w_here[j]
                     ends[(b, n - 1)][d - b] += 1
                     ends[(d, n)][d - b] += 1
@@ -198,52 +141,62 @@ class SpectralSequence:
         """Index range [a, b) of the degree-n cells of weight exactly p."""
         return self.fc.prefix_dim(n, p - 1), self.fc.prefix_dim(n, p)
 
-    def _block(self, n, p_from, p_to):
-        """Dense columns of the degree-n boundary from weight p_from to p_to."""
+    def _columns(self, n, p_from, p_to):
+        """Sparse columns of the degree-n boundary from the cells of weight
+        p_from to those of weight p_to, each indexed within its weight."""
+        if n not in self._cols:
+            self._cols[n] = self.fc.boundary(n).columns(self.p)
         a, b = self._graded(n, p_from)
         lo, hi = self._graded(n - 1, p_to)
-        cols = [[0] * (hi - lo) for _ in range(b - a)]
-        for (i, j), v in self.fc.boundary(n).entries.items():
-            if lo <= i < hi and a <= j < b:
-                cols[j - a][i - lo] = v
-        return cols
+        return [
+            {i - lo: v for i, v in col.items() if lo <= i < hi}
+            for col in self._cols[n][a:b]
+        ]
 
     def _page_one_entry(self, p, n):
-        """Denominators and representatives of E_1(p, n).
+        """Representatives of E_1(p, n) and the pivots that read off classes.
 
-        Vectors are in the coordinates of the degree-n cells of weight p.
+        Vectors are sparse on the degree-n cells of weight p.  The reduced
+        boundaries from degree n + 1 are cleared from the reduction of
+        degree n, so its kernel columns are the representatives, each with
+        its own index as lowest entry.  With those boundaries they have
+        distinct lowest entries: a basis of the cycles of the graded piece.
         """
         if (p, n) not in self._page_one:
-            here = self._block(n, p, p)
-            cycles = nullspace(list(zip(*here)), len(here), self.p)
-            red = RowReducer(self.p)
-            denom = [c for c in self._block(n + 1, p, p) if any(c) and red.add(c)]
-            self._page_one[(p, n)] = (denom, [z for z in cycles if red.add(z)])
+            bounds = reduce_columns(self._columns(n + 1, p, p), self.p)[0]
+            here = self._columns(n, p, p)
+            reps = reduce_columns(here, self.p, skip=bounds, record=True)[1]
+            pivots = {low: (col, {}) for low, (col, _) in bounds.items()}
+            pivots.update((max(z), (z, {i: 1})) for i, z in enumerate(reps))
+            self._page_one[(p, n)] = (reps, pivots)
         return self._page_one[(p, n)]
 
     def _coordinates(self, p, n, images):
-        """Columns of the page-one classes of images in E_1(p, n).
+        """Matrix of the page-one classes of images (sparse chains) in E_1(p, n).
 
-        One elimination of [representatives | denominators | images]
-        solves for every image; one outside cycles + boundaries raises.
+        Each image is reduced by lowest entries against the representatives
+        and boundaries, keeping the multiples of the representatives taken
+        off; an image that does not reduce to zero raises.
         """
-        denom, reps = self._page_one_entry(p, n)
-        basis = reps + denom
-        if not any(map(any, images)):
-            return [[0] * len(images) for _ in reps]
-        red, pivots = rref(zip(*basis, *images), len(basis) + len(images), self.p)
-        if len(pivots) > len(basis):
-            raise ArithmeticError(f"an image in E_1({p},{n}) is not a page-one class")
-        return [row[len(basis) :] for row in red[: len(reps)]]
+        reps, pivots = self._page_one_entry(p, n)
+        cols = []
+        for image in images:
+            rest, ops = reduce_column(image, pivots, self.p, {-1: 1})
+            if rest:
+                raise ArithmeticError(f"an image in E_1({p},{n}) is not a page-one class")
+            # scale * image = -sum ops[i] * rep_i + boundaries; mod p the
+            # image is never scaled, so scale is 1
+            scale = ops.pop(-1)
+            coeff = (lambda x: x % self.p) if self.p else (lambda x: Fraction(x, scale))
+            cols.append([coeff(-ops.get(i, 0)) for i in range(len(reps))])
+        return [[col[i] for col in cols] for i in range(len(reps))]
 
     def differential(self, r, p, n):
         """Matrix of d_1 from E_1(p, n) to E_1(p - 1, n - 1); r must be 1."""
         _page_one_only(r)
-        reps = self._page_one_entry(p, n)[1]
-        if not reps:
-            return []
-        down = self._block(n, p, p - 1)
-        return self._coordinates(p - 1, n - 1, [_apply(down, z) for z in reps])
+        down = self._columns(n, p, p - 1)
+        images = [combine(down, z, self.p) for z in self._page_one_entry(p, n)[0]]
+        return self._coordinates(p - 1, n - 1, images)
 
 
 def page_map(source, target, r, p, n, cell_map=None):
@@ -256,20 +209,12 @@ def page_map(source, target, r, p, n, cell_map=None):
     if source.p != target.p:
         raise ValueError("page maps need matching coefficient fields")
     _page_one_only(r)
-    reps = source._page_one_entry(p, n)[1]
-    if not reps:
-        return [[] for _ in target._page_one_entry(p, n)[1]]
     a, b = source._graded(n, p)
     ta, tb = target._graded(n, p)
     index = {c: i for i, c in enumerate(target.fc.cells(n)[ta:tb])}
     cells = source.fc.cells(n)[a:b]
-    moved = [index[c if cell_map is None else cell_map(c)] for c in cells]
-    images = []
-    for z in reps:
-        img = [0] * (tb - ta)
-        for i, v in zip(moved, z):
-            img[i] += v
-        images.append(img)
+    moved = [{index[c if cell_map is None else cell_map(c)]: 1} for c in cells]
+    images = [combine(moved, z, target.p) for z in source._page_one_entry(p, n)[0]]
     return target._coordinates(p, n, images)
 
 
@@ -342,13 +287,10 @@ def page_one_inclusion_report(G, l_max, ring="Q"):
     checked = 0
     for (p, n) in sorted(reg.page(1)):
         s = reg.entry_rank(1, p, n)
-        t = reg.entry_rank(1, p - 1, n - 1)
-        so = ord_.entry_rank(1, p, n)
-        m = ord_.entry_rank(1, p - 1, n - 1)
         f_here = page_map(reg, ord_, 1, p, n)
         f_down = page_map(reg, ord_, 1, p - 1, n - 1)
-        left = _mul(f_down, reg.differential(1, p, n), m, t, s, reg.p)
-        right = _mul(ord_.differential(1, p, n), f_here, m, so, s, reg.p)
+        left = _product(f_down, reg.differential(1, p, n), s, reg.p)
+        right = _product(ord_.differential(1, p, n), f_here, s, reg.p)
         if left != right:
             return {"commutes": False, "failed_at": (p, n), "checked": checked}
         checked += 1

@@ -11,8 +11,27 @@ from __future__ import annotations
 from .chains import _eulerian_buckets
 from .errors import GraphError
 from .graphs import distance_matrix, reachability_preorder
+from .homology import chain_homology
 from .matrices import SparseMatrix
-from .snf import smith_normal_form
+
+
+def face_sum(domain, codomain, drop_degenerate=False):
+    """Alternating face sum from domain cells onto codomain cells.
+
+    With drop_degenerate, a face repeating a vertex consecutively is
+    skipped; every other face must be a codomain cell.
+    """
+    index = {t: i for i, t in enumerate(codomain)}
+    mat = SparseMatrix(len(codomain), len(domain))
+    for j, cell in enumerate(domain):
+        for i in range(len(cell) if len(cell) > 1 else 0):
+            face = cell[:i] + cell[i + 1 :]
+            if drop_degenerate and any(a == b for a, b in zip(face, face[1:])):
+                continue
+            if face not in index:
+                raise GraphError(f"face {face} of {cell} is missing")
+            mat.add_at(index[face], j, (-1) ** i)
+    return mat
 
 
 class WordComplex:
@@ -42,18 +61,7 @@ class WordComplex:
 
     def boundary(self, k):
         if k not in self._boundaries:
-            domain = self.cells(k)
-            codomain = self.cells(k - 1)
-            index = {t: i for i, t in enumerate(codomain)}
-            mat = SparseMatrix(len(codomain), len(domain))
-            if k >= 1:
-                for j, cell in enumerate(domain):
-                    for i in range(k + 1):
-                        face = cell[:i] + cell[i + 1 :]
-                        if face not in index:
-                            raise GraphError(f"face {face} of {cell} is missing")
-                        mat.add_at(index[face], j, (-1) ** i)
-            self._boundaries[k] = mat
+            self._boundaries[k] = face_sum(self.cells(k), self.cells(k - 1))
         return self._boundaries[k]
 
     def export_cells(self):
@@ -118,32 +126,8 @@ def word_homology(complex_, ring="Z", reduced=False):
 
     Returns {degree: AbelianGroupInvariant}, trivial groups dropped.
     """
-    from .homology import AbelianGroupInvariant, _group_from_snf, parse_ring
-
-    if isinstance(ring, str):
-        ring = parse_ring(ring)
-    zero = ((), 0)
-    stats = {}
-
-    def snf_at(k):
-        if k not in stats:
-            mat = complex_.boundary(k)
-            stats[k] = smith_normal_form(mat) if mat.nnz else ((), 0)
-        return stats[k]
-
-    out = {}
-    for k in range(complex_.dimension + 1):
-        dim = len(complex_.cells(k))
-        if not dim:
-            continue
-        out_stats = snf_at(k) if k >= 1 else zero
-        if reduced and k == 0:
-            out_stats = ((1,), 1)
-        in_stats = snf_at(k + 1) if complex_.cells(k + 1) else zero
-        g = _group_from_snf(dim, out_stats, in_stats, ring)
-        if not g.trivial:
-            out[k] = g
-    return out
+    dims = {k: len(complex_.cells(k)) for k in complex_.dims()}
+    return chain_homology(dims, complex_.boundary, ring, reduced)
 
 
 def injective_words_via_flag(G):

@@ -206,6 +206,13 @@ def test_usage_errors():
     assert run(["compute", "unknown", "--family", "complete:3"])[0] == 2
 
 
+def test_compute_has_no_jobs_flag():
+    code, out, err = run(["compute", "emh", "--family", "cycle:3", "--jobs", "2"])
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
 def test_console_script_roundtrip():
     # one subprocess run to cover the installed entry point
     proc = subprocess.run(

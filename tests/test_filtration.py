@@ -1,5 +1,7 @@
 """Length-filtered complexes feeding the spectral sequences."""
 
+import pytest
+
 from maghom.chains import BigradedComplex, enumerate_basis
 from maghom.filtration import injective_word_filtration, nerve_filtration
 from maghom.graphs import digraph, family, transitive_tournament
@@ -57,7 +59,8 @@ def test_boundary_respects_filtration():
             assert fc.boundary(k - 1).matmul(mat).is_zero()
 
 
-def test_total_homology_equals_word_homology():
+@pytest.mark.parametrize("ring", ["Z", "Q", "Fp:2", "Fp:3"])
+def test_total_homology_equals_word_homology(ring):
     for G in (
         family("complete", 3),
         family("dir_linear", 3),
@@ -65,7 +68,7 @@ def test_total_homology_equals_word_homology():
     ):
         fc = injective_word_filtration(G)
         wc = injective_words(G)
-        assert ranks(fc.total_homology()) == ranks(word_homology(wc))
+        assert ranks(fc.total_homology(ring)) == ranks(word_homology(wc, ring))
 
 
 def test_nerve_truncation_grows_monotonically():

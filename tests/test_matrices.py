@@ -1,0 +1,44 @@
+"""The sparse column reduction R = D V against sympy and the Smith ranks."""
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_snf import as_sparse, domain_rank, int_matrices, small_digraphs
+
+from maghom.chains import BigradedComplex
+from maghom.matrices import combine, reduce_columns
+from maghom.snf import rank_mod_p, rank_z
+
+FIELDS = st.sampled_from([None, 2, 3])
+
+
+def check_reduction(mat, p):
+    pivots, kernel = reduce_columns(mat.columns(p), p, record=True)
+    cols = mat.columns(p)
+    domain = sympy.GF(p) if p else sympy.QQ
+    rank = domain_rank(mat, domain) if mat.nrows and mat.ncols else 0
+    assert len(pivots) == rank == (rank_mod_p(mat, p) if p else rank_z(mat))
+    assert len(kernel) == mat.ncols - rank
+    # kernel vectors are annihilated, and distinct lowest entries make
+    # them independent
+    for z in kernel:
+        assert combine(cols, z, p) == {}
+    assert len({max(z) for z in kernel}) == len(kernel)
+    # every reduced column is D times its column of V
+    for low, (col, ops) in pivots.items():
+        assert max(col) == low
+        assert combine(cols, ops, p) == col
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrices(), FIELDS)
+def test_reduction_of_integer_matrices(rows, p):
+    check_reduction(as_sparse(rows), p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs(), FIELDS)
+def test_reduction_of_eulerian_boundaries(G, p):
+    complex_ = BigradedComplex.build(G, "eulerian")
+    for k, l in complex_.bidegrees():
+        check_reduction(complex_.boundary(k, l), p)

@@ -1,11 +1,12 @@
 """Spectral sequences of the length filtration."""
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 from test_snf import small_digraphs
 
-from maghom.exactla import RowReducer
 from maghom.graphs import digraph, family, transitive_tournament
 from maghom.homology import homology_table, parse_ring
 from maghom.pathhom import path_homology
@@ -127,6 +128,17 @@ def test_page_map_identity_commutes():
         assert sum(1 for row in mat for v in row if v) >= rank
 
 
+@pytest.mark.parametrize("ring", ["Q", "Fp:2", "Fp:3"])
+def test_identity_page_map_is_the_identity_matrix(ring):
+    # class coordinates of a representative are its own unit vector, with
+    # the sign and scale the reduction took out put back
+    for G in GRAPHS:
+        for ss in (rmpss(G, ring), mpss(G, 3, ring)):
+            for (p, n), m in ss.page(1).items():
+                want = [[int(i == j) for j in range(m)] for i in range(m)]
+                assert page_map(ss, ss, 1, p, n) == want, (G, p, n)
+
+
 def test_reports_are_json_ready():
     rep = rmpss_report(family("complete", 3))
     assert rep["e1_matches_eulerian_homology"]
@@ -176,10 +188,12 @@ CYCLE_4_TRUNCATED_PAGES = {
 
 
 def matrix_rank(rows, p):
-    red = RowReducer(p)
-    for row in rows:
-        red.add(row)
-    return red.rank
+    """Rank over Q (p None) or F_p, by sympy."""
+    if not rows or not rows[0]:
+        return 0
+    domain = sympy.GF(p) if p else sympy.QQ
+    entries = [[domain(x) for x in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), domain).rank()
 
 
 def test_pinned_pages():
