@@ -8,7 +8,7 @@ and metric graph invariants.  Everything is exact: integer Smith normal
 form for homology over Z, fraction-free elimination over Q and F_p.
 """
 
-from .chains import BigradedComplex, certified_length_bound
+from .chains import FilteredComplex, certified_length_bound, trail_complex
 from .errors import (
     GraphError,
     MaghomError,
@@ -36,6 +36,7 @@ from .graphs import (
 from .homology import (
     AbelianGroupInvariant,
     HomologyTable,
+    chain_homology,
     homology_table,
     les_verify,
     splitting_check,
@@ -63,20 +64,14 @@ from .spectral import (
     rmpss_report,
 )
 from .verify import run_check, run_suite
-from .words import (
-    WordComplex,
-    directed_flag,
-    injective_words,
-    order_complex,
-    word_homology,
-)
+from .words import directed_flag, order_complex
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroupInvariant",
-    "BigradedComplex",
     "DirectedGraph",
+    "FilteredComplex",
     "GraphError",
     "HomologyTable",
     "MaghomError",
@@ -85,11 +80,11 @@ __all__ = [
     "ResourceCapError",
     "SpectralSequence",
     "VerificationFailure",
-    "WordComplex",
     "allowed_paths",
     "alternating",
     "are_isomorphic",
     "cartesian",
+    "chain_homology",
     "certified_length_bound",
     "classify_diagonality",
     "complete_graph_detector",
@@ -102,7 +97,6 @@ __all__ = [
     "gamma",
     "girth",
     "homology_table",
-    "injective_words",
     "is_regularly_diagonal",
     "join",
     "les_verify",
@@ -126,6 +120,6 @@ __all__ = [
     "splitting_check",
     "subdiagonal_bound",
     "subgraph_network",
+    "trail_complex",
     "transitive_tournament",
-    "word_homology",
 ]

@@ -1,25 +1,29 @@
-"""Bigraded chain complexes of trails in a digraph.
+"""Trail complexes of a digraph, as one length-filtered cell complex.
 
 A trail is a vertex tuple whose consecutive entries are distinct and lie
-at finite distance; its length is the sum of the step distances.  Three
-flavors share one differential:
+at finite distance; its length is the sum of the step distances.
+``trail_complex`` builds three flavors:
 
 * eulerian: all entries pairwise distinct.  Finitely supported, and the
-  whole table fits under a certified length bound.
-* ordinary: only consecutive entries distinct.  Unbounded in general, so
-  a length cutoff is mandatory and results are labeled truncated.
+  whole table fits under a certified length bound.  Its total complex
+  is the complex of injective words.
+* ordinary: only consecutive entries distinct, the truncated nerve of
+  reachability.  A length cutoff is mandatory; results are truncated.
 * discriminant: the quotient ordinary/eulerian, presented on the basis
   of trails with at least one repeated entry.
 
-The differential deletes interior entries one at a time and keeps a face
-only when the deletion preserves total length.  A face with a repeated
-consecutive pair always changes length, so faces of trails are trails,
-and in the discriminant complex the faces that land on all-distinct
-tuples are simply dropped.
+Each is a ``FilteredComplex`` of cells bucketed by (degree, length).  Its
+total differential is the full face sum; deleting an endpoint lowers the
+length, and deleting an interior entry keeps it exactly when the two
+steps add up to the distance they shortcut.  The graded piece at one
+length, the magnitude differential, keeps only those deletions; faces
+with a repeated consecutive pair always change length, and quotient
+faces that land on all-distinct tuples are dropped.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 
 from .errors import GraphError
@@ -33,11 +37,6 @@ from .graphs import (
 from .matrices import SparseMatrix
 
 KINDS = ("eulerian", "ordinary", "discriminant")
-
-
-def _check_kind(kind):
-    if kind not in KINDS:
-        raise ValueError(f"unknown complex kind {kind!r}; expected one of {KINDS}")
 
 
 @lru_cache(maxsize=None)
@@ -127,106 +126,145 @@ def _trail_buckets(G, l_max):
     return {key: tuple(sorted(vals)) for key, vals in buckets.items()}
 
 
+def trail_complex(G, kind="eulerian", l_max=None):
+    """The trail complex of the given kind, filtered by length up to l_max.
+
+    Eulerian trails are finitely many, so l_max may be omitted; the
+    ordinary and discriminant complexes are unbounded and need it.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown complex kind {kind!r}; expected one of {KINDS}")
+    if kind == "eulerian":
+        raw = _eulerian_buckets(G)
+    elif l_max is None:
+        raise ValueError(f"the {kind} complex is unbounded in length; pass l_max")
+    else:
+        raw = _trail_buckets(G, l_max)
+    buckets = {}
+    for key, cells in raw.items():
+        if l_max is not None and key[1] > l_max:
+            continue
+        if kind == "discriminant":
+            cells = tuple(t for t in cells if len(set(t)) < len(t))
+        if cells:
+            buckets[key] = cells
+    return FilteredComplex(buckets, distance_matrix(G))
+
+
 def enumerate_basis(G, kind, k, l):
     """Basis trails at bidegree (k, l), in lexicographic order."""
-    _check_kind(kind)
-    if k < 0 or l < 0:
-        return ()
-    if kind == "eulerian":
-        return _eulerian_buckets(G).get((k, l), ())
-    trails = _trail_buckets(G, l).get((k, l), ())
-    if kind == "ordinary":
-        return trails
-    return tuple(t for t in trails if len(set(t)) < len(t))
+    return trail_complex(G, kind, l).cells(k, l)
 
 
-def boundary_matrix(G, kind, k, l):
-    """Differential from bidegree (k, l) to (k - 1, l).
+def boundary_matrix(domain, codomain, dist=None):
+    """Alternating face sum from domain cells onto codomain cells.
 
-    Entry deletion is admitted only when the two adjacent steps add up to
-    the distance they shortcut; in the discriminant complex, faces where
-    the repeat disappears are dropped as well.
+    With dist, the graded piece of a trail complex: an interior entry is
+    deleted only when its two steps add up to the distance they
+    shortcut, and faces outside the codomain are dropped.  Without dist,
+    the full face sum: faces repeating a vertex consecutively are
+    degenerate and dropped, and every other face must be a codomain cell.
     """
-    _check_kind(kind)
-    domain = enumerate_basis(G, kind, k, l)
-    codomain = enumerate_basis(G, kind, k - 1, l)
     index = {t: i for i, t in enumerate(codomain)}
-    dist = distance_matrix(G)
     mat = SparseMatrix(len(codomain), len(domain))
     for j, t in enumerate(domain):
-        sign = 1
-        for i in range(1, k):
-            sign = -sign
-            if dist[t[i - 1]][t[i]] + dist[t[i]][t[i + 1]] == dist[t[i - 1]][t[i + 1]]:
-                face = t[:i] + t[i + 1 :]
-                row = index.get(face)
-                if row is not None:
-                    mat.add_at(row, j, sign)
+        if dist is not None:
+            sign = 1
+            for i in range(1, len(t) - 1):
+                sign = -sign
+                a, b, c = t[i - 1], t[i], t[i + 1]
+                if dist[a][b] + dist[b][c] == dist[a][c]:
+                    row = index.get(t[:i] + t[i + 1 :])
+                    if row is not None:
+                        mat.add_at(row, j, sign)
+            continue
+        for i in range(len(t) if len(t) > 1 else 0):
+            face = t[:i] + t[i + 1 :]
+            row = index.get(face)
+            if row is not None:
+                mat.add_at(row, j, (-1) ** i)
+            elif all(a != b for a, b in zip(face, face[1:])):
+                raise GraphError(f"face {face} of {t} is missing")
     return mat
 
 
-class BigradedComplex:
-    """A full bigraded table of trail chain groups for one digraph."""
+class FilteredComplex:
+    """Cells graded by degree and weighted by a filtration level.
 
-    def __init__(self, G, kind, l_max, certified, buckets):
-        self.G = G
-        self.kind = kind
-        self.l_max = l_max
-        self.certified = certified
-        self._buckets = buckets
+    buckets maps (degree, weight) to the sorted cells there; dist, when
+    given, is the metric the weights are lengths in, and makes
+    boundary(k, weight) the graded piece of the trail differential.
+    Cells of one degree are ordered by (weight, cell), so every
+    filtration stage is a coordinate prefix.
+    """
+
+    def __init__(self, buckets, dist=None):
+        self.buckets = buckets
+        self.dist = dist
+        self._degrees = {}
         self._boundaries = {}
 
-    @classmethod
-    def build(cls, G, kind="eulerian", l_max=None):
-        _check_kind(kind)
-        if kind == "eulerian":
-            bound = certified_length_bound(G)
-            if l_max is None:
-                l_max = bound
-            certified = l_max >= bound
-            buckets = {
-                key: vals
-                for key, vals in _eulerian_buckets(G).items()
-                if key[1] <= l_max
-            }
-        else:
-            if l_max is None:
-                raise ValueError(
-                    f"the {kind} complex is unbounded in length; pass l_max"
-                )
-            certified = False
-            raw = _trail_buckets(G, l_max)
-            if kind == "ordinary":
-                buckets = dict(raw)
-            else:
-                buckets = {}
-                for key, vals in raw.items():
-                    kept = tuple(t for t in vals if len(set(t)) < len(t))
-                    if kept:
-                        buckets[key] = kept
-        return cls(G, kind, l_max, certified, buckets)
+    def _degree(self, k):
+        """All cells of degree k in (weight, cell) order, with their weights."""
+        if k not in self._degrees:
+            keys = sorted(key for key in self.buckets if key[0] == k)
+            cells = tuple(c for key in keys for c in self.buckets[key])
+            weights = tuple(key[1] for key in keys for _ in self.buckets[key])
+            self._degrees[k] = (cells, weights)
+        return self._degrees[k]
 
-    def bidegrees(self):
-        return sorted(self._buckets)
-
-    def basis(self, k, l):
-        return self._buckets.get((k, l), ())
-
-    def dim(self, k, l):
-        return len(self._buckets.get((k, l), ()))
-
-    def counts(self):
-        return {key: len(vals) for key, vals in sorted(self._buckets.items())}
+    def degrees(self):
+        return sorted({k for k, _ in self.buckets})
 
     @property
-    def k_max(self):
-        return max((k for k, _ in self._buckets), default=-1)
+    def top_degree(self):
+        return max((k for k, _ in self.buckets), default=-1)
 
-    def boundary(self, k, l):
-        key = (k, l)
+    @property
+    def top_weight(self):
+        return max((w for _, w in self.buckets), default=0)
+
+    def cells(self, k, weight=None):
+        if weight is None:
+            return self._degree(k)[0]
+        return self.buckets.get((k, weight), ())
+
+    def weights(self, k):
+        """Weight of each degree-k cell, in cell order."""
+        return self._degree(k)[1]
+
+    def dim(self, k, weight=None):
+        return len(self.cells(k, weight))
+
+    def prefix_dim(self, k, p):
+        """Dimension of the filtration stage at weight p in degree k."""
+        return bisect_right(self.weights(k), p)
+
+    def graded_counts(self):
+        return {key: len(cells) for key, cells in self.buckets.items()}
+
+    def f_vector(self):
+        return tuple(self.dim(k) for k in range(self.top_degree + 1))
+
+    def euler_characteristic(self):
+        return sum((-1) ** k * len(cells) for (k, _), cells in self.buckets.items())
+
+    def boundary(self, k, weight=None):
+        """Differential out of degree k, or out of its graded piece at weight."""
+        key = (k, weight)
         if key not in self._boundaries:
-            self._boundaries[key] = boundary_matrix(self.G, self.kind, k, l)
+            dist = None if weight is None else self.dist
+            self._boundaries[key] = boundary_matrix(
+                self.cells(k, weight), self.cells(k - 1, weight), dist
+            )
         return self._boundaries[key]
+
+    def __eq__(self, other):
+        """Same cells in every degree; weights are not compared."""
+        return isinstance(other, FilteredComplex) and all(
+            set(self.cells(k)) == set(other.cells(k))
+            for k in set(self.degrees()) | set(other.degrees())
+        )
 
 
 def induced_chain_map(f, G, H, kind, k, l):
@@ -235,7 +273,6 @@ def induced_chain_map(f, G, H, kind, k, l):
     A basis trail maps to its image tuple when the image has the same
     total length in the codomain graph, and to zero otherwise.
     """
-    _check_kind(kind)
     if callable(f):
         f = [f(v) for v in range(G.n)]
     else:
@@ -262,7 +299,6 @@ def induced_chain_map(f, G, H, kind, k, l):
 
 def reversal_bijection(G, kind, k, l):
     """Basis bijection onto the opposite graph given by reversing trails."""
-    _check_kind(kind)
     source = enumerate_basis(G, kind, k, l)
     target = set(enumerate_basis(opposite(G), kind, k, l))
     pairs = {}

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .errors import GraphError, MaghomError, ParseError, ResourceCapError
 from .graphs import family, is_weakly_connected, parse_graph
-from .homology import homology_table, parse_ring, ring_name
+from .chains import trail_complex
+from .homology import chain_homology, homology_table, parse_ring, ring_name
 from .invariants import (
     classify_diagonality,
     complete_graph_detector,
@@ -30,7 +31,6 @@ from .invariants import (
 from .pathhom import path_homology
 from .spectral import mpss_report, rmpss_report
 from .verify import CHECKS, run_suite
-from .words import injective_words, word_homology
 
 COMMANDS = (
     "emh",
@@ -196,9 +196,9 @@ def _cmd_path(cfg, strong):
 
 def _cmd_inj(cfg):
     G = _load_graph(cfg)
-    complex_ = injective_words(G)
-    hom = word_homology(complex_, cfg.ring)
-    red = word_homology(complex_, cfg.ring, reduced=True)
+    complex_ = trail_complex(G)
+    hom = chain_homology(complex_, cfg.ring)
+    red = chain_homology(complex_, cfg.ring, reduced=True)
     data = {
         "kind": "injective_words",
         "ring": ring_name(cfg.ring),

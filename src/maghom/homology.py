@@ -1,8 +1,10 @@
-"""Homology of chain complexes, and the bigraded trail complexes.
+"""Homology of chain complexes, and the bigraded trail homology tables.
 
-One loop, ``chain_homology``, serves every complex in the package (trail
-complexes, word complexes, filtered total complexes).  Each differential
-goes through integer Smith normal form once, and the requested
+One loop, ``chain_homology``, serves every ``chains.FilteredComplex`` in
+the package: a graded piece of a trail complex (one column of a
+homology table), the total complex of injective words or of the
+truncated nerve, and a flag complex.  Each differential goes through
+integer Smith normal form once, and the requested
 coefficients are read off it: the rational rank is the number of Smith
 divisors, the mod-p rank is the number of divisors p does not divide,
 and the torsion summands are the divisors exceeding 1.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import KINDS, BigradedComplex, certified_length_bound
+from .chains import KINDS, certified_length_bound, trail_complex
 from .errors import GraphError
 from .matrices import SparseMatrix, combine, reduce_columns
 from .snf import rank_z, smith_normal_form
@@ -99,9 +101,6 @@ class HomologyTable:
     def group(self, k, l):
         return self.entries.get((k, l), AbelianGroupInvariant(0))
 
-    def nonzero_bidegrees(self):
-        return sorted(self.entries)
-
     def items(self):
         return sorted(self.entries.items())
 
@@ -147,11 +146,10 @@ class HomologyTable:
         return "\n".join(lines) + "\n"
 
 
-def chain_homology(dims, boundary, ring="Z", reduced=False):
-    """Homology of one chain complex from the Smith forms of its differentials.
+def chain_homology(complex_, ring="Z", reduced=False, weight=None):
+    """Homology of a FilteredComplex from the Smith forms of its differentials.
 
-    dims maps a degree to the rank of its chain group, and boundary(k) is
-    the differential out of degree k >= 1 as a SparseMatrix.  With
+    With weight, the homology of the graded piece at that weight.  With
     reduced, the augmentation takes the place of the zero map on degree
     0.  Returns {degree: AbelianGroupInvariant}, trivial groups dropped.
     """
@@ -161,7 +159,9 @@ def chain_homology(dims, boundary, ring="Z", reduced=False):
 
     def divisors(k):
         if k not in snf:
-            mat = boundary(k) if k >= 1 and dims.get(k) else None
+            mat = None
+            if k >= 1 and complex_.dim(k, weight):
+                mat = complex_.boundary(k, weight)
             snf[k] = smith_normal_form(mat)[0] if mat is not None and mat.nnz else ()
         return snf[k]
 
@@ -169,7 +169,10 @@ def chain_homology(dims, boundary, ring="Z", reduced=False):
         return len(divs) if ring in ("Z", "Q") else sum(1 for d in divs if d % ring)
 
     out = {}
-    for k, dim in sorted(dims.items()):
+    for k in range(complex_.top_degree + 1):
+        dim = complex_.dim(k, weight)
+        if not dim:
+            continue
         outgoing = (1,) if reduced and k == 0 else divisors(k)
         incoming = divisors(k + 1)
         torsion = tuple(d for d in incoming if d > 1) if ring == "Z" else ()
@@ -180,18 +183,25 @@ def chain_homology(dims, boundary, ring="Z", reduced=False):
 
 
 def homology_table(G, kind="eulerian", ring="Z", l_max=None):
-    """Homology of the chosen trail complex as a sparse bigraded table."""
+    """Homology of the chosen trail complex as a sparse bigraded table.
+
+    The eulerian table defaults to the certified length bound, above
+    which no all-distinct trail lives; the others need l_max.
+    """
     if isinstance(ring, str):
         ring = parse_ring(ring)
-    complex_ = BigradedComplex.build(G, kind, l_max)
-    by_length = {}
-    for (k, l), dim in complex_.counts().items():
-        by_length.setdefault(l, {})[k] = dim
+    certified = False
+    if kind == "eulerian":
+        bound = certified_length_bound(G)
+        if l_max is None:
+            l_max = bound
+        certified = l_max >= bound
+    complex_ = trail_complex(G, kind, l_max)
     entries = {}
-    for l, dims in by_length.items():
-        groups = chain_homology(dims, lambda k: complex_.boundary(k, l), ring)
+    for l in sorted({l for _, l in complex_.buckets}):
+        groups = chain_homology(complex_, ring, weight=l)
         entries.update(((k, l), g) for k, g in groups.items())
-    return HomologyTable(kind, ring, entries, complex_.l_max, complex_.certified, G.n)
+    return HomologyTable(kind, ring, entries, l_max, certified, G.n)
 
 
 def _map_rank(images, boundaries):
@@ -219,15 +229,13 @@ def les_verify(G, l):
     every map rank comes from chain-level images, never from the
     exactness identities.
     """
-    emx, mx, dmx = (BigradedComplex.build(G, kind, l) for kind in KINDS)
+    emx, mx, dmx = (trail_complex(G, kind, l) for kind in KINDS)
 
     def cycles(c, k):
         return reduce_columns(c.boundary(k, l).columns(), record=True)[1]
 
     def ranks(c):
-        dims = {k: c.dim(k, l) for k in range(l + 2)}
-        groups = chain_homology(dims, lambda k: c.boundary(k, l), "Q")
-        return {k: g.rank for k, g in groups.items()}
+        return {k: g.rank for k, g in chain_homology(c, "Q", weight=l).items()}
 
     e, m, d = ranks(emx), ranks(mx), ranks(dmx)
 
@@ -235,7 +243,7 @@ def les_verify(G, l):
     r_proj = {}
     r_conn = {}
     for k in range(l + 1):
-        emc, mc, dmc = emx.basis(k, l), mx.basis(k, l), dmx.basis(k, l)
+        emc, mc, dmc = emx.cells(k, l), mx.cells(k, l), dmx.cells(k, l)
         mc_index = {t: i for i, t in enumerate(mc)}
         dmc_index = {t: i for i, t in enumerate(dmc)}
 
@@ -257,8 +265,8 @@ def les_verify(G, l):
         r_conn[k] = 0
         if k >= 1:
             full = mx.boundary(k, l).columns()
-            lower = mx.basis(k - 1, l)
-            lower_index = {t: i for i, t in enumerate(emx.basis(k - 1, l))}
+            lower = mx.cells(k - 1, l)
+            lower_index = {t: i for i, t in enumerate(emx.cells(k - 1, l))}
             images = []
             for z in cycles(dmx, k):
                 pushed = combine(full, {mc_index[dmc[i]]: v for i, v in z.items()})

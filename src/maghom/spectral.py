@@ -1,4 +1,7 @@
-"""Spectral sequence of a length-filtered chain complex.
+"""Spectral sequences of the length-filtered trail complexes.
+
+The regular sequence (``rmpss``) filters the eulerian trail complex and
+the ordinary sequence (``mpss``) the ordinary one, up to a length cap.
 
 Over a field every page is read off one persistence pairing (Basu &
 Parida, *Spectral sequences, exact couples and persistent homology of
@@ -33,9 +36,9 @@ from fractions import Fraction
 from math import inf
 
 from .errors import GraphError
-from .filtration import injective_word_filtration, nerve_filtration
+from .chains import trail_complex
 from .graphs import is_weakly_connected
-from .homology import homology_table, parse_field
+from .homology import chain_homology, homology_table, parse_field
 from .matrices import combine, reduce_column, reduce_columns
 from .pathhom import path_homology
 
@@ -219,11 +222,11 @@ def page_map(source, target, r, p, n, cell_map=None):
 
 
 def rmpss(G, ring="Q"):
-    return SpectralSequence(injective_word_filtration(G), ring)
+    return SpectralSequence(trail_complex(G), ring)
 
 
 def mpss(G, l_max, ring="Q"):
-    return SpectralSequence(nerve_filtration(G, l_max), ring)
+    return SpectralSequence(trail_complex(G, "ordinary", l_max), ring)
 
 
 def _pages(ss, rmax):
@@ -258,7 +261,7 @@ def rmpss_report(G, ring="Q", rmax=None):
     sph = path_homology(G, strong=True, ring=field)
     diag = {n: m for n in range(ss.top_degree + 1) if (m := ss.entry_rank(2, n, n))}
     totals = ss.total_ranks()
-    word = {k: g.rank for k, g in ss.fc.total_homology(field).items() if g.rank}
+    word = {k: g.rank for k, g in chain_homology(ss.fc, field).items()}
     return {
         "stable_page": ss.stable_r,
         "pages": _pages(ss, rmax),
@@ -331,8 +334,7 @@ def diagonal_convergence(G, ring="Q"):
         raise GraphError("not regularly diagonal")
     field = parse_field(ring, "diagonal convergence needs") or "Q"
     sph = path_homology(G, strong=True, ring=field)
-    fc = injective_word_filtration(G)
-    word = {k: g.rank for k, g in fc.total_homology(field).items() if g.rank}
+    word = {k: g.rank for k, g in chain_homology(trail_complex(G), field).items()}
     return {
         "strong_path_ranks": {str(k): v for k, v in sorted(sph.items())},
         "word_homology_ranks": {str(k): v for k, v in sorted(word.items())},

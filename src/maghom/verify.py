@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from math import comb, factorial, perm
 
-from .chains import _eulerian_buckets
+from .chains import _eulerian_buckets, trail_complex
 from .errors import GraphError
 from .graphs import (
     cone,
@@ -26,7 +26,7 @@ from .graphs import (
     reachability_preorder,
     rho,
 )
-from .homology import homology_table, les_verify, splitting_check
+from .homology import chain_homology, homology_table, les_verify, splitting_check
 from .invariants import (
     delta_distance,
     magnitude_series,
@@ -35,7 +35,7 @@ from .invariants import (
 )
 from .pathhom import path_homology
 from .spectral import page_one_inclusion_report, rmpss, rmpss_report
-from .words import injective_words, injective_words_via_flag, word_homology
+from .words import injective_words_via_flag
 
 INF = float("inf")
 
@@ -299,9 +299,9 @@ def check_rmpss(r):
         s1 != s2,
         f"S_1 and S_2 differ at bidegree (3,3): ranks {s1} vs {s2}",
     )
-    wh2 = {k: g.rank for k, g in word_homology(injective_words(SPHERE_2), "Z").items()}
+    wh2 = {k: g.rank for k, g in chain_homology(trail_complex(SPHERE_2), "Z").items()}
     r.expect(wh2 == {0: 1, 2: 1}, "S_2: injective words give a 2-sphere")
-    wh1 = {k: g.rank for k, g in word_homology(injective_words(SPHERE_1), "Z").items()}
+    wh1 = {k: g.rank for k, g in chain_homology(trail_complex(SPHERE_1), "Z").items()}
     # vertex 0 of S_1 reaches everything, so its word complex is a cone
     r.expect(wh1 == {0: 1}, "S_1: injective words are contractible (cone on 0)")
 
@@ -330,19 +330,19 @@ def check_derangements(r):
 def check_injective_words(r):
     for n in (3, 4):
         bk = family("bicomplete", n)
-        reduced = word_homology(injective_words(bk), "Z", reduced=True)
+        reduced = chain_homology(trail_complex(bk), "Z", reduced=True)
         want = {n - 1: derangement_count(n)}
         r.expect(
             {k: g.rank for k, g in reduced.items()} == want
             and all(not g.torsion for g in reduced.values()),
             f"Inj(BK_{n}) reduced homology is free of rank D({n}) in degree {n - 1}",
         )
-    bk3 = injective_words(family("bicomplete", 3))
+    bk3 = trail_complex(family("bicomplete", 3))
     r.expect(bk3.f_vector() == (3, 6, 6), "Inj(BK_3) counts 3 + 6 + 6 words")
-    l3 = injective_words(family("dir_linear", 3))
+    l3 = trail_complex(family("dir_linear", 3))
     r.expect(
         l3.f_vector() == (3, 3, 1)
-        and word_homology(l3, "Z", reduced=True) == {},
+        and chain_homology(l3, "Z", reduced=True) == {},
         "Inj(L_3) is the full 2-simplex and contractible",
     )
     for name, G in (
@@ -352,11 +352,11 @@ def check_injective_words(r):
         ("T_3", family("tournament", 3)),
     ):
         r.expect(
-            injective_words(G) == injective_words_via_flag(G),
+            trail_complex(G) == injective_words_via_flag(G),
             f"Inj({name}) equals the directed flag complex of its reachability preorder",
         )
         r.expect(
-            injective_words(G) == injective_words(reachability_preorder(G)),
+            trail_complex(G) == trail_complex(reachability_preorder(G)),
             f"Inj({name}) is unchanged under reachability closure",
         )
 
@@ -380,7 +380,7 @@ def check_decategorification(r):
             alternating == poly(-1),
             f"{name}: alternating-in-length homology sum equals the polynomial at -1",
         )
-        inj = injective_words(G)
+        inj = trail_complex(G)
         chi = inj.euler_characteristic()
         r.expect(
             poly(1) == chi,
@@ -392,7 +392,7 @@ def check_decategorification(r):
                 f"  note: {name} value at -1 is {poly(-1)}, but chi(Inj) is {chi}; "
                 "the +1 evaluation is the identity that holds (sign corrected)"
             )
-        hom = word_homology(inj, "Z")
+        hom = chain_homology(inj, "Z")
         chi_hom = sum((-1) ** k * g.rank for k, g in hom.items())
         r.expect(chi_hom == chi, f"{name}: homological and cellwise chi agree")
 

@@ -7,12 +7,11 @@ import random
 import pytest
 
 from maghom.chains import (
-    BigradedComplex,
-    boundary_matrix,
     certified_length_bound,
     enumerate_basis,
     induced_chain_map,
     reversal_bijection,
+    trail_complex,
     trail_length,
 )
 from maghom.errors import GraphError
@@ -24,6 +23,7 @@ from maghom.graphs import (
     opposite,
     transitive_tournament,
 )
+from maghom.homology import homology_table
 
 
 def brute_trails(G, kind, k, l):
@@ -45,6 +45,11 @@ def brute_trails(G, kind, k, l):
             continue
         out.append(t)
     return sorted(out)
+
+
+def graded_boundary(G, kind, k, l):
+    """Differential of the trail complex from bidegree (k, l) to (k - 1, l)."""
+    return trail_complex(G, kind, l).boundary(k, l)
 
 
 def random_digraph(rng, n, p):
@@ -153,7 +158,7 @@ def test_boundary_matches_oracle():
         for kind in ("eulerian", "ordinary", "discriminant"):
             for k in range(1, 4):
                 for l in range(5):
-                    mat = boundary_matrix(G, kind, k, l)
+                    mat = graded_boundary(G, kind, k, l)
                     assert mat.to_rows() == boundary_oracle(G, kind, k, l)
 
 
@@ -165,26 +170,25 @@ def test_boundary_squares_to_zero():
         for kind in ("eulerian", "ordinary", "discriminant"):
             for k in range(2, 5):
                 for l in range(6):
-                    d1 = boundary_matrix(G, kind, k - 1, l)
-                    d2 = boundary_matrix(G, kind, k, l)
+                    d1 = graded_boundary(G, kind, k - 1, l)
+                    d2 = graded_boundary(G, kind, k, l)
                     assert d1.matmul(d2).is_zero(), (kind, k, l)
 
 
 def test_bigraded_complex_counts_and_certification():
     K3 = family("complete", 3)
-    fc = BigradedComplex.build(K3, "eulerian")
-    assert fc.certified
-    counts = fc.counts()
+    counts = trail_complex(K3).graded_counts()
+    assert homology_table(K3).certified
     assert counts[(0, 0)] == 3 and counts[(2, 2)] == 6
     assert all(k <= l for k, l in counts)
 
     with pytest.raises(ValueError):
-        BigradedComplex.build(K3, "ordinary")
-    mc = BigradedComplex.build(K3, "ordinary", l_max=3)
-    assert not mc.certified
-    dmc = BigradedComplex.build(K3, "discriminant", l_max=3)
-    for (k, l), dim in mc.counts().items():
-        assert dim == fc.counts().get((k, l), 0) + dmc.counts().get((k, l), 0)
+        trail_complex(K3, "ordinary")
+    assert not homology_table(K3, "ordinary", l_max=3).certified
+    ordinary = trail_complex(K3, "ordinary", l_max=3).graded_counts()
+    quotient = trail_complex(K3, "discriminant", l_max=3).graded_counts()
+    for (k, l), dim in ordinary.items():
+        assert dim == counts.get((k, l), 0) + quotient.get((k, l), 0)
 
 
 def test_reversal_bijection_onto_opposite():
@@ -222,8 +226,8 @@ def test_induced_chain_map_commutes_with_boundary():
                 for l in range(4):
                     top = induced_chain_map(f, G, H, kind, k, l)
                     bottom = induced_chain_map(f, G, H, kind, k - 1, l)
-                    dG = boundary_matrix(G, kind, k, l)
-                    dH = boundary_matrix(H, kind, k, l)
+                    dG = graded_boundary(G, kind, k, l)
+                    dH = graded_boundary(H, kind, k, l)
                     lhs = dH.matmul(top)
                     rhs = bottom.matmul(dG)
                     assert lhs.entries == rhs.entries, (f, kind, k, l)

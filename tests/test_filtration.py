@@ -1,38 +1,48 @@
-"""Length-filtered complexes feeding the spectral sequences."""
+"""The length-filtered cell complex: trails, words and the nerve."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_chains import boundary_oracle, brute_trails
+from test_snf import small_digraphs
 
-from maghom.chains import BigradedComplex, enumerate_basis
-from maghom.filtration import injective_word_filtration, nerve_filtration
+from maghom.chains import FilteredComplex, certified_length_bound, trail_complex
+from maghom.errors import GraphError
 from maghom.graphs import digraph, family, transitive_tournament
-from maghom.words import injective_words, word_homology
+from maghom.homology import chain_homology
+from maghom.words import injective_words_via_flag
 
 
 def ranks(groups):
     return {k: g.rank for k, g in groups.items()}
 
 
+def brute_counts(G, kind, k_max, l_max):
+    counts = {}
+    for k in range(k_max + 1):
+        for l in range(l_max + 1):
+            if count := len(brute_trails(G, kind, k, l)):
+                counts[(k, l)] = count
+    return counts
+
+
 def test_graded_counts_match_trail_bases():
     for G in (family("complete", 3), family("cycle", 4), transitive_tournament(3)):
-        fc = injective_word_filtration(G)
-        for (k, l), count in fc.graded_counts().items():
-            assert count == len(enumerate_basis(G, "eulerian", k, l))
-        bc = BigradedComplex.build(G, "eulerian")
-        assert fc.graded_counts() == bc.counts()
+        want = brute_counts(G, "eulerian", G.n - 1, certified_length_bound(G))
+        assert trail_complex(G).graded_counts() == want
 
 
 def test_nerve_counts_match_ordinary_basis():
     G = family("complete", 3)
     l_max = 4
-    fc = nerve_filtration(G, l_max)
-    bc = BigradedComplex.build(G, "ordinary", l_max=l_max)
-    assert fc.graded_counts() == bc.counts()
+    fc = trail_complex(G, "ordinary", l_max)
+    assert fc.graded_counts() == brute_counts(G, "ordinary", l_max, l_max)
     assert fc.top_weight == l_max
 
 
 def test_weights_sorted_and_prefixes():
     G = family("cycle", 4)
-    fc = injective_word_filtration(G)
+    fc = trail_complex(G)
     for k in fc.degrees():
         ws = fc.weights(k)
         assert list(ws) == sorted(ws)
@@ -45,7 +55,7 @@ def test_weights_sorted_and_prefixes():
 
 def test_boundary_respects_filtration():
     G = family("cycle", 4)
-    fc = injective_word_filtration(G)
+    fc = trail_complex(G)
     for k in fc.degrees():
         if k == 0:
             continue
@@ -66,15 +76,14 @@ def test_total_homology_equals_word_homology(ring):
         family("dir_linear", 3),
         digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (3, 1), (3, 2)]),
     ):
-        fc = injective_word_filtration(G)
-        wc = injective_words(G)
-        assert ranks(fc.total_homology(ring)) == ranks(word_homology(wc, ring))
+        via_flag = chain_homology(injective_words_via_flag(G), ring)
+        assert chain_homology(trail_complex(G), ring) == via_flag
 
 
 def test_nerve_truncation_grows_monotonically():
     G = family("complete", 3)
-    small = nerve_filtration(G, 2)
-    large = nerve_filtration(G, 3)
+    small = trail_complex(G, "ordinary", 2)
+    large = trail_complex(G, "ordinary", 3)
     cs = small.graded_counts()
     cl = large.graded_counts()
     for key, count in cs.items():
@@ -85,7 +94,7 @@ def test_nerve_truncation_grows_monotonically():
 def test_nerve_degenerate_faces_are_dropped():
     # interior deletion of (0,1,0,1) gives (0,0,1) and (0,1,1): degenerate
     G = family("complete", 2)
-    fc = nerve_filtration(G, 3)
+    fc = trail_complex(G, "ordinary", 3)
     mat = fc.boundary(3)
     cells = fc.cells(3)
     j = cells.index((0, 1, 0, 1))
@@ -93,8 +102,35 @@ def test_nerve_degenerate_faces_are_dropped():
     assert all(a != b for f in faces for a, b in zip(f, f[1:]))
 
 
+def test_full_boundary_needs_closed_cells():
+    # the face (1,) of (0, 1) is not a cell
+    fc = FilteredComplex({(0, 0): ((0,),), (1, 1): ((0, 1),)})
+    with pytest.raises(GraphError):
+        fc.boundary(1)
+
+
 def test_empty_graph_filtration():
-    fc = injective_word_filtration(digraph(1, []))
+    fc = trail_complex(digraph(1, []))
     assert fc.top_degree == 0
     assert fc.dim(0) == 1
-    assert ranks(fc.total_homology()) == {0: 1}
+    assert ranks(chain_homology(fc)) == {0: 1}
+
+
+def cell_entries(mat, rows, cols):
+    return {(rows[i], cols[j]): v for (i, j), v in mat.entries.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs(), st.sampled_from(["eulerian", "ordinary", "discriminant"]))
+def test_graded_boundary_is_the_associated_graded(G, kind):
+    fc = trail_complex(G, kind, None if kind == "eulerian" else 3)
+    for k, l in fc.graded_counts():
+        graded = fc.boundary(k, l)
+        assert graded.to_rows() == boundary_oracle(G, kind, k, l), (k, l)
+        if kind == "discriminant" or k == 0:
+            continue
+        # the weight-l diagonal block of the full boundary
+        rows, cols = fc.cells(k - 1, l), fc.cells(k, l)
+        full = cell_entries(fc.boundary(k), fc.cells(k - 1), fc.cells(k))
+        block = {key: v for key, v in full.items() if key[0] in rows and key[1] in cols}
+        assert cell_entries(graded, rows, cols) == block, (k, l)

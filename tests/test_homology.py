@@ -41,6 +41,12 @@ def test_parse_ring():
         parse_ring("R")
 
 
+@pytest.mark.parametrize("kind", ["eulerian", "ordinary", "discriminant"])
+def test_negative_length_cap_leaves_nothing(kind):
+    # no trail has negative length, not even a single vertex
+    assert homology_table(family("cycle", 3), kind, l_max=-1).entries == {}
+
+
 def test_complete_graph_diagonal():
     for n in range(1, 6):
         t = homology_table(family("complete", n))

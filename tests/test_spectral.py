@@ -8,7 +8,7 @@ from sympy.polys.matrices import DomainMatrix
 from test_snf import small_digraphs
 
 from maghom.graphs import digraph, family, transitive_tournament
-from maghom.homology import homology_table, parse_ring
+from maghom.homology import chain_homology, homology_table
 from maghom.pathhom import path_homology
 from maghom.spectral import (
     diagonal_convergence,
@@ -19,7 +19,7 @@ from maghom.spectral import (
     rmpss,
     rmpss_report,
 )
-from maghom.words import injective_words, word_homology
+from maghom.words import injective_words_via_flag
 
 SPHERE_2 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (3, 1), (3, 2)])
 
@@ -52,7 +52,8 @@ def test_infinity_totals_match_word_homology():
     for G in GRAPHS:
         ss = rmpss(G)
         totals = ss.total_ranks()
-        want = {k: g.rank for k, g in word_homology(injective_words(G), ring="Q").items()}
+        words = injective_words_via_flag(G)
+        want = {k: g.rank for k, g in chain_homology(words, "Q").items()}
         assert totals == want, G
 
 
@@ -214,7 +215,7 @@ def test_pages_against_smith_form_homology(G, ring, regular):
     want = {(l, k): g.rank for (k, l), g in table.entries.items() if g.rank}
     assert ss.page(1) == want
     # the final page adds up to the homology of the whole complex
-    total = ss.fc.total_homology(parse_ring(ring))
+    total = chain_homology(ss.fc, ring)
     assert ss.total_ranks() == {k: g.rank for k, g in total.items() if g.rank}
     chi = None
     for r in range(1, ss.stable_r + 1):

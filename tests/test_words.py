@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from maghom.chains import trail_complex
 from maghom.errors import GraphError
 from maghom.graphs import (
     digraph,
@@ -12,13 +13,8 @@ from maghom.graphs import (
     reachability_preorder,
     transitive_tournament,
 )
-from maghom.words import (
-    directed_flag,
-    injective_words,
-    injective_words_via_flag,
-    order_complex,
-    word_homology,
-)
+from maghom.homology import chain_homology
+from maghom.words import directed_flag, injective_words_via_flag, order_complex
 
 SPHERE_1 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (2, 3), (1, 3)])
 SPHERE_2 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (3, 1), (3, 2)])
@@ -29,26 +25,26 @@ def ranks(groups):
 
 
 def test_complete_graph_word_complex():
-    wc = injective_words(family("complete", 3))
+    wc = trail_complex(family("complete", 3))
     assert wc.f_vector() == (3, 6, 6)
     assert wc.euler_characteristic() == 3
-    assert ranks(word_homology(wc)) == {0: 1, 2: 2}
-    assert ranks(word_homology(wc, reduced=True)) == {2: 2}
-    for g in word_homology(wc).values():
+    assert ranks(chain_homology(wc)) == {0: 1, 2: 2}
+    assert ranks(chain_homology(wc, reduced=True)) == {2: 2}
+    for g in chain_homology(wc).values():
         assert g.torsion == ()
 
 
 def test_derangement_top_rank():
-    wc = injective_words(family("complete", 4))
-    assert ranks(word_homology(wc, reduced=True)) == {3: 9}
+    wc = trail_complex(family("complete", 4))
+    assert ranks(chain_homology(wc, reduced=True)) == {3: 9}
 
 
 def test_directed_line_word_complex_is_contractible():
-    wc = injective_words(family("dir_linear", 3))
+    wc = trail_complex(family("dir_linear", 3))
     assert wc.f_vector() == (3, 3, 1)
     assert wc.euler_characteristic() == 1
-    assert ranks(word_homology(wc)) == {0: 1}
-    assert ranks(word_homology(wc, reduced=True)) == {}
+    assert ranks(chain_homology(wc)) == {0: 1}
+    assert ranks(chain_homology(wc, reduced=True)) == {}
 
 
 def test_directed_flag_of_cyclic_triangle():
@@ -56,7 +52,7 @@ def test_directed_flag_of_cyclic_triangle():
     # contributes no 2-simplex
     fl = directed_flag(family("dir_cycle", 3))
     assert fl.f_vector() == (3, 3)
-    assert fl.dimension == 1
+    assert fl.top_degree == 1
 
 
 def test_flag_vs_word_complexes():
@@ -70,19 +66,19 @@ def test_flag_vs_word_complexes():
             if u != v and rng.random() < 0.45
         ]
         G = digraph(n, edges)
-        direct = injective_words(G)
+        direct = trail_complex(G)
         via = injective_words_via_flag(G)
         assert direct == via
         # words of the closure coincide with words of the graph
-        assert direct == injective_words(reachability_preorder(G))
+        assert direct == trail_complex(reachability_preorder(G))
 
 
 def test_word_complex_boundaries_square_to_zero():
-    wc = injective_words(SPHERE_1)
-    for k in range(2, wc.dimension + 1):
+    wc = trail_complex(SPHERE_1)
+    for k in range(2, wc.top_degree + 1):
         assert wc.boundary(k - 1).matmul(wc.boundary(k)).is_zero()
     # face counts agree with the f-vector
-    assert tuple(len(wc.cells(d)) for d in wc.dims()) == wc.f_vector()
+    assert tuple(len(wc.cells(d)) for d in wc.degrees()) == wc.f_vector()
 
 
 def test_order_complex_requires_a_poset():
@@ -99,43 +95,42 @@ def test_order_complex_requires_a_poset():
 def test_source_apex_makes_a_cone():
     # vertex 0 reaches everything, so the word complex deformation
     # retracts to the words through 0
-    wc = injective_words(SPHERE_1)
+    wc = trail_complex(SPHERE_1)
     assert wc.f_vector() == (4, 7, 6, 2)
     assert wc.euler_characteristic() == 1
-    assert ranks(word_homology(wc)) == {0: 1}
+    assert ranks(chain_homology(wc)) == {0: 1}
 
 
 def test_suspension_of_the_digon():
-    wc = injective_words(SPHERE_2)
+    wc = trail_complex(SPHERE_2)
     assert wc.f_vector() == (4, 6, 4)
     assert wc.euler_characteristic() == 2
-    assert ranks(word_homology(wc)) == {0: 1, 2: 1}
-    assert ranks(word_homology(wc, reduced=True)) == {2: 1}
+    assert ranks(chain_homology(wc)) == {0: 1, 2: 1}
+    assert ranks(chain_homology(wc, reduced=True)) == {2: 1}
 
 
 def test_digon_words_make_a_circle():
-    wc = injective_words(family("complete", 2))
+    wc = trail_complex(family("complete", 2))
     assert wc.f_vector() == (2, 2)
-    assert ranks(word_homology(wc)) == {0: 1, 1: 1}
+    assert ranks(chain_homology(wc)) == {0: 1, 1: 1}
 
 
 def test_point_word_complex():
-    wc = injective_words(point())
+    wc = trail_complex(point())
     assert wc.f_vector() == (1,)
-    assert ranks(word_homology(wc)) == {0: 1}
-    assert ranks(word_homology(wc, reduced=True)) == {}
+    assert ranks(chain_homology(wc)) == {0: 1}
+    assert ranks(chain_homology(wc, reduced=True)) == {}
 
 
 def test_closure_collapses_directed_cycle():
     # the closure of a directed cycle is complete, so the word homology
     # jumps to the derangement pattern
-    wc = injective_words(family("dir_cycle", 4))
-    assert ranks(word_homology(wc, reduced=True)) == {3: 9}
+    wc = trail_complex(family("dir_cycle", 4))
+    assert ranks(chain_homology(wc, reduced=True)) == {3: 9}
 
 
 def test_export_cells_shape():
-    wc = injective_words(family("dir_linear", 2))
-    assert wc.export_cells() == "0\n1\n0 1\n"
+    wc = trail_complex(family("dir_linear", 2))
     assert wc.cells(0) == ((0,), (1,))
     assert wc.cells(1) == ((0, 1),)
     assert wc.cells(5) == ()
@@ -143,13 +138,13 @@ def test_export_cells_shape():
 
 def test_euler_characteristic_matches_homology():
     for G in (SPHERE_1, SPHERE_2, family("complete", 3), transitive_tournament(3)):
-        wc = injective_words(G)
+        wc = trail_complex(G)
         chi_f = wc.euler_characteristic()
-        chi_h = sum((-1) ** k * g.rank for k, g in word_homology(wc).items())
+        chi_h = sum((-1) ** k * g.rank for k, g in chain_homology(wc).items())
         assert chi_f == chi_h
 
 
 def test_field_coefficients():
-    wc = injective_words(family("complete", 3))
-    assert ranks(word_homology(wc, ring="Q")) == {0: 1, 2: 2}
-    assert ranks(word_homology(wc, ring="Fp:2")) == {0: 1, 2: 2}
+    wc = trail_complex(family("complete", 3))
+    assert ranks(chain_homology(wc, ring="Q")) == {0: 1, 2: 2}
+    assert ranks(chain_homology(wc, ring="Fp:2")) == {0: 1, 2: 2}
