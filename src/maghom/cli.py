@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -81,14 +80,6 @@ class RunConfig:
     s: int | None = None
     format: str = "json"
     jobs: int = 1
-
-
-def _default_jobs():
-    raw = os.environ.get("MAGHOM_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _family_graph(spec):
@@ -439,7 +430,7 @@ def build_parser():
         help="run just this check (repeatable); see --list",
     )
     ver.add_argument("--list", action="store_true", help="list check names and exit")
-    ver.add_argument("--jobs", type=int, default=None, help="worker processes")
+    ver.add_argument("--jobs", type=int, default=1, help="worker processes")
     ver.add_argument("--format", choices=("json", "csv", "md"), default="json")
     return parser
 
@@ -449,14 +440,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.mode == "verify-paper":
-            jobs = args.jobs if args.jobs else _default_jobs()
-            if jobs < 1:
+            if args.jobs < 1:
                 parser.error("--jobs must be at least 1")
             if args.list:
                 for name in CHECKS:
                     print(name)
                 return 0
-            cfg = RunConfig(command="verify", format=args.format, jobs=jobs)
+            cfg = RunConfig(command="verify", format=args.format, jobs=args.jobs)
             return cmd_verify_paper(cfg, args.only)
         try:
             ring = parse_ring(args.ring)

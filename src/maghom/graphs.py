@@ -82,7 +82,6 @@ def rho(n, pairs):
     return DirectedGraph(n, frozenset(es), symmetric=True)
 
 
-@lru_cache(maxsize=None)
 def adjacency(G):
     """Sorted successor lists, one tuple per vertex."""
     out = [[] for _ in range(G.n)]
@@ -532,56 +531,33 @@ def canonical_form(n, pairs):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration of small undirected graphs
-
-
-def connected_undirected_graphs(n, min_girth=None):
-    """Yield edge tuples of all labeled connected graphs on n vertices.
-
-    With min_girth set, graphs containing a shorter cycle are skipped
-    (forests count as girth INF and always pass).
-    """
-    if n < 1:
-        raise GraphError("need n >= 1")
-    all_pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(1 << len(all_pairs)):
-        chosen = [all_pairs[i] for i in range(len(all_pairs)) if bits >> i & 1]
-        if len(chosen) < n - 1:
-            continue
-        adj = [0] * n
-        for u, v in chosen:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        # connectivity over bitmasks
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            v = 0
-            f = frontier
-            while f:
-                if f & 1:
-                    nxt |= adj[v]
-                f >>= 1
-                v += 1
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen != (1 << n) - 1:
-            continue
-        if min_girth is not None and min_girth > 3:
-            g = girth(rho(n, chosen))
-            if g is not INF and g < min_girth:
-                continue
-        yield tuple(chosen)
+# connected undirected graphs up to isomorphism
 
 
 def connected_graph_classes(n, min_girth=None):
-    """Canonical representatives of connected graphs on n vertices."""
-    seen = set()
-    out = []
-    for chosen in connected_undirected_graphs(n, min_girth=min_girth):
-        canon = canonical_form(n, chosen)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    return out
+    """Canonical representatives of connected graphs on n vertices, sorted.
+
+    Every connected graph has a non-cut vertex, so each class on n
+    vertices is a class on n - 1 vertices plus a new vertex joined to a
+    nonempty set S of old ones (McKay, *Isomorph-free exhaustive
+    generation*, J. Algorithms 26, 1998).  Girth is inherited by induced
+    subgraphs, and the shortest cycle through the new vertex has length
+    2 + the least distance between two members of S, so with min_girth
+    set S must be spread at least min_girth - 2 apart.  Forests count as
+    girth INF and always pass.
+    """
+    if n < 1:
+        raise GraphError("need n >= 1")
+    gap = (min_girth or 0) - 2
+    classes = [()]
+    for m in range(1, n):
+        found = set()
+        for edges in classes:
+            dist = distance_matrix(rho(m, edges))
+            for size in range(1, m + 1):
+                for S in itertools.combinations(range(m), size):
+                    if any(dist[u][v] < gap for u, v in itertools.combinations(S, 2)):
+                        continue
+                    found.add(canonical_form(m + 1, edges + tuple((v, m) for v in S)))
+        classes = sorted(found)
+    return classes

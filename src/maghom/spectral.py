@@ -273,20 +273,8 @@ def rmpss_report(G, ring="Q", rmax=None):
     }
 
 
-def page_one_inclusion_report(G, l_max, ring="Q"):
-    """Check the page-one map induced by including words into trails.
-
-    At page one the map is the basis inclusion of all-distinct trails;
-    the check asserts it commutes with the page-one differentials at
-    every populated source bidegree.  Needs l_max to cover every
-    injective word, otherwise the target complex misses some cells.
-    """
-    reg = rmpss(G, ring)
-    if reg.top_weight > l_max:
-        raise ValueError(
-            f"l_max={l_max} is below the top injective word length {reg.top_weight}"
-        )
-    ord_ = mpss(G, l_max, ring)
+def _inclusion_commutes(reg, ord_):
+    """Check that the page-one inclusion of reg into ord_ commutes with d_1."""
     checked = 0
     for (p, n) in sorted(reg.page(1)):
         s = reg.entry_rank(1, p, n)
@@ -300,6 +288,22 @@ def page_one_inclusion_report(G, l_max, ring="Q"):
     return {"commutes": True, "failed_at": None, "checked": checked}
 
 
+def page_one_inclusion_report(G, l_max, ring="Q"):
+    """Check the page-one map induced by including words into trails.
+
+    At page one the map is the basis inclusion of all-distinct trails;
+    the check asserts it commutes with the page-one differentials at
+    every populated source bidegree.  Needs l_max to cover every
+    injective word, otherwise the target complex misses some cells.
+    """
+    reg = rmpss(G, ring)
+    if reg.top_weight > l_max:
+        raise ValueError(
+            f"l_max={l_max} is below the top injective word length {reg.top_weight}"
+        )
+    return _inclusion_commutes(reg, mpss(G, l_max, ring))
+
+
 def mpss_report(G, l_max, ring="Q", rmax=2):
     """Truncated ordinary sequence: pages up to rmax plus page-one checks.
 
@@ -310,9 +314,8 @@ def mpss_report(G, l_max, ring="Q", rmax=2):
     ss = mpss(G, l_max, ring)
     mh = homology_table(G, "ordinary", ss.p or "Q", l_max=l_max)
     mismatches = _table_mismatch(ss.page(1), mh)
-    inclusion = None
-    if rmpss(G, ring).top_weight <= l_max:
-        inclusion = page_one_inclusion_report(G, l_max, ring)
+    reg = rmpss(G, ring)
+    inclusion = _inclusion_commutes(reg, ss) if reg.top_weight <= l_max else None
     return {
         "l_max": l_max,
         "truncated": True,

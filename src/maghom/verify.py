@@ -34,7 +34,7 @@ from .invariants import (
     subgraph_network,
 )
 from .pathhom import path_homology
-from .spectral import page_one_inclusion_report, rmpss, rmpss_report
+from .spectral import page_one_inclusion_report, rmpss_report
 from .words import injective_words_via_flag
 
 INF = float("inf")
@@ -286,7 +286,7 @@ def check_rmpss(r):
             rep["einf_totals_match_word_homology"],
             f"{name}: final page totals are injective-word homology",
         )
-        cap = rmpss(G).top_weight
+        cap = trail_complex(G).top_weight
         incl = page_one_inclusion_report(G, cap)
         r.expect(
             incl["commutes"],

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from maghom.graphs import (
     eccentricity_bound,
     family,
     girth,
+    is_weakly_connected,
     join,
     opposite,
     parse_graph,
@@ -183,11 +185,14 @@ def test_are_isomorphic():
 
 
 def test_connected_class_counts():
-    # connected simple undirected graphs up to iso: 1, 1, 2, 6, 21
-    assert [len(connected_graph_classes(n)) for n in range(1, 6)] == [1, 1, 2, 6, 21]
+    # connected simple undirected graphs up to iso (OEIS A001349)
+    counts = [len(connected_graph_classes(n)) for n in range(1, 8)]
+    assert counts == [1, 1, 2, 6, 21, 112, 853]
     for edges in connected_graph_classes(4):
         G = rho(4, edges)
         assert G.symmetric and G.n == 4
+    with pytest.raises(GraphError):
+        connected_graph_classes(0)
 
 
 def test_connected_classes_girth_filter():
@@ -198,3 +203,34 @@ def test_connected_classes_girth_filter():
     assert any(are_isomorphic(G, family("cycle", 5)) for G in high)
     # 3 trees on 5 vertices plus the 5-cycle
     assert len(high) == 4
+    counts = [len(connected_graph_classes(n, min_girth=5)) for n in range(1, 7)]
+    assert counts == [1, 1, 1, 2, 4, 8]
+
+
+def _labeled_sweep_classes(n, min_girth):
+    """Brute-force oracle: canonical forms of every connected edge subset of K_n."""
+    pairs = list(itertools.combinations(range(n), 2))
+    out = set()
+    for k in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, k):
+            G = rho(n, edges)
+            if not is_weakly_connected(G):
+                continue
+            if min_girth is not None and girth(G) < min_girth:
+                continue
+            out.add(canonical_form(n, edges))
+    return out
+
+
+@pytest.mark.parametrize("min_girth", [None, 4, 5, 6])
+def test_connected_classes_match_labeled_sweep(min_girth):
+    for n in range(1, 6):
+        classes = connected_graph_classes(n, min_girth=min_girth)
+        assert classes == sorted(classes)
+        assert set(classes) == _labeled_sweep_classes(n, min_girth)
+        graphs = [rho(n, edges) for edges in classes]
+        for G in graphs:
+            assert is_weakly_connected(G)
+            assert min_girth is None or girth(G) >= min_girth
+        for G, H in itertools.combinations(graphs, 2):
+            assert not are_isomorphic(G, H)
