@@ -5,7 +5,8 @@ prints a report, ``maghom verify-paper`` runs the named reproduction
 checks.  JSON output is deterministic for a fixed configuration (sorted
 keys, no timestamps); per-check timing goes to stderr and to the
 markdown rendering only.  Exit codes: 0 success, 1 verification
-failure or internal arithmetic error, 2 usage error, 3 resource cap.
+failure or internal error (an ArithmeticError or a bare ValueError),
+2 usage error (a GraphError), 3 resource cap.
 """
 
 from __future__ import annotations
@@ -473,13 +474,13 @@ def main(argv=None):
     except ParseError as exc:
         print(f"maghom: parse error: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, ValueError) as exc:
+    except GraphError as exc:
         print(f"maghom: {exc}", file=sys.stderr)
         return 2
     except MaghomError as exc:
         print(f"maghom: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"maghom: internal error: {exc}", file=sys.stderr)
         return 1
 

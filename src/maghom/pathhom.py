@@ -90,13 +90,13 @@ def _face_sums(G, n, strong, stray_only):
 
 
 def omega_basis(G, n, strong=False, p=None):
-    """Basis vectors of Omega_n = ker stray_n in allowed-path coordinates.
+    """Basis of Omega_n = ker stray_n as sparse columns {path index: coeff},
+    indexed like allowed_paths(G, n, strong).
 
     They are the V columns of the stray columns that reduce to zero.
     """
     stray = _face_sums(G, n, strong, stray_only=True)
-    kernel = reduce_columns(stray.columns(p), p, record=True)[1]
-    return [[z.get(j, 0) for j in range(stray.ncols)] for z in kernel]
+    return reduce_columns(stray.columns(p), p, record=True)[1]
 
 
 def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):

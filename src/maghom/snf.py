@@ -13,7 +13,6 @@ overflow to manage.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 from .matrices import SparseMatrix
 
@@ -93,27 +92,6 @@ def _dense_snf(rows):
     return diag
 
 
-def _divisor_chain(divs):
-    """Normalize nonzero divisors into a divisibility chain d1 | d2 | ...
-
-    A unit divides everything, so only the divisors above 1 go through the
-    pairwise gcd/lcm sweep; the ones are put in front of them.
-    """
-    d = [abs(x) for x in divs if x]
-    rest = [x for x in d if x != 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rest)):
-            for j in range(i + 1, len(rest)):
-                if rest[j] % rest[i]:
-                    g = gcd(rest[i], rest[j])
-                    l = rest[i] // g * rest[j]
-                    rest[i], rest[j] = g, l
-                    changed = True
-    return (1,) * (len(d) - len(rest)) + tuple(sorted(rest))
-
-
 def smith_normal_form(matrix):
     """Return (divisors, rank) with divisors the nonzero Smith diagonal.
 
@@ -188,19 +166,16 @@ def smith_normal_form(matrix):
         del rows[r]
         ones += 1
 
-    divisors = [1] * ones
-    if rows:
-        live_rows = sorted(rows)
-        live_cols = sorted({c for row in rows.values() for c in row})
-        cindex = {c: j for j, c in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for i, r in enumerate(live_rows):
-            for c, v in rows[r].items():
-                dense[i][cindex[c]] = v
-        divisors.extend(_dense_snf(dense))
-
-    chain = _divisor_chain(divisors)
-    return chain, len(chain)
+    live_rows = sorted(rows)
+    live_cols = sorted({c for row in rows.values() for c in row})
+    cindex = {c: j for j, c in enumerate(live_cols)}
+    dense = [[0] * len(live_cols) for _ in live_rows]
+    for i, r in enumerate(live_rows):
+        for c, v in rows[r].items():
+            dense[i][cindex[c]] = v
+    # units divide everything, and the dense residue's divisors form a chain
+    divisors = (1,) * ones + tuple(_dense_snf(dense))
+    return divisors, len(divisors)
 
 
 def rank_z(matrix):

@@ -22,11 +22,13 @@ already paired as a birth is a cycle, so its column is skipped.  The
 reduction is ``matrices.reduce_column``: sparse, fraction-free over Q and
 mod p over F_p.
 
-Matrices of differentials and page maps are taken on page one only,
-where E_1(p, n) is the homology of the graded piece at weight p.  The
-same reduction, recording its column operations, gives each entry's
-representatives, and the class coordinates of an image are read off by
-reducing it against those and the boundaries.
+Differentials and page maps are matrices of page one, where E_1(p, n)
+is the homology of the graded piece at weight p.  The same reduction,
+recording its column operations, gives each entry's representatives,
+and the class coordinates of an image are read off by reducing it
+against those and the boundaries.  A matrix is a list of sparse columns
+{row: coefficient}, one per source class, as ``reduce_columns`` makes
+them, and maps compose with ``matrices.combine``.
 """
 
 from __future__ import annotations
@@ -46,17 +48,6 @@ from .pathhom import path_homology
 def _alive(lifetimes, r):
     """How many of the counted lifetimes reach page r."""
     return sum(m for life, m in lifetimes.items() if life >= r)
-
-
-def _product(A, B, ncols, p):
-    """A B for matrices given as row lists; B has ncols columns, even with no rows."""
-    out = [[sum(x * row[j] for x, row in zip(a, B)) for j in range(ncols)] for a in A]
-    return [[x % p for x in row] for row in out] if p else out
-
-
-def _page_one_only(r):
-    if r != 1:
-        raise ValueError(f"page maps are computed on page one only, not page {r}")
 
 
 class SpectralSequence:
@@ -175,13 +166,14 @@ class SpectralSequence:
         return self._page_one[(p, n)]
 
     def _coordinates(self, p, n, images):
-        """Matrix of the page-one classes of images (sparse chains) in E_1(p, n).
+        """Sparse columns of the page-one classes of images (sparse chains)
+        in E_1(p, n).
 
         Each image is reduced by lowest entries against the representatives
         and boundaries, keeping the multiples of the representatives taken
         off; an image that does not reduce to zero raises.
         """
-        reps, pivots = self._page_one_entry(p, n)
+        pivots = self._page_one_entry(p, n)[1]
         cols = []
         for image in images:
             rest, ops = reduce_column(image, pivots, self.p, {-1: 1})
@@ -190,28 +182,28 @@ class SpectralSequence:
             # scale * image = -sum ops[i] * rep_i + boundaries; mod p the
             # image is never scaled, so scale is 1
             scale = ops.pop(-1)
-            coeff = (lambda x: x % self.p) if self.p else (lambda x: Fraction(x, scale))
-            cols.append([coeff(-ops.get(i, 0)) for i in range(len(reps))])
-        return [[col[i] for col in cols] for i in range(len(reps))]
+            if self.p:
+                cols.append({i: -x % self.p for i, x in ops.items()})
+            else:
+                cols.append({i: Fraction(-x, scale) for i, x in ops.items()})
+        return cols
 
-    def differential(self, r, p, n):
-        """Matrix of d_1 from E_1(p, n) to E_1(p - 1, n - 1); r must be 1."""
-        _page_one_only(r)
+    def differential(self, p, n):
+        """Sparse columns of d_1 from E_1(p, n) to E_1(p - 1, n - 1)."""
         down = self._columns(n, p, p - 1)
         images = [combine(down, z, self.p) for z in self._page_one_entry(p, n)[0]]
         return self._coordinates(p - 1, n - 1, images)
 
 
-def page_map(source, target, r, p, n, cell_map=None):
-    """Matrix on E_1(p, n) of a filtration- and weight-preserving cell map.
+def page_map(source, target, p, n, cell_map=None):
+    """Sparse columns on E_1(p, n) of a filtration- and weight-preserving
+    cell map, one per source class.
 
     cell_map sends a source cell to a target cell (identity by default)
     and must commute with the boundary; weights must match exactly.
-    Only page one is supported, so r must be 1.
     """
     if source.p != target.p:
         raise ValueError("page maps need matching coefficient fields")
-    _page_one_only(r)
     a, b = source._graded(n, p)
     ta, tb = target._graded(n, p)
     index = {c: i for i, c in enumerate(target.fc.cells(n)[ta:tb])}
@@ -273,15 +265,19 @@ def rmpss_report(G, ring="Q", rmax=None):
     }
 
 
+def _compose(outer, inner, p):
+    """The product outer * inner of matrices given as sparse columns."""
+    return [combine(outer, col, p) for col in inner]
+
+
 def _inclusion_commutes(reg, ord_):
     """Check that the page-one inclusion of reg into ord_ commutes with d_1."""
     checked = 0
     for (p, n) in sorted(reg.page(1)):
-        s = reg.entry_rank(1, p, n)
-        f_here = page_map(reg, ord_, 1, p, n)
-        f_down = page_map(reg, ord_, 1, p - 1, n - 1)
-        left = _product(f_down, reg.differential(1, p, n), s, reg.p)
-        right = _product(ord_.differential(1, p, n), f_here, s, reg.p)
+        f_here = page_map(reg, ord_, p, n)
+        f_down = page_map(reg, ord_, p - 1, n - 1)
+        left = _compose(f_down, reg.differential(p, n), reg.p)
+        right = _compose(ord_.differential(p, n), f_here, reg.p)
         if left != right:
             return {"commutes": False, "failed_at": (p, n), "checked": checked}
         checked += 1

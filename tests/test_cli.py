@@ -6,6 +6,8 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from test_spectral import CYCLE_4_TRUNCATED_PAGES
 
 from maghom import cli
@@ -225,11 +227,13 @@ def test_console_script_roundtrip():
     assert data["groups"]["3,5"] == {"rank": 8, "torsion": []}
 
 
-def test_internal_arithmetic_error_exits_1_with_nothing_on_stdout(monkeypatch):
+@pytest.mark.parametrize("error", [ArithmeticError, ValueError])
+def test_internal_arithmetic_error_exits_1_with_nothing_on_stdout(monkeypatch, error):
+    # a bare ValueError from inside the library is a fault, not a usage error
     message = "page 1 image at (2,2) left its target entry"
 
     def broken(*args, **kwargs):
-        raise ArithmeticError(message)
+        raise error(message)
 
     # the CLI calls the name it imported from maghom.spectral
     monkeypatch.setattr(cli, "rmpss_report", broken)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from maghom.graphs import digraph, family, point, transitive_tournament
+from maghom.matrices import combine
 from maghom.pathhom import _face_sums, allowed_paths, omega_basis, path_homology
 from maghom.snf import rank_mod_p, rank_z
 from test_snf import small_digraphs
@@ -112,6 +113,20 @@ def test_omega_dims_match_oracle():
             for n in range(4):
                 got = len(omega_basis(G, n, strong))
                 assert got == dims[n], (G, strong, n)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_omega_basis_columns_are_independent_and_in_the_kernel(p):
+    # every column is killed by stray_n, and distinct lowest entries make
+    # the columns linearly independent
+    for G in small_graphs():
+        for strong in (False, True):
+            for n in range(4):
+                stray = _face_sums(G, n, strong, stray_only=True).columns(p)
+                basis = omega_basis(G, n, strong, p)
+                assert all(z and combine(stray, z, p) == {} for z in basis)
+                lows = [max(z) for z in basis]
+                assert len(set(lows)) == len(lows), (G, strong, n, p)
 
 
 def test_homology_matches_oracle():

@@ -13,7 +13,6 @@ from maghom.graphs import digraph
 from maghom.matrices import SparseMatrix
 from maghom.snf import (
     _dense_snf,
-    _divisor_chain,
     rank_mod_p,
     rank_z,
     smith_normal_form,
@@ -122,12 +121,6 @@ def test_rank_mod_p_against_sympy():
             assert rank_mod_p(as_sparse(rows), p) == dm.rank()
 
 
-def test_divisor_chain_direct():
-    assert _divisor_chain((1, 4, 1, 6)) == (1, 1, 2, 12)
-    assert _divisor_chain((1, -1, 1)) == (1, 1, 1)
-    assert _divisor_chain(()) == ()
-
-
 @st.composite
 def int_matrices(draw):
     """Small dense integer matrices with at least one non-unit entry.
@@ -155,8 +148,8 @@ def test_snf_matches_sympy_property(rows):
 @settings(max_examples=80, deadline=None)
 @given(int_matrices())
 def test_dense_snf_returns_a_divisor_chain(rows):
-    # smith_normal_form relies on this: its ones and the dense divisors
-    # already form a chain, so _divisor_chain's sweep has nothing to fix
+    # smith_normal_form relies on this: it puts its unit pivots in front
+    # of the dense divisors and returns them as they come
     divs = _dense_snf(rows)
     assert all(d > 0 for d in divs)
     for a, b in zip(divs, divs[1:]):
