@@ -19,6 +19,14 @@ steps add up to the distance they shortcut.  The graded piece at one
 length, the magnitude differential, keeps only those deletions; faces
 with a repeated consecutive pair always change length, and quotient
 faces that land on all-distinct tuples are dropped.
+
+Every cell here and in ``pathhom`` comes from one cached enumerator,
+``walks``, which takes the step relation as data.  Trails walk over
+finite-distance steps; allowed paths walk along edges, each step of
+weight 1.  An n-step trail of length n steps along edges only, so the
+eulerian cells at bidegree (n, n) are exactly the regular allowed
+n-paths (Hepworth and Willerton, *Categorifying the magnitude of a
+graph*, HHA 2017).
 """
 
 from __future__ import annotations
@@ -39,15 +47,41 @@ from .matrices import SparseMatrix
 KINDS = ("eulerian", "ordinary", "discriminant")
 
 
+def _finite_steps(G):
+    """Per vertex, the ascending (target, distance) pairs at finite positive distance."""
+    return tuple(
+        tuple((v, d) for v, d in enumerate(row) if v != u and d != float("inf"))
+        for u, row in enumerate(distance_matrix(G))
+    )
+
+
 @lru_cache(maxsize=None)
-def _finite_targets(G):
-    """Per vertex, the (target, distance) pairs with finite positive distance."""
-    dist = distance_matrix(G)
-    out = []
-    for u in range(G.n):
-        row = dist[u]
-        out.append(tuple((v, row[v]) for v in range(G.n) if v != u and row[v] != float("inf")))
-    return tuple(out)
+def walks(steps, cap=None, distinct=False):
+    """Every walk along steps, bucketed by (entries - 1, total weight).
+
+    steps gives, per vertex, the ascending (target, weight) pairs a walk
+    may take from it.  cap bounds the total weight; distinct keeps only
+    walks whose entries are pairwise distinct.  Depth-first pre-order
+    over ascending steps lists each bucket in lexicographic order.
+    """
+    cap = float("inf") if cap is None else cap
+    buckets = {}
+    stack = []
+    blocked = stack if distinct else ()
+
+    def extend(last, weight):
+        buckets.setdefault((len(stack) - 1, weight), []).append(tuple(stack))
+        for v, d in steps[last]:
+            if v not in blocked and weight + d <= cap:
+                stack.append(v)
+                extend(v, weight + d)
+                stack.pop()
+
+    for x0 in range(len(steps)):
+        stack.append(x0)
+        extend(x0, 0)
+        stack.pop()
+    return {key: tuple(cells) for key, cells in buckets.items()}
 
 
 def trail_length(G, trail):
@@ -75,57 +109,6 @@ def certified_length_bound(G):
     return (G.n - 1) * eccentricity_bound(G)
 
 
-@lru_cache(maxsize=None)
-def _eulerian_buckets(G):
-    """All all-distinct trails, grouped by (entries - 1, length)."""
-    targets = _finite_targets(G)
-    buckets = {}
-    stack = []
-
-    def extend(last, length):
-        key = (len(stack) - 1, length)
-        buckets.setdefault(key, []).append(tuple(stack))
-        for v, d in targets[last]:
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.append(v)
-            extend(v, length + d)
-            stack.pop()
-            seen.discard(v)
-
-    for x0 in range(G.n):
-        seen = {x0}
-        stack.append(x0)
-        extend(x0, 0)
-        stack.pop()
-    return {key: tuple(sorted(vals)) for key, vals in buckets.items()}
-
-
-@lru_cache(maxsize=None)
-def _trail_buckets(G, l_max):
-    """All trails of length at most l_max, grouped by (entries - 1, length)."""
-    targets = _finite_targets(G)
-    buckets = {}
-    stack = []
-
-    def extend(last, length):
-        key = (len(stack) - 1, length)
-        buckets.setdefault(key, []).append(tuple(stack))
-        for v, d in targets[last]:
-            if length + d > l_max:
-                continue
-            stack.append(v)
-            extend(v, length + d)
-            stack.pop()
-
-    for x0 in range(G.n):
-        stack.append(x0)
-        extend(x0, 0)
-        stack.pop()
-    return {key: tuple(sorted(vals)) for key, vals in buckets.items()}
-
-
 def trail_complex(G, kind="eulerian", l_max=None):
     """The trail complex of the given kind, filtered by length up to l_max.
 
@@ -135,11 +118,11 @@ def trail_complex(G, kind="eulerian", l_max=None):
     if kind not in KINDS:
         raise ValueError(f"unknown complex kind {kind!r}; expected one of {KINDS}")
     if kind == "eulerian":
-        raw = _eulerian_buckets(G)
+        raw = walks(_finite_steps(G), distinct=True)
     elif l_max is None:
         raise ValueError(f"the {kind} complex is unbounded in length; pass l_max")
     else:
-        raw = _trail_buckets(G, l_max)
+        raw = walks(_finite_steps(G), l_max)
     buckets = {}
     for key, cells in raw.items():
         if l_max is not None and key[1] > l_max:

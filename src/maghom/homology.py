@@ -305,39 +305,14 @@ def les_verify(G, l):
     }
 
 
-def splitting_report(G, l):
-    """Check the direct-sum decomposition at level l over the rationals.
-
-    Precondition: the all-distinct homology is concentrated on its
-    diagonal (certified, exact).  When that holds, every ordinary rank
-    must split as the matching all-distinct and quotient ranks added up.
-    """
-    full = homology_table(G, "eulerian", "Z")
-    diagonal = all(k == l_ for (k, l_) in full.entries)
-    report = {"l": l, "regularly_diagonal": diagonal, "splits": None, "degrees": {}}
-    if not diagonal:
-        return report
-    les = les_verify(G, l)
-    ok = True
-    for k in range(l + 1):
-        e = les["eulerian"].get(k, 0)
-        m = les["ordinary"].get(k, 0)
-        d = les["discriminant"].get(k, 0)
-        if e or m or d:
-            report["degrees"][k] = {"eulerian": e, "ordinary": m, "discriminant": d}
-            if m != e + d:
-                ok = False
-    conn = any(les["rank_connecting"].values())
-    report["splits"] = ok and not conn
-    return report
-
-
 def splitting_check(G, l_max=None):
-    """Verify the splitting at every level up to l_max.
+    """Verify the direct-sum decomposition at every level up to l_max.
 
-    Errors out unless the all-distinct homology is certified diagonal;
-    l_max defaults to the certified enumeration bound, which covers
-    every level where the diagonal part can be nonzero.
+    Errors out unless the all-distinct homology is certified diagonal.
+    When it is, every ordinary rank must split as the matching
+    all-distinct and quotient ranks added up, with a zero connecting
+    map.  l_max defaults to the certified enumeration bound, which
+    covers every level where the diagonal part can be nonzero.
     """
     full = homology_table(G, "eulerian", "Z")
     if any(k != l_ for (k, l_) in full.entries):
@@ -345,10 +320,16 @@ def splitting_check(G, l_max=None):
     if l_max is None:
         l_max = certified_length_bound(G)
     levels = {}
-    splits = True
     for l in range(l_max + 1):
-        rep = splitting_report(G, l)
-        levels[l] = {"splits": rep["splits"], "degrees": rep["degrees"]}
-        if not rep["splits"]:
-            splits = False
+        les = les_verify(G, l)
+        degrees = {}
+        for k in range(l + 1):
+            ranks = {name: les[name].get(k, 0) for name in KINDS}
+            if any(ranks.values()):
+                degrees[k] = ranks
+        splits = not any(les["rank_connecting"].values()) and all(
+            r["ordinary"] == r["eulerian"] + r["discriminant"] for r in degrees.values()
+        )
+        levels[l] = {"splits": splits, "degrees": degrees}
+    splits = all(level["splits"] for level in levels.values())
     return {"l_max": l_max, "regularly_diagonal": True, "splits": splits, "levels": levels}

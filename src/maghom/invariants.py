@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .chains import _eulerian_buckets, _trail_buckets
+from .chains import trail_complex
 from .errors import GraphError, ResourceCapError
 from .graphs import (
     canonical_form,
@@ -81,14 +81,14 @@ def _signed_counts(buckets):
 
 def regular_magnitude(G):
     """Exact signed count of all-distinct trails, graded by length."""
-    return _signed_counts(_eulerian_buckets(G))
+    return _signed_counts(trail_complex(G).buckets)
 
 
 def magnitude_series(G, l_max):
     """Signed trail counts up to the length cap; a truncated series."""
     if l_max is None or l_max < 0:
         raise GraphError("magnitude series needs a finite degree cap")
-    return _signed_counts(_trail_buckets(G, l_max))
+    return _signed_counts(trail_complex(G, "ordinary", l_max).buckets)
 
 
 def is_regularly_diagonal(G):

@@ -34,9 +34,6 @@ class SparseMatrix:
     def nnz(self):
         return len(self.entries)
 
-    def is_zero(self):
-        return not self.entries
-
     def add_at(self, r, c, v):
         if not v:
             return
@@ -47,13 +44,6 @@ class SparseMatrix:
         else:
             self.entries.pop(key, None)
 
-    def to_rows(self):
-        """Dense list-of-lists copy."""
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     def columns(self, p=None):
         """Sparse columns as {row: value} dicts, entries mod p when p is set."""
         cols = [{} for _ in range(self.ncols)]
@@ -63,18 +53,6 @@ class SparseMatrix:
             if v:
                 cols[c][r] = v
         return cols
-
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        out = SparseMatrix(self.nrows, other.ncols)
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                out.add_at(r, c, v * w)
-        return out
 
     def __eq__(self, other):
         return (

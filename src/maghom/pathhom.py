@@ -1,6 +1,8 @@
 """Path homology of digraphs over a field.
 
-Chains live on allowed paths (tuples whose consecutive pairs are edges).
+Chains live on allowed paths (tuples whose consecutive pairs are edges):
+the walks along edges that ``chains.walks`` enumerates, each step of
+weight 1, so the n-paths are its bucket (n, n).
 The differential is the full alternating face sum on raw vertex tuples,
 endpoints included and with no quotient by degenerate tuples, so a face
 deleting an interior vertex may leave the allowed span.  The chain
@@ -30,39 +32,21 @@ stray_n (``matrices.reduce_columns``).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from .chains import walks
 from .graphs import adjacency
 from .homology import parse_field
 from .matrices import SparseMatrix, reduce_columns
 from .snf import rank_mod_p, rank_z
 
 
-@lru_cache(maxsize=None)
+def _paths(G, top, strong):
+    """Allowed paths of every degree up to top: walks along edges, bucketed (n, n)."""
+    return walks(tuple(tuple((v, 1) for v in vs) for vs in adjacency(G)), top, strong)
+
+
 def allowed_paths(G, n, strong=False):
     """Allowed n-paths: consecutive pairs are edges; strong means injective."""
-    if n < 0:
-        return ()
-    adj = adjacency(G)
-    out = []
-    stack = []
-
-    def extend(last):
-        if len(stack) == n + 1:
-            out.append(tuple(stack))
-            return
-        for v in adj[last]:
-            if strong and v in stack:
-                continue
-            stack.append(v)
-            extend(v)
-            stack.pop()
-
-    for x0 in range(G.n):
-        stack.append(x0)
-        extend(x0)
-        stack.pop()
-    return tuple(sorted(out))
+    return _paths(G, n, strong).get((n, n), ())
 
 
 def _faces(path):
@@ -70,23 +54,24 @@ def _faces(path):
         yield (-1) ** i, path[:i] + path[i + 1 :]
 
 
-def _face_sums(G, n, strong, stray_only):
+def _face_sums(paths, n, stray_only):
     """Face sum from allowed n-paths onto the tuples it hits: full_n or stray_n.
 
-    Rows are numbered by first hit.  With stray_only, faces that are
-    allowed (n-1)-paths are left out.  The differential vanishes on
-    vertices, so n = 0 gives the zero map.
+    paths holds the allowed paths of degrees n - 1 and n, as ``_paths``
+    buckets them.  Rows are numbered by first hit.  With stray_only,
+    faces that are allowed (n-1)-paths are left out.  The differential
+    vanishes on vertices, so n = 0 gives the zero map.
     """
-    paths = allowed_paths(G, n, strong)
-    allowed = set(allowed_paths(G, n - 1, strong)) if stray_only else ()
+    allowed = set(paths.get((n - 1, n - 1), ())) if stray_only else ()
+    cells = paths.get((n, n), ())
     index = {}
     entries = {}
-    for j, path in enumerate(paths if n > 0 else ()):
+    for j, path in enumerate(cells if n > 0 else ()):
         for sign, face in _faces(path):
             if face not in allowed:
                 key = (index.setdefault(face, len(index)), j)
                 entries[key] = entries.get(key, 0) + sign
-    return SparseMatrix(len(index), len(paths), entries)
+    return SparseMatrix(len(index), len(cells), entries)
 
 
 def omega_basis(G, n, strong=False, p=None):
@@ -95,7 +80,7 @@ def omega_basis(G, n, strong=False, p=None):
 
     They are the V columns of the stray columns that reduce to zero.
     """
-    stray = _face_sums(G, n, strong, stray_only=True)
+    stray = _face_sums(_paths(G, n, strong), n, stray_only=True)
     return reduce_columns(stray.columns(p), p, record=True)[1]
 
 
@@ -118,15 +103,16 @@ def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):
     def rank(mat):
         return rank_z(mat) if p is None else rank_mod_p(mat, p)
 
+    paths = _paths(G, top + 1, strong)
     full = {0: 1 if reduced and G.n else 0}
     stray = {}
     for n in range(1, top + 2):
-        full[n] = rank(_face_sums(G, n, strong, stray_only=False))
-        stray[n] = rank(_face_sums(G, n, strong, stray_only=True))
+        full[n] = rank(_face_sums(paths, n, stray_only=False))
+        stray[n] = rank(_face_sums(paths, n, stray_only=True))
 
     out = {}
     for n in range(top + 1):
-        h = len(allowed_paths(G, n, strong)) - full[n] - full[n + 1] + stray[n + 1]
+        h = len(paths.get((n, n), ())) - full[n] - full[n + 1] + stray[n + 1]
         if h:
             out[n] = h
     return out

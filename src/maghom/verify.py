@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from math import comb, factorial, perm
 
-from .chains import _eulerian_buckets, trail_complex
+from .chains import trail_complex
 from .errors import GraphError
 from .graphs import (
     cone,
@@ -117,7 +117,7 @@ def check_lower_triangular(r):
             if a != b and rng.random() < p
         ]
         G = digraph(n, edges)
-        if any(k > l for (k, l) in _eulerian_buckets(G)):
+        if any(k > l for (k, l) in trail_complex(G).buckets):
             bad.append(i)
     r.expect(not bad, f"no all-distinct trail with k > l over 50 random digraphs {bad}")
 

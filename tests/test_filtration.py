@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_chains import boundary_oracle, brute_trails
+from test_chains import boundary_oracle, brute_trails, compose, dense
 from test_snf import small_digraphs
 
 from maghom.chains import FilteredComplex, certified_length_bound, trail_complex
@@ -66,7 +66,7 @@ def test_boundary_respects_filtration():
             assert v != 0
             assert wk1[i] <= wk[j]
         if k >= 2:
-            assert fc.boundary(k - 1).matmul(mat).is_zero()
+            assert not any(compose(fc.boundary(k - 1), mat))
 
 
 @pytest.mark.parametrize("ring", ["Z", "Q", "Fp:2", "Fp:3"])
@@ -126,7 +126,7 @@ def test_graded_boundary_is_the_associated_graded(G, kind):
     fc = trail_complex(G, kind, None if kind == "eulerian" else 3)
     for k, l in fc.graded_counts():
         graded = fc.boundary(k, l)
-        assert graded.to_rows() == boundary_oracle(G, kind, k, l), (k, l)
+        assert dense(graded) == boundary_oracle(G, kind, k, l), (k, l)
         if kind == "discriminant" or k == 0:
             continue
         # the weight-l diagonal block of the full boundary

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from maghom.chains import KINDS, trail_complex
 from maghom.graphs import digraph, family, point, transitive_tournament
 from maghom.matrices import combine
-from maghom.pathhom import _face_sums, allowed_paths, omega_basis, path_homology
+from maghom.pathhom import _face_sums, _paths, allowed_paths, omega_basis, path_homology
 from maghom.snf import rank_mod_p, rank_z
 from test_snf import small_digraphs
 
@@ -122,7 +123,7 @@ def test_omega_basis_columns_are_independent_and_in_the_kernel(p):
     for G in small_graphs():
         for strong in (False, True):
             for n in range(4):
-                stray = _face_sums(G, n, strong, stray_only=True).columns(p)
+                stray = _face_sums(_paths(G, n, strong), n, stray_only=True).columns(p)
                 basis = omega_basis(G, n, strong, p)
                 assert all(z and combine(stray, z, p) == {} for z in basis)
                 lows = [max(z) for z in basis]
@@ -135,6 +136,28 @@ def test_homology_matches_oracle():
             _, hom = oracle_omega_dims_and_homology(G, 3, strong)
             got = path_homology(G, kmax=3, strong=strong)
             assert got == hom, (G, strong)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs(), st.booleans())
+def test_allowed_paths_are_the_diagonal_trails(G, strong):
+    # an n-step trail of length n steps along edges only, so the allowed
+    # n-paths are the trails at bidegree (n, n)
+    eulerian = trail_complex(G)
+    for n in range(5):
+        want = tuple(
+            t
+            for t in itertools.product(range(G.n), repeat=n + 1)
+            if all(G.has_edge(a, b) for a, b in zip(t, t[1:]))
+            and (not strong or len(set(t)) == n + 1)
+        )
+        assert allowed_paths(G, n, strong) == want, n
+        trails = eulerian if strong else trail_complex(G, "ordinary", n)
+        assert allowed_paths(G, n, strong) == trails.cells(n, n), n
+    # depth-first enumeration lists every bucket in lexicographic order
+    for kind in KINDS:
+        for cells in trail_complex(G, kind, None if kind == "eulerian" else 4).buckets.values():
+            assert list(cells) == sorted(cells), kind
 
 
 def test_allowed_paths_counts():
@@ -261,7 +284,7 @@ def test_four_rank_formula_matches_oracle_on_random_digraphs(G, strong, field):
     assert path_homology(G, kmax=kmax, strong=strong, ring=ring_of(p)) == hom
     # dim Omega_n = |A_n| - rank stray_n, the identity the formula rests on
     for n in range(top + 2):
-        stray = _face_sums(G, n, strong, stray_only=True)
+        stray = _face_sums(_paths(G, n, strong), n, stray_only=True)
         rank = rank_z(stray) if p is None else rank_mod_p(stray, p)
         want = len(allowed_paths(G, n, strong)) - rank
         assert want == dims[n] == len(omega_basis(G, n, strong, p)), (n, p)

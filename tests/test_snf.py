@@ -17,6 +17,7 @@ from maghom.snf import (
     rank_z,
     smith_normal_form,
 )
+from test_chains import dense
 
 
 def oracle_divisors(rows):
@@ -177,7 +178,7 @@ def small_digraphs(draw, max_n=5):
 
 def domain_rank(mat, domain):
     """Rank of a SparseMatrix over a sympy domain (QQ or a finite field)."""
-    rows = [[domain(v) for v in row] for row in mat.to_rows()]
+    rows = [[domain(v) for v in row] for row in dense(mat)]
     return DomainMatrix(rows, (mat.nrows, mat.ncols), domain).rank()
 
 

@@ -15,6 +15,7 @@ from maghom.graphs import (
 )
 from maghom.homology import chain_homology
 from maghom.words import directed_flag, injective_words_via_flag, order_complex
+from test_chains import compose
 
 SPHERE_1 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (2, 3), (1, 3)])
 SPHERE_2 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (3, 1), (3, 2)])
@@ -76,7 +77,7 @@ def test_flag_vs_word_complexes():
 def test_word_complex_boundaries_square_to_zero():
     wc = trail_complex(SPHERE_1)
     for k in range(2, wc.top_degree + 1):
-        assert wc.boundary(k - 1).matmul(wc.boundary(k)).is_zero()
+        assert not any(compose(wc.boundary(k - 1), wc.boundary(k)))
     # face counts agree with the f-vector
     assert tuple(len(wc.cells(d)) for d in wc.degrees()) == wc.f_vector()
 
