@@ -35,13 +35,7 @@ from bisect import bisect_right
 from functools import lru_cache
 
 from .errors import GraphError
-from .graphs import (
-    DirectedGraph,
-    distance_matrix,
-    eccentricity_bound,
-    morphism_verdict,
-    opposite,
-)
+from .graphs import distance_matrix, eccentricity_bound
 from .matrices import SparseMatrix
 
 KINDS = ("eulerian", "ordinary", "discriminant")
@@ -84,20 +78,6 @@ def walks(steps, cap=None, distinct=False):
     return {key: tuple(cells) for key, cells in buckets.items()}
 
 
-def trail_length(G, trail):
-    """Total length of a trail, validating it along the way."""
-    dist = distance_matrix(G)
-    total = 0
-    for a, b in zip(trail, trail[1:]):
-        if a == b:
-            raise GraphError(f"consecutive repeat {a} in trail {trail}")
-        d = dist[a][b]
-        if d == float("inf"):
-            raise GraphError(f"no path {a} -> {b} in trail {trail}")
-        total += d
-    return total
-
-
 def certified_length_bound(G):
     """Length bound below which every all-distinct trail lives.
 
@@ -132,11 +112,6 @@ def trail_complex(G, kind="eulerian", l_max=None):
         if cells:
             buckets[key] = cells
     return FilteredComplex(buckets, distance_matrix(G))
-
-
-def enumerate_basis(G, kind, k, l):
-    """Basis trails at bidegree (k, l), in lexicographic order."""
-    return trail_complex(G, kind, l).cells(k, l)
 
 
 def boundary_matrix(domain, codomain, dist=None):
@@ -248,48 +223,3 @@ class FilteredComplex:
             set(self.cells(k)) == set(other.cells(k))
             for k in set(self.degrees()) | set(other.degrees())
         )
-
-
-def induced_chain_map(f, G, H, kind, k, l):
-    """Matrix of the chain map a regular morphism induces at (k, l).
-
-    A basis trail maps to its image tuple when the image has the same
-    total length in the codomain graph, and to zero otherwise.
-    """
-    if callable(f):
-        f = [f(v) for v in range(G.n)]
-    else:
-        f = [f[v] for v in range(G.n)]
-    verdict = morphism_verdict(f, G, H)
-    if not verdict:
-        raise GraphError(f"not a regular morphism: {verdict.reason}")
-    domain = enumerate_basis(G, kind, k, l)
-    codomain = enumerate_basis(H, kind, k, l)
-    index = {t: i for i, t in enumerate(codomain)}
-    dist = distance_matrix(H)
-    mat = SparseMatrix(len(codomain), len(domain))
-    for j, t in enumerate(domain):
-        image = tuple(f[x] for x in t)
-        total = 0
-        for a, b in zip(image, image[1:]):
-            total += dist[a][b]
-        if total == l:
-            row = index.get(image)
-            if row is not None:
-                mat.add_at(row, j, 1)
-    return mat
-
-
-def reversal_bijection(G, kind, k, l):
-    """Basis bijection onto the opposite graph given by reversing trails."""
-    source = enumerate_basis(G, kind, k, l)
-    target = set(enumerate_basis(opposite(G), kind, k, l))
-    pairs = {}
-    for t in source:
-        r = tuple(reversed(t))
-        if r not in target:
-            raise GraphError(f"reversal of {t} missing from the opposite basis")
-        pairs[t] = r
-    if len(pairs) != len(target):
-        raise GraphError("reversal is not onto the opposite basis")
-    return pairs

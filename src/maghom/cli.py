@@ -32,22 +32,6 @@ from .pathhom import path_homology
 from .spectral import mpss_report, rmpss_report
 from .verify import CHECKS, run_suite
 
-COMMANDS = (
-    "emh",
-    "mh",
-    "dmh",
-    "ph",
-    "rph",
-    "inj",
-    "rmpss",
-    "mpss",
-    "magnitude",
-    "rmagnitude",
-    "diag",
-    "delta",
-    "gamma",
-)
-
 # which optional flags each compute subcommand understands
 _TAKES = {
     "emh": {"ring", "lmax", "kmax"},
@@ -410,7 +394,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="mode", required=True)
 
     comp = sub.add_parser("compute", help="run one computation and print a report")
-    comp.add_argument("what", choices=COMMANDS)
+    comp.add_argument("what", choices=tuple(_TAKES))
     comp.add_argument("--family", help="family spec name:n, e.g. complete:4")
     comp.add_argument("--input", help="path to an edge-list file")
     comp.add_argument("--family2", help="second graph for delta")

@@ -239,9 +239,7 @@ def family(name, n):
         return transitive_tournament(n)
     if n < 1:
         raise GraphError(f"family {name!r} needs n >= 1, got {n}")
-    if name == "complete":
-        return rho(n, itertools.combinations(range(n), 2))
-    if name == "bicomplete":
+    if name in ("complete", "bicomplete"):
         return rho(n, itertools.combinations(range(n), 2))
     if name == "cycle":
         if n < 3:
@@ -395,35 +393,7 @@ def is_weakly_connected(G):
 
 
 # ---------------------------------------------------------------------------
-# morphisms and isomorphism
-
-
-@dataclass(frozen=True)
-class MorphismVerdict:
-    regular: bool
-    reason: str = ""
-
-    def __bool__(self):
-        return self.regular
-
-
-def morphism_verdict(f, G, H):
-    """Check that the vertex map f induces chain maps: it must be injective
-    (no vertex collisions) and send every edge of G to an edge of H."""
-    f = tuple(f)
-    if len(f) != G.n:
-        return MorphismVerdict(False, f"map has {len(f)} entries, expected {G.n}")
-    for x in f:
-        if not (0 <= x < H.n):
-            return MorphismVerdict(False, f"image vertex {x} out of range")
-    if len(set(f)) != G.n:
-        return MorphismVerdict(False, "not injective")
-    for u, v in G.edges:
-        if (f[u], f[v]) not in H.edges:
-            return MorphismVerdict(
-                False, f"edge ({u}, {v}) has no image edge ({f[u]}, {f[v]})"
-            )
-    return MorphismVerdict(True)
+# isomorphism
 
 
 def _degree_profile(G):

@@ -4,8 +4,8 @@ The regular magnitude polynomial counts all-distinct trails with signs,
 so it is exact and finite; the ordinary magnitude series has to be
 truncated at a length cap.  The remaining operations are classifiers
 and metrics: diagonality of the homology tables, the girth bound on
-subdiagonal vanishing, the network of connected spanning subgraphs with
-its path metric, and the extremal girth number gamma(n, s).
+subdiagonal vanishing, the network of connected spanning subgraphs of
+K_n with its path metric, and the extremal girth number gamma(n, s).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from .chains import trail_complex
 from .errors import GraphError, ResourceCapError
 from .graphs import (
     canonical_form,
+    connected_graph_classes,
     girth,
     is_weakly_connected,
-    rho,
 )
 from .homology import homology_table
 
@@ -159,13 +159,17 @@ def subdiagonal_bound(G):
 
 @dataclass(frozen=True)
 class SubgraphNetwork:
-    """Isomorphism classes of connected spanning subgraphs, with the
-    degree-difference adjacency between classes."""
+    """Isomorphism classes of connected spanning subgraphs of K_n, with
+    the degree-difference adjacency between classes."""
 
     n: int
     classes: tuple  # canonical edge tuples, sorted by (size, form)
     adjacency: tuple  # per class, sorted tuple of neighbour indices
-    input_max_degree: int
+
+    @property
+    def input_max_degree(self):
+        """Largest vertex degree of K_n."""
+        return self.n - 1
 
     @property
     def node_count(self):
@@ -188,7 +192,8 @@ class SubgraphNetwork:
         except ValueError:
             raise GraphError("graph is not a connected spanning subgraph class") from None
 
-    def distance(self, i, j):
+    def _reach(self, i):
+        """Breadth-first distances from class i to every class it reaches."""
         seen = {i: 0}
         frontier = [i]
         while frontier:
@@ -199,6 +204,10 @@ class SubgraphNetwork:
                         seen[b] = seen[a] + 1
                         nxt.append(b)
             frontier = nxt
+        return seen
+
+    def distance(self, i, j):
+        seen = self._reach(i)
         if j not in seen:
             raise GraphError("classes lie in different network components")
         return seen[j]
@@ -206,19 +215,14 @@ class SubgraphNetwork:
     def diameter(self):
         best = 0
         for i in range(self.node_count):
-            for j in range(i + 1, self.node_count):
-                best = max(best, self.distance(i, j))
+            seen = self._reach(i)
+            if len(seen) < self.node_count:
+                raise GraphError("classes lie in different network components")
+            best = max(best, max(seen.values()))
         return best
 
     def is_connected(self):
-        if not self.classes:
-            return False
-        try:
-            for j in range(1, self.node_count):
-                self.distance(0, j)
-        except GraphError:
-            return False
-        return True
+        return bool(self.classes) and len(self._reach(0)) == self.node_count
 
     def to_json_dict(self):
         return {
@@ -233,82 +237,37 @@ class SubgraphNetwork:
         }
 
 
-def _spanning_connected(n, edges):
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
+def subgraph_network(n):
+    """Build the network of connected spanning subgraphs of K_n.
 
-
-def subgraph_network(G):
-    """Build the network of connected spanning subgraphs of G.
-
-    Class detection runs canonical forms over every connected edge
-    subset, so the vertex cap is firm; dense 7-vertex inputs sit at the
-    edge of practicality.
+    Its nodes are the classes of ``connected_graph_classes(n)``, found by
+    vertex augmentation and ordered by (edge count, form).  Two classes
+    are adjacent when some labeled representatives differ in degree by
+    at most one at every vertex.  In K_n any labeling is a subgraph, and
+    matching two sorted degree sequences in order minimizes the largest
+    difference, so the rule compares sorted degree sequences entrywise.
+    The vertex cap is firm: K_8 has 11,117 classes, about 62 M pairs.
     """
-    if not G.symmetric:
-        raise GraphError("subgraph networks need an undirected graph")
-    if G.n > 7:
-        raise ResourceCapError(f"subgraph network capped at 7 vertices, got {G.n}")
-    if G.n == 0 or not is_weakly_connected(G):
-        raise GraphError("subgraph networks need a connected graph")
-    n = G.n
-    pairs = sorted(tuple(sorted(p)) for p in G.undirected_pairs())
-    m = len(pairs)
-
-    degree_vectors = {}
-    for mask in range(1 << m):
-        edges = [pairs[i] for i in range(m) if mask >> i & 1]
-        if len(edges) < n - 1 or not _spanning_connected(n, edges):
-            continue
-        canon = canonical_form(n, edges)
+    if n > 7:
+        raise ResourceCapError(f"subgraph network capped at 7 vertices, got {n}")
+    classes = sorted(connected_graph_classes(n), key=lambda form: (len(form), form))
+    degrees = []
+    for form in classes:
         degs = [0] * n
-        for a, b in edges:
+        for a, b in form:
             degs[a] += 1
             degs[b] += 1
-        degree_vectors.setdefault(canon, set()).add(tuple(degs))
-
-    classes = sorted(degree_vectors, key=lambda form: (len(form), form))
-    neighbours = [set() for _ in classes]
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if _degree_adjacent(degree_vectors[classes[i]], degree_vectors[classes[j]]):
-                neighbours[i].add(j)
-                neighbours[j].add(i)
-
-    input_degs = [0] * n
-    for a, b in pairs:
-        input_degs[a] += 1
-        input_degs[b] += 1
+        degrees.append(sorted(degs))
+    neighbours = [[] for _ in classes]
+    for i, j in itertools.combinations(range(len(classes)), 2):
+        if all(abs(x - y) <= 1 for x, y in zip(degrees[i], degrees[j])):
+            neighbours[i].append(j)
+            neighbours[j].append(i)
     return SubgraphNetwork(
         n=n,
         classes=tuple(classes),
-        adjacency=tuple(tuple(sorted(s)) for s in neighbours),
-        input_max_degree=max(input_degs, default=0),
+        adjacency=tuple(tuple(nbrs) for nbrs in neighbours),
     )
-
-
-def _degree_adjacent(vectors_a, vectors_b):
-    """Some pair of labeled representatives differs by at most one at
-    every vertex; degree vectors carry all the information needed."""
-    for da in vectors_a:
-        for db in vectors_b:
-            if all(abs(x - y) <= 1 for x, y in zip(da, db)):
-                return True
-    return False
 
 
 def delta_distance(G, H):
@@ -320,7 +279,7 @@ def delta_distance(G, H):
         raise GraphError(f"vertex counts differ: {G.n} vs {H.n}")
     if not is_weakly_connected(G) or not is_weakly_connected(H):
         raise GraphError("both graphs must be connected")
-    net = subgraph_network(rho(G.n, itertools.combinations(range(G.n), 2)))
+    net = subgraph_network(G.n)
     return net.distance(net.locate(G), net.locate(H))
 
 

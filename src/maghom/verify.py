@@ -401,7 +401,7 @@ def check_subgraph_network(r):
     k13 = rho(4, [(0, 1), (0, 2), (0, 3)])
     c4 = family("cycle", 4)
     r.expect(delta_distance(k13, c4) == 1, "Delta(K_1,3, C_4) = 1")
-    net = subgraph_network(family("complete", 4))
+    net = subgraph_network(4)
     r.expect(
         net.node_count == 7,
         f"2^(K_4) has 7 isomorphism classes (computed {net.node_count})",

@@ -6,15 +6,7 @@ import random
 
 import pytest
 
-from maghom.chains import (
-    certified_length_bound,
-    enumerate_basis,
-    induced_chain_map,
-    reversal_bijection,
-    trail_complex,
-    trail_length,
-)
-from maghom.errors import GraphError
+from maghom.chains import certified_length_bound, trail_complex
 from maghom.graphs import (
     cone,
     digraph,
@@ -81,7 +73,7 @@ def test_enumerate_matches_brute_force():
         for kind in ("eulerian", "ordinary", "discriminant"):
             for k in range(4):
                 for l in range(6):
-                    got = list(enumerate_basis(G, kind, k, l))
+                    got = list(trail_complex(G, kind, l).cells(k, l))
                     want = brute_trails(G, kind, k, l)
                     assert sorted(got) == want, (G, kind, k, l)
 
@@ -90,24 +82,24 @@ def test_basis_is_deterministic_and_partitioned():
     G = family("cycle", 4)
     for k in range(4):
         for l in range(6):
-            mc = set(enumerate_basis(G, "ordinary", k, l))
-            emc = set(enumerate_basis(G, "eulerian", k, l))
-            dmc = set(enumerate_basis(G, "discriminant", k, l))
+            mc = set(trail_complex(G, "ordinary", l).cells(k, l))
+            emc = set(trail_complex(G, "eulerian", l).cells(k, l))
+            dmc = set(trail_complex(G, "discriminant", l).cells(k, l))
             assert emc | dmc == mc
             assert not (emc & dmc)
-            assert list(enumerate_basis(G, "ordinary", k, l)) == list(
-                enumerate_basis(G, "ordinary", k, l)
+            assert list(trail_complex(G, "ordinary", l).cells(k, l)) == list(
+                trail_complex(G, "ordinary", l).cells(k, l)
             )
 
 
 def test_known_small_counts():
     K3 = family("complete", 3)
-    assert len(enumerate_basis(K3, "eulerian", 0, 0)) == 3
-    assert len(enumerate_basis(K3, "eulerian", 1, 1)) == 6
-    assert len(enumerate_basis(K3, "eulerian", 2, 2)) == 6
+    assert len(trail_complex(K3, "eulerian", 0).cells(0, 0)) == 3
+    assert len(trail_complex(K3, "eulerian", 1).cells(1, 1)) == 6
+    assert len(trail_complex(K3, "eulerian", 2).cells(2, 2)) == 6
     # first repeats show up at k=2 in a complete graph
-    assert len(enumerate_basis(K3, "discriminant", 2, 2)) == 6
-    assert len(enumerate_basis(K3, "ordinary", 2, 2)) == 12
+    assert len(trail_complex(K3, "discriminant", 2).cells(2, 2)) == 6
+    assert len(trail_complex(K3, "ordinary", 2).cells(2, 2)) == 12
 
 
 def test_lower_triangular_vanishing():
@@ -117,16 +109,7 @@ def test_lower_triangular_vanishing():
         G = random_digraph(rng, 5, 0.5)
         for k in range(1, 4):
             for l in range(k):
-                assert len(enumerate_basis(G, "ordinary", k, l)) == 0
-
-
-def test_trail_length_and_validation():
-    G = family("dir_linear", 4)
-    assert trail_length(G, (0, 2, 3)) == 3
-    with pytest.raises(GraphError):
-        trail_length(G, (0, 0, 1))
-    with pytest.raises(GraphError):
-        trail_length(G, (3, 0))
+                assert len(trail_complex(G, "ordinary", l).cells(k, l)) == 0
 
 
 def test_certified_length_bound():
@@ -137,7 +120,7 @@ def test_certified_length_bound():
     # nothing eulerian survives above the bound
     for l in range(certified_length_bound(C4) + 1, certified_length_bound(C4) + 3):
         for k in range(C4.n):
-            assert len(enumerate_basis(C4, "eulerian", k, l)) == 0
+            assert len(trail_complex(C4, "eulerian", l).cells(k, l)) == 0
 
 
 def point_graph():
@@ -147,8 +130,9 @@ def point_graph():
 def boundary_oracle(G, kind, k, l):
     """Dense boundary by deleting interior entries that keep total length."""
     dist = distance_matrix(G)
-    rows = list(enumerate_basis(G, kind, k - 1, l))
-    cols = list(enumerate_basis(G, kind, k, l))
+    C = trail_complex(G, kind, l)
+    rows = list(C.cells(k - 1, l))
+    cols = list(C.cells(k, l))
     index = {t: i for i, t in enumerate(rows)}
     dense = [[0] * len(cols) for _ in rows]
     for j, t in enumerate(cols):
@@ -206,58 +190,6 @@ def test_bigraded_complex_counts_and_certification():
         assert dim == counts.get((k, l), 0) + quotient.get((k, l), 0)
 
 
-def test_reversal_bijection_onto_opposite():
-    # symmetric graph: opposite is the graph itself, reversal is an involution
-    C4 = family("cycle", 4)
-    for kind in ("eulerian", "ordinary"):
-        for k in range(3):
-            for l in range(4):
-                bij = reversal_bijection(C4, kind, k, l)
-                basis = set(enumerate_basis(C4, kind, k, l))
-                assert set(bij) == basis
-                for t, rt in bij.items():
-                    assert rt == t[::-1]
-                    assert bij[rt] == t
-    # directed case: lands on the opposite graph's basis
-    T3 = transitive_tournament(3)
-    bij = reversal_bijection(T3, "eulerian", 2, 2)
-    target = set(enumerate_basis(opposite(T3), "eulerian", 2, 2))
-    assert set(bij.values()) == target
-
-
-def test_induced_chain_map_commutes_with_boundary():
-    cases = [
-        # rotation automorphism of the 4-cycle
-        ([1, 2, 3, 0], family("cycle", 4), family("cycle", 4)),
-        # inclusion of a smaller tournament
-        ([0, 1, 2], transitive_tournament(2), transitive_tournament(3)),
-        # inclusion of the path into the cycle; distances shrink, so some
-        # basis trails map to zero
-        ([0, 1, 2, 3], family("linear", 4), family("cycle", 4)),
-    ]
-    for f, G, H in cases:
-        for kind in ("eulerian", "ordinary"):
-            for k in range(1, 3):
-                for l in range(4):
-                    top = induced_chain_map(f, G, H, kind, k, l)
-                    bottom = induced_chain_map(f, G, H, kind, k - 1, l)
-                    dG = graded_boundary(G, kind, k, l)
-                    dH = graded_boundary(H, kind, k, l)
-                    lhs = compose(dH, top)
-                    rhs = compose(bottom, dG)
-                    assert lhs == rhs, (f, kind, k, l)
-
-
-def test_induced_chain_map_rejects_non_morphisms():
-    C4 = family("cycle", 4)
-    K2 = family("complete", 2)
-    with pytest.raises(GraphError):
-        induced_chain_map([0, 0, 0, 1], C4, K2, "eulerian", 1, 1)
-    with pytest.raises(GraphError):
-        # injective but drops an edge
-        induced_chain_map([0, 2, 1, 3], family("cycle", 4), family("linear", 4), "eulerian", 1, 1)
-
-
 def test_tournament_is_cone_of_smaller_one():
     for n in range(1, 5):
         T = transitive_tournament(n)
@@ -267,8 +199,8 @@ def test_tournament_is_cone_of_smaller_one():
         for kind in ("eulerian", "ordinary"):
             for k in range(3):
                 for l in range(3):
-                    assert len(enumerate_basis(T, kind, k, l)) == len(
-                        enumerate_basis(C, kind, k, l)
+                    assert len(trail_complex(T, kind, l).cells(k, l)) == len(
+                        trail_complex(C, kind, l).cells(k, l)
                     )
 
 
@@ -280,6 +212,6 @@ def test_opposite_graph_has_same_basis_counts():
         for kind in ("eulerian", "ordinary"):
             for k in range(3):
                 for l in range(4):
-                    assert len(enumerate_basis(G, kind, k, l)) == len(
-                        enumerate_basis(H, kind, k, l)
+                    assert len(trail_complex(G, kind, l).cells(k, l)) == len(
+                        trail_complex(H, kind, l).cells(k, l)
                     )

@@ -101,6 +101,10 @@ def test_gamma_and_delta():
     assert code == 0
     assert json.loads(out)["value"] == 1
     assert run(["compute", "delta", "--family", "cycle:4"])[0] == 2
+    # K_8's network is over the cap
+    assert run(
+        ["compute", "delta", "--family", "cycle:8", "--family2", "complete:8"]
+    )[:2] == (3, "")
     # family2 rejected outside delta
     assert run(["compute", "emh", "--family", "cycle:4", "--family2", "cycle:4"])[0] == 2
 

@@ -1,11 +1,19 @@
 """Polynomial and metric graph invariants."""
 
+import itertools
 import random
 
 import pytest
 
 from maghom.errors import GraphError, ResourceCapError
-from maghom.graphs import connected_graph_classes, digraph, family, rho
+from maghom.graphs import (
+    canonical_form,
+    connected_graph_classes,
+    digraph,
+    family,
+    is_weakly_connected,
+    rho,
+)
 from maghom.homology import homology_table
 from maghom.invariants import (
     Polynomial,
@@ -115,7 +123,7 @@ def test_subdiagonal_bound():
 
 
 def test_subgraph_network_of_k4():
-    net = subgraph_network(family("complete", 4))
+    net = subgraph_network(4)
     assert net.node_count == 6
     assert net.diameter() == 2
     assert net.is_connected()
@@ -136,9 +144,52 @@ def test_subgraph_network_of_k4():
 
 def test_subgraph_network_caps_and_rejects():
     with pytest.raises(ResourceCapError):
-        subgraph_network(family("complete", 8))
+        subgraph_network(8)
     with pytest.raises(GraphError):
-        subgraph_network(family("dir_cycle", 3))
+        subgraph_network(0)
+
+
+def labeled_network(n):
+    """Classes and adjacency of the network of K_n by a labeled sweep.
+
+    Every edge subset of K_n that connects all n vertices is reduced to
+    its canonical form, keeping the degree vector of each labeled
+    representative; two classes are adjacent when some pair of those
+    vectors differs by at most one at every vertex.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    vectors = {}
+    for mask in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        if not is_weakly_connected(rho(n, edges)):
+            continue
+        degs = [0] * n
+        for a, b in edges:
+            degs[a] += 1
+            degs[b] += 1
+        vectors.setdefault(canonical_form(n, edges), set()).add(tuple(degs))
+    classes = sorted(vectors, key=lambda form: (len(form), form))
+    adjacency = tuple(
+        tuple(
+            j
+            for j, other in enumerate(classes)
+            if j != i
+            and any(
+                all(abs(x - y) <= 1 for x, y in zip(da, db))
+                for da in vectors[form]
+                for db in vectors[other]
+            )
+        )
+        for i, form in enumerate(classes)
+    )
+    return tuple(classes), adjacency
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_subgraph_network_matches_labeled_sweep(n):
+    net = subgraph_network(n)
+    assert (net.classes, net.adjacency) == labeled_network(n)
+    assert net.input_max_degree == n - 1
 
 
 def test_delta_distance():
