@@ -2,11 +2,13 @@
 
 Two entry points: ``maghom compute <what>`` runs one computation and
 prints a report, ``maghom verify-paper`` runs the named reproduction
-checks.  JSON output is deterministic for a fixed configuration (sorted
-keys, no timestamps); per-check timing goes to stderr and to the
-markdown rendering only.  Exit codes: 0 success, 1 verification
-failure or internal error (an ArithmeticError or a bare ValueError),
-2 usage error (a GraphError), 3 resource cap.
+checks.  Each computation in ``COMMANDS`` has a parser of its own, so
+``maghom compute <what> --help`` lists exactly the flags it takes.  JSON
+output is deterministic for a fixed configuration (sorted keys, no
+timestamps); per-check timing goes to stderr and to the markdown
+rendering only.  Exit codes: 0 success, 1 verification failure or
+internal error (an ArithmeticError or a bare ValueError), 2 usage error
+(an argparse usage error or a GraphError), 3 resource cap.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from functools import partial
 
 from .errors import GraphError, MaghomError, ParseError, ResourceCapError
 from .graphs import family, is_weakly_connected, parse_graph
@@ -32,39 +34,37 @@ from .pathhom import path_homology
 from .spectral import mpss_report, rmpss_report
 from .verify import CHECKS, run_suite
 
-# which optional flags each compute subcommand understands
-_TAKES = {
-    "emh": {"ring", "lmax", "kmax"},
-    "mh": {"ring", "lmax", "kmax"},
-    "dmh": {"ring", "lmax", "kmax"},
-    "ph": {"ring", "kmax"},
-    "rph": {"ring", "kmax"},
-    "inj": {"ring"},
-    "rmpss": {"ring", "rmax"},
-    "mpss": {"ring", "lmax", "rmax"},
-    "magnitude": {"lmax"},
-    "rmagnitude": set(),
-    "diag": {"lmax"},
-    "delta": set(),
-    "gamma": set(),
+
+def _ring(text, field=False):
+    try:
+        ring = parse_ring(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if field and ring == "Z":
+        raise argparse.ArgumentTypeError("needs field coefficients; use Q or Fp:<p>")
+    return ring
+
+
+def _count(text, least=0):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+    return value
+
+
+# flag, argparse type, default, help; "field" is --ring over a field
+_OPTIONS = {
+    "ring": ("--ring", _ring, "Z", "Z, Q, or Fp:<p>"),
+    "field": ("--ring", partial(_ring, field=True), "Q", "Q or Fp:<p>"),
+    "lmax": ("--lmax", _count, None, "length cutoff"),
+    "kmax": ("--kmax", _count, None, "degree cutoff"),
+    "rmax": ("--rmax", _count, None, "deepest spectral page to emit"),
+    "n": ("--n", int, None, "vertex count"),
+    "s": ("--s", int, None, "edge deficit"),
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    family: str | None = None
-    input: str | None = None
-    family2: str | None = None
-    input2: str | None = None
-    ring: object = "Z"
-    lmax: int | None = None
-    kmax: int | None = None
-    rmax: int | None = None
-    n: int | None = None
-    s: int | None = None
-    format: str = "json"
-    jobs: int = 1
 
 
 def _family_graph(spec):
@@ -80,47 +80,16 @@ def _family_graph(spec):
     return family(name, args[0])
 
 
-def _load_graph(cfg, suffix=""):
-    fam = getattr(cfg, "family" + suffix)
-    path = getattr(cfg, "input" + suffix)
-    if (fam is None) == (path is None):
-        raise GraphError(f"pass exactly one of --family{suffix} or --input{suffix}")
-    if fam is not None:
-        return _family_graph(fam)
+def _load_graph(args, suffix=""):
+    spec = getattr(args, "family" + suffix)
+    if spec is not None:
+        return _family_graph(spec)
+    path = getattr(args, "input" + suffix)
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_graph(fh.read())
     except OSError as exc:
         raise GraphError(f"cannot read {path}: {exc.strerror}")
-
-
-def _check_flags(cfg):
-    allowed = _TAKES[cfg.command]
-    for flag in ("lmax", "kmax", "rmax"):
-        value = getattr(cfg, flag)
-        if value is None:
-            continue
-        if flag not in allowed:
-            raise GraphError(f"--{flag} does not apply to {cfg.command!r}")
-        if value < 0:
-            raise GraphError(f"--{flag} must be non-negative, got {value}")
-    if cfg.ring != "Z" and "ring" not in allowed:
-        raise GraphError(f"--ring does not apply to {cfg.command!r}")
-    if cfg.command == "gamma":
-        if cfg.family or cfg.input:
-            raise GraphError("gamma takes --n and --s, not a graph")
-        if cfg.n is None or cfg.s is None:
-            raise GraphError("gamma needs both --n and --s")
-    elif cfg.n is not None or cfg.s is not None:
-        raise GraphError(f"--n/--s only apply to 'gamma', not {cfg.command!r}")
-    if cfg.command != "delta" and (cfg.family2 or cfg.input2):
-        raise GraphError("--family2/--input2 only apply to 'delta'")
-
-
-def _field_ring(cfg, what):
-    if cfg.ring == "Z":
-        raise GraphError(f"{what} needs field coefficients; use --ring Q or Fp:<p>")
-    return cfg.ring
 
 
 def _group_dict(groups):
@@ -130,32 +99,26 @@ def _group_dict(groups):
     }
 
 
-def _cmd_table(cfg, kind):
-    G = _load_graph(cfg)
-    if kind != "eulerian" and cfg.lmax is None:
-        raise GraphError(f"the {kind} complex is unbounded in length; pass --lmax")
-    table = homology_table(G, kind, cfg.ring, l_max=cfg.lmax)
-    if cfg.kmax is not None:
+def _cmd_table(kind, args):
+    G = _load_graph(args)
+    table = homology_table(G, kind, args.ring, l_max=args.lmax)
+    if args.kmax is not None:
         table.entries = {
-            (k, l): g for (k, l), g in table.entries.items() if k <= cfg.kmax
+            (k, l): g for (k, l), g in table.entries.items() if k <= args.kmax
         }
     data = table.to_json_dict()
-    if cfg.kmax is not None:
-        data["k_max"] = cfg.kmax
+    if args.kmax is not None:
+        data["k_max"] = args.kmax
     return data, table.to_csv, table.to_markdown
 
 
-def _cmd_path(cfg, strong):
-    G = _load_graph(cfg)
-    label = "regular path homology" if strong else "path homology"
-    ring = _field_ring(cfg, label)
-    if not strong and cfg.kmax is None:
-        raise GraphError("path chains are unbounded in degree; pass --kmax")
-    ranks = path_homology(G, kmax=cfg.kmax, strong=strong, ring=ring)
-    cap = G.n - 1 if strong and cfg.kmax is None else cfg.kmax
+def _cmd_path(args, strong):
+    G = _load_graph(args)
+    ranks = path_homology(G, kmax=args.kmax, strong=strong, ring=args.ring)
+    cap = G.n - 1 if strong and args.kmax is None else args.kmax
     data = {
         "kind": "regular_path" if strong else "path",
-        "ring": ring_name(ring),
+        "ring": ring_name(args.ring),
         "n": G.n,
         "k_max": cap,
         "certified": strong,
@@ -170,14 +133,14 @@ def _cmd_path(cfg, strong):
     return data, as_csv, None
 
 
-def _cmd_inj(cfg):
-    G = _load_graph(cfg)
+def _cmd_inj(args):
+    G = _load_graph(args)
     complex_ = trail_complex(G)
-    hom = chain_homology(complex_, cfg.ring)
-    red = chain_homology(complex_, cfg.ring, reduced=True)
+    hom = chain_homology(complex_, args.ring)
+    red = chain_homology(complex_, args.ring, reduced=True)
     data = {
         "kind": "injective_words",
-        "ring": ring_name(cfg.ring),
+        "ring": ring_name(args.ring),
         "n": G.n,
         "certified": True,
         "f_vector": list(complex_.f_vector()),
@@ -199,22 +162,18 @@ def _cmd_inj(cfg):
     return data, as_csv, None
 
 
-def _cmd_rmpss(cfg):
-    G = _load_graph(cfg)
-    ring = cfg.ring if cfg.ring != "Z" else "Q"
-    data = rmpss_report(G, ring=ring, rmax=cfg.rmax)
-    data = {"kind": "rmpss", "ring": ring_name(ring), "certified": True, **data}
+def _cmd_rmpss(args):
+    G = _load_graph(args)
+    data = rmpss_report(G, ring=args.ring, rmax=args.rmax)
+    data = {"kind": "rmpss", "ring": ring_name(args.ring), "certified": True, **data}
     return data, None, None
 
 
-def _cmd_mpss(cfg):
-    G = _load_graph(cfg)
-    if cfg.lmax is None:
-        raise GraphError("the ordinary sequence is unbounded; pass --lmax")
-    ring = cfg.ring if cfg.ring != "Z" else "Q"
-    rmax = 2 if cfg.rmax is None else cfg.rmax
-    data = mpss_report(G, cfg.lmax, ring=ring, rmax=rmax)
-    data = {"kind": "mpss", "ring": ring_name(ring), **data}
+def _cmd_mpss(args):
+    G = _load_graph(args)
+    rmax = 2 if args.rmax is None else args.rmax
+    data = mpss_report(G, args.lmax, ring=args.ring, rmax=rmax)
+    data = {"kind": "mpss", "ring": ring_name(args.ring), **data}
     return data, None, None
 
 
@@ -236,25 +195,23 @@ def _series_report(kind, poly, extra):
     return data, as_csv, None
 
 
-def _cmd_magnitude(cfg):
-    G = _load_graph(cfg)
-    if cfg.lmax is None:
-        raise GraphError("the magnitude series is infinite; pass --lmax")
-    poly = magnitude_series(G, cfg.lmax)
+def _cmd_magnitude(args):
+    G = _load_graph(args)
+    poly = magnitude_series(G, args.lmax)
     return _series_report(
-        "magnitude_series", poly, {"l_max": cfg.lmax, "certified": False}
+        "magnitude_series", poly, {"l_max": args.lmax, "certified": False}
     )
 
 
-def _cmd_rmagnitude(cfg):
-    G = _load_graph(cfg)
+def _cmd_rmagnitude(args):
+    G = _load_graph(args)
     poly = regular_magnitude(G)
     return _series_report("regular_magnitude", poly, {"certified": True})
 
 
-def _cmd_diag(cfg):
-    G = _load_graph(cfg)
-    data = dict(classify_diagonality(G, l_max=cfg.lmax))
+def _cmd_diag(args):
+    G = _load_graph(args)
+    data = dict(classify_diagonality(G, l_max=args.lmax))
     data["kind"] = "diagonality"
     if G.symmetric and is_weakly_connected(G) and G.n:
         det = complete_graph_detector(G)
@@ -262,9 +219,9 @@ def _cmd_diag(cfg):
     return data, None, None
 
 
-def _cmd_delta(cfg):
-    G = _load_graph(cfg)
-    H = _load_graph(cfg, "2")
+def _cmd_delta(args):
+    G = _load_graph(args)
+    H = _load_graph(args, "2")
     value = delta_distance(G, H)
     data = {"kind": "delta", "n": G.n, "value": value, "certified": True}
 
@@ -274,12 +231,13 @@ def _cmd_delta(cfg):
     return data, as_csv, None
 
 
-def _cmd_gamma(cfg):
-    value = gamma(cfg.n, cfg.s)
-    data = {"kind": "gamma", "n": cfg.n, "s": cfg.s, "value": value, "certified": True}
+def _cmd_gamma(args):
+    n, s = args.n, args.s
+    value = gamma(n, s)
+    data = {"kind": "gamma", "n": n, "s": s, "value": value, "certified": True}
 
     def as_csv():
-        return f"n,s,gamma\n{cfg.n},{cfg.s},{value}\n"
+        return f"n,s,gamma\n{n},{s},{value}\n"
 
     return data, as_csv, None
 
@@ -319,36 +277,27 @@ def _emit(data, as_csv, as_md, fmt):
             print("\n".join(_render_md(data)))
 
 
-def cmd_compute(cfg):
-    _check_flags(cfg)
-    dispatch = {
-        "emh": lambda: _cmd_table(cfg, "eulerian"),
-        "mh": lambda: _cmd_table(cfg, "ordinary"),
-        "dmh": lambda: _cmd_table(cfg, "discriminant"),
-        "ph": lambda: _cmd_path(cfg, strong=False),
-        "rph": lambda: _cmd_path(cfg, strong=True),
-        "inj": lambda: _cmd_inj(cfg),
-        "rmpss": lambda: _cmd_rmpss(cfg),
-        "mpss": lambda: _cmd_mpss(cfg),
-        "magnitude": lambda: _cmd_magnitude(cfg),
-        "rmagnitude": lambda: _cmd_rmagnitude(cfg),
-        "diag": lambda: _cmd_diag(cfg),
-        "delta": lambda: _cmd_delta(cfg),
-        "gamma": lambda: _cmd_gamma(cfg),
-    }
-    data, as_csv, as_md = dispatch[cfg.command]()
-    _emit(data, as_csv, as_md, cfg.format)
-    return 0
+# each compute command: handler, options ("graph" is --family | --input,
+# "graph2" the second graph of delta, a trailing "!" marks a required option)
+COMMANDS = {
+    "emh": (partial(_cmd_table, "eulerian"), ("graph", "ring", "lmax", "kmax")),
+    "mh": (partial(_cmd_table, "ordinary"), ("graph", "ring", "lmax!", "kmax")),
+    "dmh": (partial(_cmd_table, "discriminant"), ("graph", "ring", "lmax!", "kmax")),
+    "ph": (partial(_cmd_path, strong=False), ("graph", "field!", "kmax!")),
+    "rph": (partial(_cmd_path, strong=True), ("graph", "field!", "kmax")),
+    "inj": (_cmd_inj, ("graph", "ring")),
+    "rmpss": (_cmd_rmpss, ("graph", "field", "rmax")),
+    "mpss": (_cmd_mpss, ("graph", "field", "lmax!", "rmax")),
+    "magnitude": (_cmd_magnitude, ("graph", "lmax!")),
+    "rmagnitude": (_cmd_rmagnitude, ("graph",)),
+    "diag": (_cmd_diag, ("graph", "lmax")),
+    "delta": (_cmd_delta, ("graph", "graph2")),
+    "gamma": (_cmd_gamma, ("n!", "s!")),
+}
 
 
-def cmd_verify_paper(cfg, names):
-    if names:
-        unknown = [n for n in names if n not in CHECKS]
-        if unknown:
-            raise GraphError(
-                f"unknown check(s) {', '.join(unknown)}; known: {', '.join(CHECKS)}"
-            )
-    results = run_suite(names or None, jobs=cfg.jobs)
+def cmd_verify_paper(args):
+    results = run_suite(args.only, jobs=args.jobs)
     for res in results:
         mark = "ok " if res.passed else "FAIL"
         print(f"{mark} {res.name:24s} {res.seconds:7.2f}s", file=sys.stderr)
@@ -371,7 +320,7 @@ def cmd_verify_paper(cfg, names):
         ],
         "failures": failures,
     }
-    if cfg.format == "md":
+    if args.format == "md":
         lines = ["| check | result | seconds |", "|-------|--------|---------|"]
         for res in results:
             word = "pass" if res.passed else "FAIL"
@@ -379,11 +328,15 @@ def cmd_verify_paper(cfg, names):
         for item in failures:
             lines.append(f"- FAIL {item['check']}: {item['label']}")
         print("\n".join(lines))
-    elif cfg.format == "csv":
-        raise GraphError("the verification report has no tabular form; use json or md")
     else:
         print(json.dumps(data, sort_keys=True, indent=2))
     return 0 if not failures else 1
+
+
+def _add_source(parser, suffix=""):
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--family" + suffix, help="family spec name:n, e.g. complete:4")
+    group.add_argument("--input" + suffix, help="path to an edge-list file")
 
 
 def build_parser():
@@ -394,64 +347,51 @@ def build_parser():
     sub = parser.add_subparsers(dest="mode", required=True)
 
     comp = sub.add_parser("compute", help="run one computation and print a report")
-    comp.add_argument("what", choices=tuple(_TAKES))
-    comp.add_argument("--family", help="family spec name:n, e.g. complete:4")
-    comp.add_argument("--input", help="path to an edge-list file")
-    comp.add_argument("--family2", help="second graph for delta")
-    comp.add_argument("--input2", help="second graph file for delta")
-    comp.add_argument("--ring", default="Z", help="Z, Q, or Fp:<p> (default Z)")
-    comp.add_argument("--lmax", type=int, help="length cutoff")
-    comp.add_argument("--kmax", type=int, help="degree cutoff")
-    comp.add_argument("--rmax", type=int, help="deepest spectral page to emit")
-    comp.add_argument("--n", type=int, help="vertex count (gamma)")
-    comp.add_argument("--s", type=int, help="edge deficit (gamma)")
-    comp.add_argument("--format", choices=("json", "csv", "md"), default="json")
+    what = comp.add_subparsers(dest="what", required=True)
+    for name, (_, options) in COMMANDS.items():
+        cmd = what.add_parser(name)
+        for key in options:
+            if key.startswith("graph"):
+                _add_source(cmd, key.removeprefix("graph"))
+                continue
+            flag, type_, default, help_ = _OPTIONS[key.rstrip("!")]
+            required = key.endswith("!")
+            if default and not required:
+                help_ += f" (default {default})"
+            cmd.add_argument(
+                flag, type=type_, default=default, required=required, help=help_
+            )
+        cmd.add_argument("--format", choices=("json", "csv", "md"), default="json")
 
     ver = sub.add_parser("verify-paper", help="run the reproduction checks")
     ver.add_argument(
         "--only",
         action="append",
+        choices=tuple(CHECKS),
         metavar="NAME",
         help="run just this check (repeatable); see --list",
     )
     ver.add_argument("--list", action="store_true", help="list check names and exit")
-    ver.add_argument("--jobs", type=int, default=1, help="worker processes")
-    ver.add_argument("--format", choices=("json", "csv", "md"), default="json")
+    ver.add_argument(
+        "--jobs", type=partial(_count, least=1), default=1, help="worker processes"
+    )
+    ver.add_argument("--format", choices=("json", "md"), default="json")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # no reference to the parser outlives parsing, so the computation
+    # can reuse its memory
+    args = build_parser().parse_args(argv)
     try:
-        if args.mode == "verify-paper":
-            if args.jobs < 1:
-                parser.error("--jobs must be at least 1")
-            if args.list:
-                for name in CHECKS:
-                    print(name)
-                return 0
-            cfg = RunConfig(command="verify", format=args.format, jobs=args.jobs)
-            return cmd_verify_paper(cfg, args.only)
-        try:
-            ring = parse_ring(args.ring)
-        except ValueError as exc:
-            raise GraphError(str(exc))
-        cfg = RunConfig(
-            command=args.what,
-            family=args.family,
-            input=args.input,
-            family2=args.family2,
-            input2=args.input2,
-            ring=ring,
-            lmax=args.lmax,
-            kmax=args.kmax,
-            rmax=args.rmax,
-            n=args.n,
-            s=args.s,
-            format=args.format,
-        )
-        return cmd_compute(cfg)
+        if args.mode == "compute":
+            data, as_csv, as_md = COMMANDS[args.what][0](args)
+            _emit(data, as_csv, as_md, args.format)
+            return 0
+        if args.list:
+            print("\n".join(CHECKS))
+            return 0
+        return cmd_verify_paper(args)
     except ResourceCapError as exc:
         print(f"maghom: resource cap: {exc}", file=sys.stderr)
         return 3

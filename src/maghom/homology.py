@@ -25,31 +25,30 @@ from .matrices import SparseMatrix, combine, reduce_columns
 from .snf import rank_z, smith_normal_form
 
 
-def parse_ring(text):
-    """Turn a ring label (Z, Q, Fp:<p>) into the internal form."""
-    if text in ("Z", "Q"):
-        return text
-    if text.startswith("Fp:"):
-        p = int(text[3:])
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"modulus must be prime, got {p}")
-        return p
-    raise ValueError(f"unknown ring {text!r}; expected Z, Q, or Fp:<p>")
+def parse_ring(ring):
+    """Turn a ring (Z, Q, Fp:<p>, or a prime p) into the internal form."""
+    if ring in ("Z", "Q"):
+        return ring
+    if isinstance(ring, str) and ring.startswith("Fp:"):
+        ring = int(ring[3:])
+    if isinstance(ring, int):
+        if ring < 2 or any(ring % d == 0 for d in range(2, int(ring**0.5) + 1)):
+            raise ValueError(f"modulus must be prime, got {ring}")
+        return ring
+    raise ValueError(f"unknown ring {ring!r}; expected Z, Q, or Fp:<p>")
 
 
 def parse_field(ring, needs):
     """Characteristic of a field ring: None for Q, p for Fp:<p> or p.
 
     Raises ValueError naming the computation (needs, e.g. "path homology
-    needs") for anything that is not a field.
+    needs") for Z, and as parse_ring does for anything else that is not
+    a field.
     """
-    if isinstance(ring, str) and ring.startswith("Fp:"):
-        ring = parse_ring(ring)
-    if ring == "Q":
-        return None
-    if isinstance(ring, int) and ring >= 2:
-        return ring
-    raise ValueError(f"{needs} field coefficients, got {ring!r}")
+    ring = parse_ring(ring)
+    if ring == "Z":
+        raise ValueError(f"{needs} field coefficients, got 'Z'")
+    return None if ring == "Q" else ring
 
 
 def ring_name(ring):
@@ -104,6 +103,11 @@ class HomologyTable:
     def items(self):
         return sorted(self.entries.items())
 
+    @property
+    def diagonal(self):
+        """Whether every nonzero group sits on the diagonal k = l."""
+        return all(k == l for k, l in self.entries)
+
     def top_bidegree(self):
         """Largest nonzero bidegree, compared first by k then by l."""
         return max(self.entries, default=None)
@@ -153,8 +157,7 @@ def chain_homology(complex_, ring="Z", reduced=False, weight=None):
     reduced, the augmentation takes the place of the zero map on degree
     0.  Returns {degree: AbelianGroupInvariant}, trivial groups dropped.
     """
-    if isinstance(ring, str):
-        ring = parse_ring(ring)
+    ring = parse_ring(ring)
     snf = {}
 
     def divisors(k):
@@ -188,8 +191,7 @@ def homology_table(G, kind="eulerian", ring="Z", l_max=None):
     The eulerian table defaults to the certified length bound, above
     which no all-distinct trail lives; the others need l_max.
     """
-    if isinstance(ring, str):
-        ring = parse_ring(ring)
+    ring = parse_ring(ring)
     certified = False
     if kind == "eulerian":
         bound = certified_length_bound(G)
@@ -315,7 +317,7 @@ def splitting_check(G, l_max=None):
     covers every level where the diagonal part can be nonzero.
     """
     full = homology_table(G, "eulerian", "Z")
-    if any(k != l_ for (k, l_) in full.entries):
+    if not full.diagonal:
         raise GraphError("not regularly diagonal")
     if l_max is None:
         l_max = certified_length_bound(G)

@@ -93,8 +93,7 @@ def magnitude_series(G, l_max):
 
 def is_regularly_diagonal(G):
     """Exact verdict: all-distinct homology vanishes off the diagonal."""
-    table = homology_table(G, "eulerian", "Z")
-    return all(k == l for (k, l) in table.entries)
+    return homology_table(G, "eulerian", "Z").diagonal
 
 
 def classify_diagonality(G, l_max=None):
@@ -108,9 +107,9 @@ def classify_diagonality(G, l_max=None):
         l_max = reg.l_max
     ordinary = homology_table(G, "ordinary", "Z", l_max=l_max)
     return {
-        "regularly_diagonal": all(k == l for (k, l) in reg.entries),
+        "regularly_diagonal": reg.diagonal,
         "regular_certified": reg.certified,
-        "diagonal_up_to_lmax": all(k == l for (k, l) in ordinary.entries),
+        "diagonal_up_to_lmax": ordinary.diagonal,
         "l_max": l_max,
         "ordinary_truncated": True,
     }

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .matrices import SparseMatrix
-
 
 def _dense_snf(rows):
     """Diagonal of the Smith form of a small dense integer matrix."""
@@ -93,23 +91,10 @@ def _dense_snf(rows):
 
 
 def smith_normal_form(matrix):
-    """Return (divisors, rank) with divisors the nonzero Smith diagonal.
-
-    Accepts a SparseMatrix or a dense list of rows.
-    """
-    if isinstance(matrix, SparseMatrix):
-        items = matrix.entries.items()
-    else:
-        items = (
-            ((i, j), v)
-            for i, row in enumerate(matrix)
-            for j, v in enumerate(row)
-            if v
-        )
-
+    """(divisors, rank) of a SparseMatrix; divisors are its nonzero Smith diagonal."""
     rows = {}
     cols = {}
-    for (r, c), v in items:
+    for (r, c), v in matrix.entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
 

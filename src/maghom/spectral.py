@@ -329,7 +329,7 @@ def diagonal_convergence(G, ring="Q"):
     if not is_weakly_connected(G):
         raise GraphError("diagonal convergence needs a connected graph")
     full = homology_table(G, "eulerian", "Z")
-    if any(k != l for (k, l) in full.entries):
+    if not full.diagonal:
         raise GraphError("not regularly diagonal")
     field = parse_field(ring, "diagonal convergence needs") or "Q"
     sph = path_homology(G, strong=True, ring=field)

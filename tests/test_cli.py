@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -262,3 +263,66 @@ def test_spectral_sequences_of_four_and_five_cycles():
         for page in json.loads(out)["pages"]
     }
     assert pages == CYCLE_4_TRUNCATED_PAGES
+
+
+# the flags each compute command takes, besides --format, and a shortest
+# argv it accepts
+TAKES = {
+    "emh": ({"--family", "--input", "--ring", "--lmax", "--kmax"}, []),
+    "mh": ({"--family", "--input", "--ring", "--lmax", "--kmax"}, ["--lmax", "2"]),
+    "dmh": ({"--family", "--input", "--ring", "--lmax", "--kmax"}, ["--lmax", "2"]),
+    "ph": ({"--family", "--input", "--ring", "--kmax"}, ["--ring", "Q", "--kmax", "1"]),
+    "rph": ({"--family", "--input", "--ring", "--kmax"}, ["--ring", "Q"]),
+    "inj": ({"--family", "--input", "--ring"}, []),
+    "rmpss": ({"--family", "--input", "--ring", "--rmax"}, []),
+    "mpss": ({"--family", "--input", "--ring", "--lmax", "--rmax"}, ["--lmax", "2"]),
+    "magnitude": ({"--family", "--input", "--lmax"}, ["--lmax", "2"]),
+    "rmagnitude": ({"--family", "--input"}, []),
+    "diag": ({"--family", "--input", "--lmax"}, []),
+    "delta": (
+        {"--family", "--input", "--family2", "--input2"},
+        ["--family2", "cycle:3"],
+    ),
+    "gamma": ({"--n", "--s"}, ["--n", "4", "--s", "2"]),
+}
+FLAGS = set().union(*(flags for flags, _ in TAKES.values())) | {"--jobs", "--only"}
+
+
+def minimal_argv(what):
+    flags, extra = TAKES[what]
+    graph = ["--family", "cycle:3"] if "--family" in flags else []
+    return ["compute", what, *graph, *extra]
+
+
+def test_every_command_is_covered():
+    assert set(cli.COMMANDS) == set(TAKES)
+
+
+@pytest.mark.parametrize("what", sorted(TAKES))
+def test_command_rejects_flags_it_does_not_take(what):
+    assert run(minimal_argv(what))[0] == 0
+    for flag in sorted(FLAGS - TAKES[what][0]):
+        code, out, err = run([*minimal_argv(what), flag, "3"])
+        assert (code, out) == (2, ""), flag
+        assert flag in err
+
+
+@pytest.mark.parametrize("what", sorted(TAKES))
+def test_command_help_lists_only_its_flags(what):
+    code, out, _ = run(["compute", what, "--help"])
+    assert code == 0
+    listed = set(re.findall(r"--[a-z0-9]+", out)) - {"--help", "--format"}
+    assert listed == TAKES[what][0]
+
+
+@pytest.mark.parametrize("what", ["ph", "rph", "rmpss", "mpss"])
+def test_field_only_commands_reject_z(what):
+    code, out, err = run([*minimal_argv(what), "--ring", "Z"])
+    assert (code, out) == (2, "")
+    assert "--ring" in err and "field" in err
+
+
+def test_verify_paper_jobs_must_be_positive():
+    code, out, err = run(["verify-paper", "--jobs", "0"])
+    assert (code, out) == (2, "")
+    assert "--jobs" in err

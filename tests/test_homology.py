@@ -15,6 +15,8 @@ from maghom.homology import (
     ring_name,
     splitting_check,
 )
+from maghom.pathhom import path_homology
+from maghom.spectral import rmpss_report
 
 
 def rank_map(table):
@@ -39,6 +41,24 @@ def test_parse_ring():
         parse_ring("Fp:1")
     with pytest.raises(ValueError):
         parse_ring("R")
+
+
+@pytest.mark.parametrize("ring", [0, 1, 4])
+def test_integer_rings_must_be_prime(ring):
+    # an integer ring is a prime modulus, checked as strictly as Fp:<p>
+    G = family("cycle", 4)
+    with pytest.raises(ValueError):
+        homology_table(G, "eulerian", ring)
+    with pytest.raises(ValueError):
+        path_homology(G, strong=True, ring=ring)
+    with pytest.raises(ValueError):
+        rmpss_report(G, ring=ring)
+    assert parse_ring(5) == 5
+
+
+def test_diagonal_property():
+    assert homology_table(family("complete", 4)).diagonal
+    assert not homology_table(family("cycle", 4)).diagonal
 
 
 @pytest.mark.parametrize("kind", ["eulerian", "ordinary", "discriminant"])
