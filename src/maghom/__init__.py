@@ -4,8 +4,9 @@ The package computes the bigraded magnitude homology of a digraph in
 three flavors (all-distinct, ordinary, and their quotient), path and
 regular path homology, the complex of injective words with the
 spectral sequence connecting all of these, and the derived polynomial
-and metric graph invariants.  Everything is exact: integer Smith normal
-form for homology over Z, fraction-free elimination over Q and F_p.
+and metric graph invariants.  Everything is exact: one sparse column
+reduction, fraction-free over Z and Q and mod p over F_p, with integer
+Smith normal form only where torsion over Z can live.
 """
 
 from .chains import FilteredComplex, certified_length_bound, trail_complex

@@ -3,16 +3,19 @@
 One loop, ``chain_homology``, serves every ``chains.FilteredComplex`` in
 the package: a graded piece of a trail complex (one column of a
 homology table), the total complex of injective words or of the
-truncated nerve, and a flag complex.  Each differential goes through
-integer Smith normal form once, and the requested
-coefficients are read off it: the rational rank is the number of Smith
-divisors, the mod-p rank is the number of divisors p does not divide,
-and the torsion summands are the divisors exceeding 1.
+truncated nerve, and a flag complex.  Its ranks come from one bottom-up
+pass of coboundary column reductions with clearing, mod p over F_p and
+fraction-free in integers over Q and Z.  Over Z a degree whose pivots
+all have lowest entry +-1 is certified free of torsion; only a degree
+that fails the certificate goes through integer Smith normal form,
+whose divisors exceeding 1 are the torsion summands.  The spectral
+sequences pair cells by the top-down boundary reduction instead, so
+``rmpss_report`` compares the results of two different reductions.
 
 ``les_verify`` checks the long exact sequence at one length.  Its cycle
 bases are the kernel columns of one sparse column reduction per boundary
-(``matrices.reduce_columns``), and each map rank is rank [images |
-boundaries] - rank boundaries, both Smith-form ranks of sparse matrices.
+(``matrices.reduce_columns``), and each map rank is the number of pivots
+its images add to the reduction of the boundaries.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 from .chains import KINDS, certified_length_bound, trail_complex
 from .errors import GraphError
-from .matrices import SparseMatrix, combine, reduce_columns
-from .snf import rank_z, smith_normal_form
+from .matrices import combine, eliminate, reduce_column, reduce_columns
+from .snf import smith_normal_form
 
 
 def parse_ring(ring):
@@ -150,36 +153,67 @@ class HomologyTable:
         return "\n".join(lines) + "\n"
 
 
+def _coboundary_divisors(complex_, ring, weight):
+    """{k: Smith divisors of the differential into degree k}, from one
+    bottom-up pass of coboundary reductions with clearing.
+
+    Degree k reduces the anti-transpose of boundary(k + 1, weight):
+    columns are the degree-k cells and rows the degree-(k + 1) cells,
+    both in reversed order.  A column whose index was a lowest row of
+    degree k - 1 is a coboundary there, so it is skipped (Bauer,
+    *Ripser*, J. Appl. Comput. Topol. 2021).  Over a field every divisor
+    is 1 and their number is the rank.  Over Z the elimination is left
+    unscaled; while every pivot's lowest entry is +-1 each step is an
+    integer column operation, the pivots certify that the divisors are
+    all 1, and only those pivots clear.  At the first other pivot the
+    degree's divisors come from its Smith normal form instead.
+    """
+    p = ring if isinstance(ring, int) else None
+    out = {}
+    cleared = {}
+    for k in range(complex_.top_degree + 1):
+        mat = complex_.boundary(k + 1, weight)
+        cols = [{} for _ in range(mat.nrows)]
+        for (r, c), v in mat.entries.items():
+            if p:
+                v %= p
+            if v:
+                cols[mat.nrows - 1 - r][mat.ncols - 1 - c] = v
+        pivots, certified = {}, True
+        for j, col in enumerate(cols):
+            if j in cleared or not col:
+                continue
+            if ring == "Z":
+                eliminate(col, pivots)
+                certified = not col or col[max(col)] in (1, -1)
+                if not certified:
+                    break
+            else:
+                col, _ = reduce_column(col, pivots, p)
+            if col:
+                pivots[max(col)] = (col, None)
+        out[k] = (1,) * len(pivots) if certified else smith_normal_form(mat)[0]
+        cleared = pivots
+    return out
+
+
 def chain_homology(complex_, ring="Z", reduced=False, weight=None):
-    """Homology of a FilteredComplex from the Smith forms of its differentials.
+    """Homology of a FilteredComplex from the ranks of its differentials.
 
     With weight, the homology of the graded piece at that weight.  With
     reduced, the augmentation takes the place of the zero map on degree
     0.  Returns {degree: AbelianGroupInvariant}, trivial groups dropped.
     """
     ring = parse_ring(ring)
-    snf = {}
-
-    def divisors(k):
-        if k not in snf:
-            mat = None
-            if k >= 1 and complex_.dim(k, weight):
-                mat = complex_.boundary(k, weight)
-            snf[k] = smith_normal_form(mat)[0] if mat is not None and mat.nnz else ()
-        return snf[k]
-
-    def rank(divs):
-        return len(divs) if ring in ("Z", "Q") else sum(1 for d in divs if d % ring)
-
+    divisors = _coboundary_divisors(complex_, ring, weight)
     out = {}
-    for k in range(complex_.top_degree + 1):
+    for k, incoming in divisors.items():
         dim = complex_.dim(k, weight)
         if not dim:
             continue
-        outgoing = (1,) if reduced and k == 0 else divisors(k)
-        incoming = divisors(k + 1)
-        torsion = tuple(d for d in incoming if d > 1) if ring == "Z" else ()
-        g = AbelianGroupInvariant(dim - rank(outgoing) - rank(incoming), torsion)
+        outgoing = 1 if reduced and k == 0 else len(divisors.get(k - 1, ()))
+        torsion = tuple(d for d in incoming if d > 1)
+        g = AbelianGroupInvariant(dim - outgoing - len(incoming), torsion)
         if not g.trivial:
             out[k] = g
     return out
@@ -209,15 +243,17 @@ def homology_table(G, kind="eulerian", ring="Z", l_max=None):
 def _map_rank(images, boundaries):
     """Rank on homology of a map, from chain-level images of a cycle basis.
 
-    The rank is rank [images | boundaries] - rank boundaries, over Q.
+    One reduction over Q of the columns [boundaries | images]; the rank
+    is the number of pivots the images add.
     """
-    both = SparseMatrix(
-        boundaries.nrows, boundaries.ncols + len(images), boundaries.entries
-    )
-    for j, image in enumerate(images, boundaries.ncols):
-        for i, v in image.items():
-            both.add_at(i, j, v)
-    return rank_z(both) - rank_z(boundaries)
+    pivots = reduce_columns(boundaries.columns())[0]
+    added = 0
+    for image in images:
+        col, _ = reduce_column(dict(image), pivots)
+        if col:
+            pivots[max(col)] = (col, None)
+            added += 1
+    return added
 
 
 def les_verify(G, l):

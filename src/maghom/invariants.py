@@ -287,10 +287,9 @@ def gamma(n, s):
     removed from complete, i.e. with C(n,2) - s edges."""
     if n > 8:
         raise ResourceCapError(f"gamma capped at 8 vertices, got {n}")
-    total = comb(n, 2)
-    if n < 3 or not 0 <= s <= total - n:
+    if n < 3 or not 0 <= s <= comb(n, 2) - n:
         raise GraphError(f"edge deficit {s} is infeasible on {n} vertices")
-    m = total - s
+    m = comb(n, 2) - s
     if m > n * n // 4:
         # above the triangle-free edge maximum, girth 3 is forced
         return 3

@@ -1,12 +1,14 @@
 """Sparse integer matrices for boundary operators, and the column
-reduction that every basis and coordinate over a field comes from.
+reduction that every rank, basis and coordinate comes from.
 
 ``reduce_column`` is the standard persistence reduction R = D V
 (Edelsbrunner & Harer, *Computational Topology*, 2010, ch. VII): the
 lowest entry of a column is cleared against earlier columns with the
 same lowest row.  Over Q it is fraction-free in integers, over F_p in
 integers mod p.  Recording V makes each column that reduces to zero a
-kernel vector, with its own index as lowest entry.
+kernel vector, with its own index as lowest entry.  ``eliminate`` is
+the clearing loop alone, before any content is divided out, so an
+integer pivot's lowest entry can be read as it came.
 """
 
 from __future__ import annotations
@@ -92,15 +94,16 @@ def _subtract(col, a, c, piv, p):
             del col[i]
 
 
-def reduce_column(col, pivots, p=None, ops=None):
+def eliminate(col, pivots, p=None, ops=None):
     """Clear the lowest entry of col against pivots while one matches.
 
     col maps rows to nonzero entries (in range(p) mod p) and is changed
     in place; pivots maps a lowest row to a reduced (column, ops) pair.
     ops, when given, is col's column of V, {input column: coefficient},
     and undergoes the same operations.  Over Q the step
-    col <- a * col - c * piv keeps the entries integral, and the content
-    common to col and ops is divided out.  Returns (col, ops).
+    col <- a * col - c * piv keeps the entries integral; while every
+    pivot's lowest entry is +-1, a is +-1 and each step is an integer
+    column operation.  Returns col.
     """
     while col:
         low = max(col)
@@ -115,6 +118,13 @@ def reduce_column(col, pivots, p=None, ops=None):
         _subtract(col, a, c, piv, p)
         if ops is not None:
             _subtract(ops, a, c, piv_ops, p)
+    return col
+
+
+def reduce_column(col, pivots, p=None, ops=None):
+    """``eliminate``, then over Q the content common to col and ops is
+    divided out.  Returns (col, ops)."""
+    eliminate(col, pivots, p, ops)
     if not p:
         g = gcd(*col.values(), *(ops or {}).values())
         if g > 1:

@@ -24,10 +24,11 @@ rank H_n = dim Omega_n - rank d_n - rank d_{n+1} gives
     rank H_n = |A_n| - rank full_n - rank full_{n+1} + rank stray_{n+1},
 
 with the augmentation (rank 1 on a nonempty vertex set) in place of
-full_0 for reduced homology.  Each rank is a sparse Smith-form rank,
+full_0 for reduced homology.  Each rank is the number of pivots of one
+sparse column reduction (``matrices.reduce_columns``), fraction-free
 over Q or mod p, so the arithmetic stays exact.  Only ``omega_basis``
-builds vectors, as the kernel columns of one sparse column reduction of
-stray_n (``matrices.reduce_columns``).
+builds vectors, as the kernel columns of the same reduction of stray_n
+with its column operations recorded.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .chains import walks
 from .graphs import adjacency
 from .homology import parse_field
 from .matrices import SparseMatrix, reduce_columns
-from .snf import rank_mod_p, rank_z
 
 
 def _paths(G, top, strong):
@@ -101,7 +101,7 @@ def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):
         return {}
 
     def rank(mat):
-        return rank_z(mat) if p is None else rank_mod_p(mat, p)
+        return len(reduce_columns(mat.columns(p), p)[0])
 
     paths = _paths(G, top + 1, strong)
     full = {0: 1 if reduced and G.n else 0}

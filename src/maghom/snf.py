@@ -1,5 +1,9 @@
 """Smith normal form over the integers.
 
+``homology.chain_homology`` calls it only for a degree whose coboundary
+reduction fails the unit-pivot certificate, which is where torsion can
+live; every other rank comes from ``matrices.reduce_column``.
+
 The pipeline is a sparse elimination pass that consumes +-1 pivots first
 (boundary matrices almost always reduce completely there), followed by a
 dense minimal-magnitude-pivot Smith reduction of whatever small residue is
@@ -162,13 +166,3 @@ def smith_normal_form(matrix):
     divisors = (1,) * ones + tuple(_dense_snf(dense))
     return divisors, len(divisors)
 
-
-def rank_z(matrix):
-    """Rank over the rationals (= number of Smith divisors)."""
-    return smith_normal_form(matrix)[1]
-
-
-def rank_mod_p(matrix, p):
-    """Rank over the field with p elements, read off the Smith divisors."""
-    divisors, _ = smith_normal_form(matrix)
-    return sum(1 for d in divisors if d % p)

@@ -95,6 +95,9 @@ def test_gamma_and_delta():
     # resource cap is its own exit code
     assert run(["compute", "gamma", "--n", "9", "--s", "1"])[0] == 3
     assert run(["compute", "gamma", "--s", "1"])[0] == 2
+    # too few vertices is a usage error, negative counts included
+    assert run(["compute", "gamma", "--n", "2", "--s", "0"])[0] == 2
+    assert run(["compute", "gamma", "--n", "-1", "--s", "0"])[0] == 2
 
     code, out, _ = run(
         ["compute", "delta", "--family", "cycle:4", "--family2", "complete:4"]

@@ -3,11 +3,10 @@
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_snf import as_sparse, domain_rank, int_matrices, small_digraphs
+from test_snf import as_sparse, domain_rank, int_matrices, small_digraphs, snf_rank
 
 from maghom.chains import trail_complex
 from maghom.matrices import combine, reduce_columns
-from maghom.snf import rank_mod_p, rank_z
 
 FIELDS = st.sampled_from([None, 2, 3])
 
@@ -17,7 +16,7 @@ def check_reduction(mat, p):
     cols = mat.columns(p)
     domain = sympy.GF(p) if p else sympy.QQ
     rank = domain_rank(mat, domain) if mat.nrows and mat.ncols else 0
-    assert len(pivots) == rank == (rank_mod_p(mat, p) if p else rank_z(mat))
+    assert len(pivots) == rank == snf_rank(mat, p)
     assert len(kernel) == mat.ncols - rank
     # kernel vectors are annihilated, and distinct lowest entries make
     # them independent

@@ -13,8 +13,7 @@ from maghom.chains import KINDS, trail_complex
 from maghom.graphs import digraph, family, point, transitive_tournament
 from maghom.matrices import combine
 from maghom.pathhom import _face_sums, _paths, allowed_paths, omega_basis, path_homology
-from maghom.snf import rank_mod_p, rank_z
-from test_snf import small_digraphs
+from test_snf import small_digraphs, snf_rank
 
 
 def oracle_omega_dims_and_homology(G, top, strong, domain=sympy.QQ, reduced=False):
@@ -285,6 +284,6 @@ def test_four_rank_formula_matches_oracle_on_random_digraphs(G, strong, field):
     # dim Omega_n = |A_n| - rank stray_n, the identity the formula rests on
     for n in range(top + 2):
         stray = _face_sums(_paths(G, n, strong), n, stray_only=True)
-        rank = rank_z(stray) if p is None else rank_mod_p(stray, p)
+        rank = snf_rank(stray, p)
         want = len(allowed_paths(G, n, strong)) - rank
         assert want == dims[n] == len(omega_basis(G, n, strong, p)), (n, p)
