@@ -33,6 +33,7 @@ from .graphs import (
     reachability_preorder,
     rho,
     transitive_tournament,
+    vertex_orbits,
 )
 from .homology import (
     AbelianGroupInvariant,
@@ -123,4 +124,5 @@ __all__ = [
     "subgraph_network",
     "trail_complex",
     "transitive_tournament",
+    "vertex_orbits",
 ]

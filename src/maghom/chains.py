@@ -20,22 +20,31 @@ length, the magnitude differential, keeps only those deletions; faces
 with a repeated consecutive pair always change length, and quotient
 faces that land on all-distinct tuples are dropped.
 
-Every cell here and in ``pathhom`` comes from one cached enumerator,
-``walks``, which takes the step relation as data.  Trails walk over
-finite-distance steps; allowed paths walk along edges, each step of
-weight 1.  An n-step trail of length n steps along edges only, so the
-eulerian cells at bidegree (n, n) are exactly the regular allowed
-n-paths (Hepworth and Willerton, *Categorifying the magnitude of a
-graph*, HHA 2017).
+At fixed length the differential deletes interior entries only, so each
+graded piece splits by first vertex, and an automorphism taking a to b
+carries the summand of trails from a onto the summand from b.
+``orbit_summands`` builds one summand per vertex orbit of Aut(G)
+(``graphs.vertex_orbits``), from the orbit's least vertex.
+
+Every cell here and in ``pathhom`` comes from one enumerator, ``walks``,
+which takes the step relation as data and is cached per start vertex.
+``walk_buckets`` concatenates the starts' buckets in ascending start
+order, so whole complexes, orbit summands and magnitude counts read the
+same cache entries.  Trails walk over finite-distance steps; allowed
+paths walk along edges, each step of weight 1.  An n-step trail of
+length n steps along edges only, so the eulerian cells at bidegree
+(n, n) are exactly the regular allowed n-paths (Hepworth and Willerton,
+*Categorifying the magnitude of a graph*, HHA 2017).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import chain
 
 from .errors import GraphError
-from .graphs import distance_matrix, eccentricity_bound
+from .graphs import distance_matrix, eccentricity_bound, vertex_orbits
 from .matrices import SparseMatrix
 
 KINDS = ("eulerian", "ordinary", "discriminant")
@@ -50,8 +59,8 @@ def _finite_steps(G):
 
 
 @lru_cache(maxsize=None)
-def walks(steps, cap=None, distinct=False):
-    """Every walk along steps, bucketed by (entries - 1, total weight).
+def walks(steps, start, cap=None, distinct=False):
+    """Every walk from start along steps, bucketed by (entries - 1, total weight).
 
     steps gives, per vertex, the ascending (target, weight) pairs a walk
     may take from it.  cap bounds the total weight; distinct keeps only
@@ -60,7 +69,7 @@ def walks(steps, cap=None, distinct=False):
     """
     cap = float("inf") if cap is None else cap
     buckets = {}
-    stack = []
+    stack = [start]
     blocked = stack if distinct else ()
 
     def extend(last, weight):
@@ -71,11 +80,21 @@ def walks(steps, cap=None, distinct=False):
                 extend(v, weight + d)
                 stack.pop()
 
-    for x0 in range(len(steps)):
-        stack.append(x0)
-        extend(x0, 0)
-        stack.pop()
+    extend(start, 0)
     return {key: tuple(cells) for key, cells in buckets.items()}
+
+
+def walk_buckets(steps, starts, cap=None, distinct=False):
+    """The walks buckets of every start, concatenated in ascending start
+    order, so each bucket stays in lexicographic order."""
+    parts = [walks(steps, a, cap, distinct) for a in sorted(starts)]
+    if len(parts) == 1:
+        return parts[0]
+    keys = sorted(set().union(*parts))
+    return {
+        key: tuple(chain.from_iterable(part.get(key, ()) for part in parts))
+        for key in keys
+    }
 
 
 def certified_length_bound(G):
@@ -89,20 +108,24 @@ def certified_length_bound(G):
     return (G.n - 1) * eccentricity_bound(G)
 
 
-def trail_complex(G, kind="eulerian", l_max=None):
+def trail_complex(G, kind="eulerian", l_max=None, starts=None):
     """The trail complex of the given kind, filtered by length up to l_max.
 
     Eulerian trails are finitely many, so l_max may be omitted; the
-    ordinary and discriminant complexes are unbounded and need it.
+    ordinary and discriminant complexes are unbounded and need it.  With
+    starts, only the trails whose first entry is one of them; at fixed
+    length the differential keeps the first entry, so this is a direct
+    summand of every graded piece.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown complex kind {kind!r}; expected one of {KINDS}")
+    starts = range(G.n) if starts is None else starts
     if kind == "eulerian":
-        raw = walks(_finite_steps(G), distinct=True)
+        raw = walk_buckets(_finite_steps(G), starts, distinct=True)
     elif l_max is None:
         raise ValueError(f"the {kind} complex is unbounded in length; pass l_max")
     else:
-        raw = walks(_finite_steps(G), l_max)
+        raw = walk_buckets(_finite_steps(G), starts, l_max)
     buckets = {}
     for key, cells in raw.items():
         if l_max is not None and key[1] > l_max:
@@ -112,6 +135,21 @@ def trail_complex(G, kind="eulerian", l_max=None):
         if cells:
             buckets[key] = cells
     return FilteredComplex(buckets, distance_matrix(G))
+
+
+def orbit_summands(G, kind="eulerian", l_max=None):
+    """(orbit size, trail_complex of the trails from its least vertex),
+    one pair per vertex orbit of Aut(G).
+
+    An automorphism taking a to b carries the trails from a onto the
+    trails from b, preserving length and the graded differential, so
+    each graded piece is the sum over orbits of size-many copies of the
+    representative's summand.
+    """
+    return [
+        (len(orbit), trail_complex(G, kind, l_max, starts=orbit[:1]))
+        for orbit in vertex_orbits(G)
+    ]
 
 
 def boundary_matrix(domain, codomain, dist=None):

@@ -5,6 +5,11 @@ Undirected graphs are handled as symmetric digraphs: an undirected edge
 ``symmetric`` flag records that a graph arose this way, so operations that
 only make sense for undirected graphs (girth, subgraph networks, ...) can
 insist on it.
+
+Isomorphism and automorphism share one backtracking search, which places
+vertices so that distances are preserved.  ``vertex_orbits`` prunes it
+with colours refined on the distance matrix and merges the cycles of
+every automorphism it confirms.
 """
 
 from __future__ import annotations
@@ -405,6 +410,42 @@ def _degree_profile(G):
     return indeg, outdeg
 
 
+def _match(G, H, cands):
+    """A bijection img of V(G) onto V(H) with img[v] in cands[v] that
+    carries distances to distances, or None.
+
+    Backtracking over vertices with the fewest candidates first; a
+    candidate is tried only when its distances to and from the images
+    placed so far equal those of v.  Edges are the pairs at distance 1,
+    so a distance-preserving bijection is an isomorphism, and every
+    isomorphism preserves distances.
+    """
+    dg, dh = distance_matrix(G), distance_matrix(H)
+    order = sorted(range(G.n), key=lambda v: len(cands[v]))
+    img = [-1] * G.n
+    used = [False] * H.n
+
+    def place(i):
+        if i == G.n:
+            return True
+        v = order[i]
+        for w in cands[v]:
+            if used[w] or any(
+                dg[u][v] != dh[img[u]][w] or dg[v][u] != dh[w][img[u]]
+                for u in order[:i]
+            ):
+                continue
+            img[v] = w
+            used[w] = True
+            if place(i + 1):
+                return True
+            used[w] = False
+        img[v] = -1
+        return False
+
+    return tuple(img) if place(0) else None
+
+
 def are_isomorphic(G, H):
     """Exact digraph isomorphism by backtracking with degree pruning."""
     if G.n != H.n or G.m != H.m or G.symmetric != H.symmetric:
@@ -418,37 +459,84 @@ def are_isomorphic(G, H):
         [w for w in range(H.n) if (hi[w], ho[w]) == (gi[v], go[v])]
         for v in range(G.n)
     ]
-    order = sorted(range(G.n), key=lambda v: len(cands[v]))
-    img = [-1] * G.n
-    used = [False] * H.n
-    gadj = {(u, v) for u, v in G.edges}
+    return _match(G, H, cands) is not None
 
-    def place(i):
-        if i == G.n:
-            return True
-        v = order[i]
-        for w in cands[v]:
-            if used[w]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if ((u, v) in gadj) != ((img[u], w) in H.edges):
-                    ok = False
-                    break
-                if ((v, u) in gadj) != ((w, img[u]) in H.edges):
-                    ok = False
-                    break
-            if ok:
-                img[v] = w
-                used[w] = True
-                if place(i + 1):
-                    return True
-                used[w] = False
-                img[v] = -1
-        return False
 
-    return place(0)
+@lru_cache(maxsize=None)
+def _distance_colours(G):
+    """Vertex colours refined on distance-matrix rows and columns.
+
+    A vertex's next colour is its colour with the multisets of
+    (distance, colour) pairs to and from every vertex; refinement stops
+    when no class splits.  Automorphisms preserve distances, so they
+    preserve every colour.
+    """
+    dist = distance_matrix(G)
+    colour = (0,) * G.n
+    while True:
+        key = [
+            (
+                colour[v],
+                tuple(sorted((dist[v][w], colour[w]) for w in range(G.n))),
+                tuple(sorted((dist[w][v], colour[w]) for w in range(G.n))),
+            )
+            for v in range(G.n)
+        ]
+        ranks = {k: i for i, k in enumerate(sorted(set(key)))}
+        new = tuple(ranks[k] for k in key)
+        if len(ranks) == len(set(colour)):
+            return new
+        colour = new
+
+
+def automorphism(G, u, v):
+    """An automorphism of G taking u to v, as the tuple of vertex images,
+    or None when there is none.
+
+    The ``are_isomorphic`` search from G to itself with the pair (u, v)
+    fixed, each other vertex drawn from its distance colour class.
+    """
+    colour = _distance_colours(G)
+    if colour[u] != colour[v]:
+        return None
+    cands = [[w for w in range(G.n) if colour[w] == colour[x]] for x in range(G.n)]
+    cands[u] = [v]
+    return _match(G, G, cands)
+
+
+@lru_cache(maxsize=None)
+def vertex_orbits(G):
+    """Orbits of Aut(G) on the vertices: ascending tuples, by least vertex.
+
+    Each vertex is tried against the least vertex of every orbit found so
+    far; an automorphism taking one to the other merges every cycle it
+    has, so later vertices are mostly placed without a search.
+    """
+    root = list(range(G.n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    firsts = []
+    for v in range(G.n):
+        if find(v) != v:
+            continue
+        for u in firsts:
+            sigma = automorphism(G, u, v)
+            if sigma is not None:
+                for x, y in enumerate(sigma):
+                    a, b = find(x), find(y)
+                    root[max(a, b)] = min(a, b)
+                break
+        else:
+            firsts.append(v)
+    orbits = {}
+    for v in range(G.n):
+        orbits.setdefault(find(v), []).append(v)
+    return tuple(tuple(orbit) for orbit in orbits.values())
 
 
 def canonical_form(n, pairs):

@@ -8,9 +8,16 @@ pass of coboundary column reductions with clearing, mod p over F_p and
 fraction-free in integers over Q and Z.  Over Z a degree whose pivots
 all have lowest entry +-1 is certified free of torsion; only a degree
 that fails the certificate goes through integer Smith normal form,
-whose divisors exceeding 1 are the torsion summands.  The spectral
-sequences pair cells by the top-down boundary reduction instead, so
-``rmpss_report`` compares the results of two different reductions.
+whose divisors exceeding 1 are the torsion summands.
+
+``homology_table`` reduces each graded piece one vertex orbit of Aut(G)
+at a time, on the summand of trails from the orbit's least vertex
+(``chains.orbit_summands``): ranks count once per orbit vertex, and
+torsion repeats as often and is regrouped into invariant factors.  The
+spectral sequences pair the cells of the whole total complex by the
+top-down boundary reduction instead, so ``rmpss_report`` compares the
+results of two different reductions: its E^1 check sets the pairing of
+the whole complex against tables reduced one orbit summand at a time.
 
 ``les_verify`` checks the long exact sequence at one length.  Its cycle
 bases are the kernel columns of one sparse column reduction per boundary
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import KINDS, certified_length_bound, trail_complex
+from .chains import KINDS, certified_length_bound, orbit_summands, trail_complex
 from .errors import GraphError
 from .matrices import combine, eliminate, reduce_column, reduce_columns
 from .snf import smith_normal_form
@@ -172,6 +179,9 @@ def _coboundary_divisors(complex_, ring, weight):
     out = {}
     cleared = {}
     for k in range(complex_.top_degree + 1):
+        if not (complex_.dim(k, weight) and complex_.dim(k + 1, weight)):
+            out[k], cleared = (), {}
+            continue
         mat = complex_.boundary(k + 1, weight)
         cols = [{} for _ in range(mat.nrows)]
         for (r, c), v in mat.entries.items():
@@ -219,11 +229,41 @@ def chain_homology(complex_, ring="Z", reduced=False, weight=None):
     return out
 
 
+def invariant_factors(orders):
+    """Invariant factors d_1 | d_2 | ..., each above 1, of the direct sum
+    of the cyclic groups Z/d for d in orders.
+
+    Each order splits into prime powers; the i-th largest factor is the
+    product of every prime's i-th largest power.
+    """
+    powers = {}
+    for d in orders:
+        p = 2
+        while d > 1:
+            if p * p > d:
+                p = d
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    factors = [1] * max(map(len, powers.values()), default=0)
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs, reverse=True)):
+            factors[-1 - i] *= q
+    return tuple(factors)
+
+
 def homology_table(G, kind="eulerian", ring="Z", l_max=None):
     """Homology of the chosen trail complex as a sparse bigraded table.
 
     The eulerian table defaults to the certified length bound, above
-    which no all-distinct trail lives; the others need l_max.
+    which no all-distinct trail lives; the others need l_max.  Each
+    graded piece is reduced one vertex orbit of Aut(G) at a time: only
+    the summand of trails from the orbit's least vertex is built, its
+    ranks count once per orbit vertex and its torsion repeats as often.
     """
     ring = parse_ring(ring)
     certified = False
@@ -232,11 +272,16 @@ def homology_table(G, kind="eulerian", ring="Z", l_max=None):
         if l_max is None:
             l_max = bound
         certified = l_max >= bound
-    complex_ = trail_complex(G, kind, l_max)
+    sums = {}
+    for size, complex_ in orbit_summands(G, kind, l_max):
+        for l in sorted({l for _, l in complex_.buckets}):
+            for k, g in chain_homology(complex_, ring, weight=l).items():
+                rank, torsion = sums.get((k, l), (0, ()))
+                sums[(k, l)] = (rank + size * g.rank, torsion + g.torsion * size)
     entries = {}
-    for l in sorted({l for _, l in complex_.buckets}):
-        groups = chain_homology(complex_, ring, weight=l)
-        entries.update(((k, l), g) for k, g in groups.items())
+    for k, l in sorted(sums, key=lambda kl: kl[::-1]):
+        rank, torsion = sums[(k, l)]
+        entries[(k, l)] = AbelianGroupInvariant(rank, invariant_factors(torsion))
     return HomologyTable(kind, ring, entries, l_max, certified, G.n)
 
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .chains import trail_complex
+from .chains import orbit_summands
 from .errors import GraphError, ResourceCapError
 from .graphs import (
     canonical_form,
@@ -72,23 +72,25 @@ class Polynomial:
         return " ".join(parts) if parts else "0"
 
 
-def _signed_counts(buckets):
+def _signed_counts(G, kind, l_max=None):
+    """Signed trail counts by length, one representative summand per vertex orbit."""
     by_degree = {}
-    for (k, l), cells in buckets.items():
-        by_degree[l] = by_degree.get(l, 0) + (-1) ** k * len(cells)
+    for size, complex_ in orbit_summands(G, kind, l_max):
+        for (k, l), cells in complex_.buckets.items():
+            by_degree[l] = by_degree.get(l, 0) + (-1) ** k * size * len(cells)
     return Polynomial.from_map(by_degree)
 
 
 def regular_magnitude(G):
     """Exact signed count of all-distinct trails, graded by length."""
-    return _signed_counts(trail_complex(G).buckets)
+    return _signed_counts(G, "eulerian")
 
 
 def magnitude_series(G, l_max):
     """Signed trail counts up to the length cap; a truncated series."""
     if l_max is None or l_max < 0:
         raise GraphError("magnitude series needs a finite degree cap")
-    return _signed_counts(trail_complex(G, "ordinary", l_max).buckets)
+    return _signed_counts(G, "ordinary", l_max)
 
 
 def is_regularly_diagonal(G):
@@ -212,8 +214,18 @@ class SubgraphNetwork:
         return seen[j]
 
     def diameter(self):
+        """Largest distance between two classes.
+
+        Classes with the same closed neighbourhood, such as two classes
+        with equal sorted degree sequences, are adjacent twins: swapping
+        them is an automorphism of the network, so they have the same
+        eccentricity.  One breadth-first search per twin class suffices.
+        """
+        firsts = {}
+        for i, nbrs in enumerate(self.adjacency):
+            firsts.setdefault(frozenset(nbrs).union((i,)), i)
         best = 0
-        for i in range(self.node_count):
+        for i in firsts.values():
             seen = self._reach(i)
             if len(seen) < self.node_count:
                 raise GraphError("classes lie in different network components")

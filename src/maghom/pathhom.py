@@ -1,8 +1,8 @@
 """Path homology of digraphs over a field.
 
 Chains live on allowed paths (tuples whose consecutive pairs are edges):
-the walks along edges that ``chains.walks`` enumerates, each step of
-weight 1, so the n-paths are its bucket (n, n).
+the walks along edges that ``chains.walks`` enumerates from each
+vertex, each step of weight 1, so the n-paths are the bucket (n, n).
 The differential is the full alternating face sum on raw vertex tuples,
 endpoints included and with no quotient by degenerate tuples, so a face
 deleting an interior vertex may leave the allowed span.  The chain
@@ -33,7 +33,7 @@ with its column operations recorded.
 
 from __future__ import annotations
 
-from .chains import walks
+from .chains import walk_buckets
 from .graphs import adjacency
 from .homology import parse_field
 from .matrices import SparseMatrix, reduce_columns
@@ -41,7 +41,8 @@ from .matrices import SparseMatrix, reduce_columns
 
 def _paths(G, top, strong):
     """Allowed paths of every degree up to top: walks along edges, bucketed (n, n)."""
-    return walks(tuple(tuple((v, 1) for v in vs) for vs in adjacency(G)), top, strong)
+    steps = tuple(tuple((v, 1) for v in vs) for vs in adjacency(G))
+    return walk_buckets(steps, range(G.n), top, strong)
 
 
 def allowed_paths(G, n, strong=False):

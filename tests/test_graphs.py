@@ -2,11 +2,16 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_snf import small_digraphs
 
 from maghom.errors import GraphError, ParseError
 from maghom.graphs import (
+    DirectedGraph,
     alternating,
     are_isomorphic,
+    automorphism,
     canonical_form,
     cartesian,
     cone,
@@ -25,6 +30,7 @@ from maghom.graphs import (
     reachability_preorder,
     rho,
     transitive_tournament,
+    vertex_orbits,
 )
 
 
@@ -234,3 +240,78 @@ def test_connected_classes_match_labeled_sweep(min_girth):
             assert min_girth is None or girth(G) >= min_girth
         for G, H in itertools.combinations(graphs, 2):
             assert not are_isomorphic(G, H)
+
+
+def relabel(G, perm):
+    return DirectedGraph(
+        G.n, frozenset((perm[u], perm[v]) for u, v in G.edges), G.symmetric
+    )
+
+
+def regular_tournament(n):
+    """The rotational tournament on an odd number of vertices."""
+    return digraph(n, [(i, (i + d) % n) for i in range(n) for d in range(1, n // 2 + 1)])
+
+
+SYMMETRIC_GRAPHS = [
+    family("cycle", 6),
+    family("complete", 4),
+    family("dir_cycle", 5),
+    regular_tournament(5),
+    cone(family("cycle", 4)),
+    join(family("dir_cycle", 3), family("complete", 2)),
+    cartesian(family("cycle", 3), family("linear", 2)),
+    rho(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+]
+
+
+def brute_orbits(G):
+    autos = [
+        p for p in itertools.permutations(range(G.n)) if relabel(G, p).edges == G.edges
+    ]
+    return {tuple(sorted({p[v] for p in autos})) for v in range(G.n)}
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_transitive_families_have_one_orbit(n):
+    for name in ("cycle", "complete", "dir_cycle"):
+        assert vertex_orbits(family(name, n)) == (tuple(range(n)),), name
+
+
+def test_cone_and_tournament_orbits():
+    assert vertex_orbits(cone(family("cycle", 4))) == ((0, 1, 2, 3), (4,))
+    for n in range(6):
+        assert vertex_orbits(transitive_tournament(n)) == tuple((v,) for v in range(n + 1))
+    assert vertex_orbits(DirectedGraph(0, frozenset())) == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SYMMETRIC_GRAPHS), st.randoms(use_true_random=False))
+def test_orbits_follow_a_relabeling(G, rng):
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    H = relabel(G, perm)
+    assert are_isomorphic(G, H)
+    orbits = vertex_orbits(H)
+    assert sorted(map(len, orbits)) == sorted(map(len, vertex_orbits(G)))
+    assert {tuple(sorted(perm[v] for v in o)) for o in vertex_orbits(G)} == set(orbits)
+    assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_digraphs(6), st.sampled_from(SYMMETRIC_GRAPHS)))
+def test_orbits_match_brute_force(G):
+    orbits = vertex_orbits(G)
+    assert set(orbits) == brute_orbits(G)
+    assert sorted(v for o in orbits for v in o) == list(range(G.n))
+
+
+@pytest.mark.parametrize("G", SYMMETRIC_GRAPHS + [transitive_tournament(3)])
+def test_every_found_automorphism_preserves_the_edges(G):
+    orbit_of = {v: o for o in vertex_orbits(G) for v in o}
+    for u, v in itertools.product(range(G.n), repeat=2):
+        sigma = automorphism(G, u, v)
+        assert (sigma is not None) == (v in orbit_of[u]), (u, v)
+        if sigma is not None:
+            assert sigma[u] == v and sorted(sigma) == list(range(G.n))
+            assert relabel(G, sigma).edges == G.edges

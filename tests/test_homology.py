@@ -1,5 +1,6 @@
-"""Homology tables against frozen small-graph values, and the coboundary
-pass against the per-degree Smith normal form loop it replaced."""
+"""Homology tables against frozen small-graph values, the coboundary
+pass against the per-degree Smith normal form loop it replaced, and the
+orbit-summand tables against one reduction of each whole graded piece."""
 
 import itertools
 import math
@@ -8,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_graphs import SYMMETRIC_GRAPHS, relabel
 from test_snf import small_digraphs, snf_rank
 
 from maghom.chains import trail_complex
@@ -17,11 +19,14 @@ from maghom.homology import (
     AbelianGroupInvariant,
     chain_homology,
     homology_table,
+    invariant_factors,
     les_verify,
     parse_ring,
     ring_name,
     splitting_check,
 )
+from maghom.invariants import Polynomial, magnitude_series, regular_magnitude
+from maghom.matrices import SparseMatrix
 from maghom.pathhom import _face_sums, _paths, path_homology
 from maghom.snf import smith_normal_form
 from maghom.spectral import rmpss_report
@@ -347,3 +352,48 @@ def test_torsion_reaches_the_smith_form_fallback():
         assert chain_homology(complex_, "Q") == {0: AbelianGroupInvariant(1)}
         ranks = {k: g.rank for k, g in chain_homology(complex_, "Fp:2").items()}
         assert ranks == {0: 1, 1: 1, 2: 1}
+
+
+def unsplit_table(G, kind, ring, l_max):
+    """Reference: chain_homology per weight on the whole trail complex."""
+    complex_ = trail_complex(G, kind, l_max)
+    return {
+        (k, l): g
+        for l in sorted({l for _, l in complex_.buckets})
+        for k, g in chain_homology(complex_, ring, weight=l).items()
+    }
+
+
+def signed_counts(complex_):
+    by_length = {}
+    for (k, l), cells in complex_.buckets.items():
+        by_length[l] = by_length.get(l, 0) + (-1) ** k * len(cells)
+    return Polynomial.from_map(by_length)
+
+
+@st.composite
+def relabeled_symmetric_graphs(draw):
+    G = draw(st.sampled_from(SYMMETRIC_GRAPHS + [family("cycle", 5), family("complete", 5)]))
+    return relabel(G, draw(st.permutations(range(G.n))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_digraphs(), relabeled_symmetric_graphs()), RINGS)
+def test_orbit_summands_match_the_unsplit_table(G, ring):
+    for kind, l_max in (("eulerian", None), ("ordinary", 4), ("discriminant", 4)):
+        got = homology_table(G, kind, ring, l_max).entries
+        assert got == unsplit_table(G, kind, ring, l_max), (kind, ring)
+    assert regular_magnitude(G) == signed_counts(trail_complex(G))
+    assert magnitude_series(G, 4) == signed_counts(trail_complex(G, "ordinary", 4))
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [(2, 3), (2, 4), (4, 2), (3, 2, 2), (2, 6, 4), (6, 10, 15), (12, 18, 5), (7,), ()],
+)
+def test_summed_torsion_keeps_invariant_factor_form(orders):
+    # the torsion of a block-diagonal sum, as the whole-matrix Smith form gives it
+    blocks = SparseMatrix(len(orders), len(orders), {(i, i): d for i, d in enumerate(orders)})
+    want = tuple(d for d in smith_normal_form(blocks)[0] if d > 1)
+    assert invariant_factors(orders) == want
+    assert invariant_factors(orders * 3) == invariant_factors(want * 3)

@@ -192,6 +192,13 @@ def test_subgraph_network_matches_labeled_sweep(n):
     assert net.input_max_degree == n - 1
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_diameter_matches_a_search_from_every_class(n):
+    net = subgraph_network(n)
+    per_class = max(max(net._reach(i).values()) for i in range(net.node_count))
+    assert net.diameter() == per_class
+
+
 def test_delta_distance():
     star = rho(4, [(0, 1), (0, 2), (0, 3)])
     assert delta_distance(star, family("cycle", 4)) == 1
