@@ -285,13 +285,13 @@ def homology_table(G, kind="eulerian", ring="Z", l_max=None):
     return HomologyTable(kind, ring, entries, l_max, certified, G.n)
 
 
-def _map_rank(images, boundaries):
+def _map_rank(images, pivots):
     """Rank on homology of a map, from chain-level images of a cycle basis.
 
-    One reduction over Q of the columns [boundaries | images]; the rank
-    is the number of pivots the images add.
+    pivots are those of the boundaries' reduction over Q; the images
+    extend a copy of them, and the rank is the number of pivots they add.
     """
-    pivots = reduce_columns(boundaries.columns())[0]
+    pivots = dict(pivots)
     added = 0
     for image in images:
         col, _ = reduce_column(dict(image), pivots)
@@ -310,12 +310,22 @@ def les_verify(G, l):
     exactness identities the ranks must satisfy.  Cycle bases are the V
     columns of the zero columns in the column reduction of each boundary;
     every map rank comes from chain-level images, never from the
-    exactness identities.
+    exactness identities.  Each boundary is reduced once: its zero columns
+    give a cycle basis, and its pivots the boundaries a map rank reduces
+    images against.
     """
     emx, mx, dmx = (trail_complex(G, kind, l) for kind in KINDS)
+    reductions = {}
+
+    def reduction(c, k):
+        """(pivots, cycle basis) of the boundary of c out of degree k."""
+        key = (id(c), k)
+        if key not in reductions:
+            reductions[key] = reduce_columns(c.boundary(k, l).columns(), record=True)
+        return reductions[key]
 
     def cycles(c, k):
-        return reduce_columns(c.boundary(k, l).columns(), record=True)[1]
+        return reduction(c, k)[1]
 
     def ranks(c):
         return {k: g.rank for k, g in chain_homology(c, "Q", weight=l).items()}
@@ -334,14 +344,14 @@ def les_verify(G, l):
         images = [
             {mc_index[emc[i]]: v for i, v in z.items()} for z in cycles(emx, k)
         ]
-        r_incl[k] = _map_rank(images, mx.boundary(k + 1, l))
+        r_incl[k] = _map_rank(images, reduction(mx, k + 1)[0])
 
         # projection on homology
         images = [
             {dmc_index[mc[i]]: v for i, v in z.items() if mc[i] in dmc_index}
             for z in cycles(mx, k)
         ]
-        r_proj[k] = _map_rank(images, dmx.boundary(k + 1, l))
+        r_proj[k] = _map_rank(images, reduction(dmx, k + 1)[0])
 
         # connecting map: lift a quotient cycle, push it through the full
         # differential, read the result in the all-distinct basis
@@ -359,7 +369,9 @@ def les_verify(G, l):
                             f"connecting image of a cycle hit repeat trail {lower[i]}"
                         )
                 images.append({lower_index[lower[i]]: v for i, v in pushed.items()})
-            r_conn[k] = _map_rank(images, emx.boundary(k, l))
+            r_conn[k] = _map_rank(images, reduction(emx, k)[0])
+        for c in (emx, mx, dmx):
+            reductions.pop((id(c), k), None)  # no later degree reads it
 
     checks = []
     failures = []

@@ -14,21 +14,26 @@ groups are the largest subspaces the differential does not lead astray:
 digraphs*, 2012).  The strong variant restricts to allowed paths with
 pairwise distinct vertices and asks the boundary to stay on those.
 
-No basis of Omega_n is ever built.  Let full_n be the face sum from A_n
-into every (n-1)-tuple it hits, and stray_n its rows on tuples outside
-A_{n-1}.  Then Omega_n = ker stray_n, and since ker full_n lies inside
-ker stray_n, the differential restricted to Omega_n has rank
+No basis of Omega_n is needed for the ranks.  Let full_n be the face
+sum from A_n into every (n-1)-tuple it hits, and stray_n its rows on
+tuples outside A_{n-1}.  Then Omega_n = ker stray_n, and since ker full_n
+lies inside ker stray_n, the differential restricted to Omega_n has rank
 rank full_n - rank stray_n.  Substituting into
 rank H_n = dim Omega_n - rank d_n - rank d_{n+1} gives
 
     rank H_n = |A_n| - rank full_n - rank full_{n+1} + rank stray_{n+1},
 
 with the augmentation (rank 1 on a nonempty vertex set) in place of
-full_0 for reduced homology.  Each rank is the number of pivots of one
-sparse column reduction (``matrices.reduce_columns``), fraction-free
-over Q or mod p, so the arithmetic stays exact.  Only ``omega_basis``
-builds vectors, as the kernel columns of the same reduction of stray_n
-with its column operations recorded.
+full_0 for reduced homology.  One sparse column reduction of full_n
+(``matrices.reduce_columns``, exact over Q and mod p) gives both ranks
+of a degree.  The stray rows come last, so in R = full_n V they form
+stray_n V, already in echelon form: rank full_n counts the pivots and
+rank stray_n those with a stray lowest row.  Degrees run from the top
+down with clearing (Chen & Kerber, *Persistent homology computation with
+a twist*, 2011): a degree-(n+1) pivot whose lowest row is the allowed
+path j has no stray entry, so it lies in span(A_n), full_n kills it, and
+column j is skipped.  ``omega_basis`` records V: Omega_n is spanned by
+the V columns whose R column is zero or has an allowed lowest row.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 from .chains import walk_buckets
 from .graphs import adjacency
 from .homology import parse_field
-from .matrices import SparseMatrix, reduce_columns
+from .matrices import reduce_columns
 
 
 def _paths(G, top, strong):
@@ -50,39 +55,32 @@ def allowed_paths(G, n, strong=False):
     return _paths(G, n, strong).get((n, n), ())
 
 
-def _faces(path):
-    for i in range(len(path)):
-        yield (-1) ** i, path[:i] + path[i + 1 :]
-
-
-def _face_sums(paths, n, stray_only):
-    """Face sum from allowed n-paths onto the tuples it hits: full_n or stray_n.
+def _face_columns(paths, n, p=None):
+    """full_n as sparse columns {row: coeff} mod p, and base = |A_{n-1}|.
 
     paths holds the allowed paths of degrees n - 1 and n, as ``_paths``
-    buckets them.  Rows are numbered by first hit.  With stray_only,
-    faces that are allowed (n-1)-paths are left out.  The differential
-    vanishes on vertices, so n = 0 gives the zero map.
+    buckets them.  Row i < base is the allowed (n-1)-path of index i;
+    other faces get rows from base up, in first-hit order.  A graph has
+    no loops, so the faces of one path are distinct.  The differential
+    vanishes on vertices, so n = 0 gives zero columns.
     """
-    allowed = set(paths.get((n - 1, n - 1), ())) if stray_only else ()
-    cells = paths.get((n, n), ())
-    index = {}
-    entries = {}
-    for j, path in enumerate(cells if n > 0 else ()):
-        for sign, face in _faces(path):
-            if face not in allowed:
-                key = (index.setdefault(face, len(index)), j)
-                entries[key] = entries.get(key, 0) + sign
-    return SparseMatrix(len(index), len(cells), entries)
+    lower = paths.get((n - 1, n - 1), ())
+    index = {t: i for i, t in enumerate(lower)}
+    sign = (1, p - 1) if p else (1, -1)
+    faces = range(n + 1) if n else ()
+    cols = [
+        {index.setdefault(t[:i] + t[i + 1 :], len(index)): sign[i % 2] for i in faces}
+        for t in paths.get((n, n), ())
+    ]
+    return cols, len(lower)
 
 
 def omega_basis(G, n, strong=False, p=None):
-    """Basis of Omega_n = ker stray_n as sparse columns {path index: coeff},
-    indexed like allowed_paths(G, n, strong).
-
-    They are the V columns of the stray columns that reduce to zero.
-    """
-    stray = _face_sums(_paths(G, n, strong), n, stray_only=True)
-    return reduce_columns(stray.columns(p), p, record=True)[1]
+    """Basis of Omega_n = ker stray_n: sparse columns {index in
+    allowed_paths(G, n, strong): coeff}, by increasing lowest index."""
+    cols, base = _face_columns(_paths(G, n, strong), n, p)
+    pivots, kernel = reduce_columns(cols, p, record=True)
+    return sorted(kernel + [v for low, (_, v) in pivots.items() if low < base], key=max)
 
 
 def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):
@@ -101,15 +99,17 @@ def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):
     if top < 0:
         return {}
 
-    def rank(mat):
-        return len(reduce_columns(mat.columns(p), p)[0])
-
     paths = _paths(G, top + 1, strong)
     full = {0: 1 if reduced and G.n else 0}
     stray = {}
-    for n in range(1, top + 2):
-        full[n] = rank(_face_sums(paths, n, stray_only=False))
-        stray[n] = rank(_face_sums(paths, n, stray_only=True))
+    cleared = set()
+    for n in range(top + 1, 0, -1):
+        cols, base = _face_columns(paths, n, p)
+        # a lowest row one degree up is below its base: an allowed path
+        pivots = reduce_columns(cols, p, skip=cleared)[0]
+        full[n] = len(pivots)
+        stray[n] = sum(low >= base for low in pivots)
+        cleared = set(pivots)
 
     out = {}
     for n in range(top + 1):

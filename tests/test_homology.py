@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_graphs import SYMMETRIC_GRAPHS, relabel
+from test_pathhom import four_rank_homology
 from test_snf import small_digraphs, snf_rank
 
 from maghom.chains import trail_complex
@@ -27,7 +28,7 @@ from maghom.homology import (
 )
 from maghom.invariants import Polynomial, magnitude_series, regular_magnitude
 from maghom.matrices import SparseMatrix
-from maghom.pathhom import _face_sums, _paths, path_homology
+from maghom.pathhom import _paths, path_homology
 from maghom.snf import smith_normal_form
 from maghom.spectral import rmpss_report
 from maghom.words import order_complex
@@ -307,16 +308,7 @@ def test_path_homology_matches_smith_form_ranks(G, strong, p, reduced):
     # of the same face-sum matrices
     top = G.n - 1 if strong else 3
     paths = _paths(G, top + 1, strong)
-    full = {0: 1 if reduced and G.n else 0}
-    stray = {}
-    for n in range(1, top + 2):
-        full[n] = snf_rank(_face_sums(paths, n, stray_only=False), p)
-        stray[n] = snf_rank(_face_sums(paths, n, stray_only=True), p)
-    want = {}
-    for n in range(top + 1):
-        h = len(paths.get((n, n), ())) - full[n] - full[n + 1] + stray[n + 1]
-        if h:
-            want[n] = h
+    want = four_rank_homology(paths, top, lambda mat: snf_rank(mat, p), reduced, G.n)
     ring = "Q" if p is None else p
     kmax = None if strong else top
     assert path_homology(G, kmax, strong, ring, reduced) == want
