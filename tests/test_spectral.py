@@ -1,5 +1,8 @@
 """Spectral sequences of the length filtration."""
 
+from collections import Counter, defaultdict
+from math import inf
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from test_snf import small_digraphs
 from maghom import spectral
 from maghom.graphs import digraph, family, transitive_tournament
 from maghom.homology import chain_homology, homology_table
+from maghom.matrices import reduce_column
 from maghom.pathhom import path_homology
 from maghom.spectral import (
     _compose as compose,
@@ -291,3 +295,49 @@ def test_page_map_refuses_a_map_that_is_not_a_chain_map():
     assert len(page_map(ss, ss, 2, 2)) == ss.entry_rank(1, 2, 2)
     with pytest.raises(ArithmeticError):
         page_map(ss, ss, 2, 2, cell_map=lambda c: swap.get(c, c))
+
+
+def top_down_pairing(ss):
+    """Reference: the lifetimes of ``ss`` from the top-down boundary
+    reduction with clearing (Chen & Kerber, *Persistent homology
+    computation with a twist*, EuroCG 2011), as two {(p, n): Counter}
+    maps, births, deaths and unpaired cells first, deaths alone second.
+
+    Degrees run from the top down; a cell already paired as a birth is a
+    cycle, so its column is skipped.
+    """
+    ends, deaths = defaultdict(Counter), defaultdict(Counter)
+    births = ()
+    for n in range(ss.fc.top_degree, -1, -1):
+        w_here, w_below = ss.fc.weights(n), ss.fc.weights(n - 1)
+        pivots = {}
+        for j, col in enumerate(ss.fc.boundary(n).columns(ss.p)):
+            if j in births:
+                continue
+            col, _ = reduce_column(col, pivots, ss.p)
+            if not col:
+                ends[(w_here[j], n)][inf] += 1
+                continue
+            low = max(col)
+            pivots[low] = (col, None)
+            b, d = w_below[low], w_here[j]
+            ends[(b, n - 1)][d - b] += 1
+            ends[(d, n)][d - b] += 1
+            deaths[(d, n)][d - b] += 1
+        births = pivots
+    return ends, deaths
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([family("cycle", 5), family("complete", 4), family("tournament", 5)]),
+        small_digraphs(max_n=5),
+    ),
+    st.sampled_from(["Q", "Fp:2", "Fp:3"]),
+    st.one_of(st.none(), st.integers(1, 5)),
+)
+def test_pairing_matches_the_top_down_reduction(G, ring, l_max):
+    # l_max None is the regular sequence, an integer the ordinary one
+    ss = rmpss(G, ring) if l_max is None else mpss(G, l_max, ring)
+    assert ss._pairing() == top_down_pairing(ss)
