@@ -5,8 +5,9 @@ three flavors (all-distinct, ordinary, and their quotient), path and
 regular path homology, the complex of injective words with the
 spectral sequence connecting all of these, and the derived polynomial
 and metric graph invariants.  Everything is exact: one sparse column
-reduction, fraction-free over Z and Q and mod p over F_p, with integer
-Smith normal form only where torsion over Z can live.
+reduction, fraction-free over Q and mod p over F_p; over Z it takes +-1
+pivots only, and a small dense Smith reduction of the columns left over
+gives the torsion.
 """
 
 from .chains import FilteredComplex, certified_length_bound, trail_complex

@@ -1,23 +1,24 @@
 """Homology of chain complexes, and the bigraded trail homology tables.
 
-One loop, ``chain_homology``, serves every ``chains.FilteredComplex`` in
-the package: a graded piece of a trail complex (one column of a
+One loop, ``coboundary_pass``, serves every ``chains.FilteredComplex``
+in the package: a graded piece of a trail complex (one column of a
 homology table), the total complex of injective words or of the
-truncated nerve, and a flag complex.  Its ranks come from one bottom-up
-pass of coboundary column reductions with clearing, mod p over F_p and
-fraction-free in integers over Q and Z.  Over Z a degree whose pivots
-all have lowest entry +-1 is certified free of torsion; only a degree
-that fails the certificate goes through integer Smith normal form,
-whose divisors exceeding 1 are the torsion summands.
+truncated nerve, and a flag complex.  It is one bottom-up pass of
+coboundary column reductions with clearing, mod p over F_p and
+fraction-free in integers over Q and Z, and it yields each degree's
+pivot pairs and Smith divisors.  ``chain_homology`` reads the ranks and
+torsion off the divisors; the spectral sequences read their persistence
+pairing off the pairs of the whole total complex.  Over Z only pivots
+with lowest entry +-1 are taken; the columns that end on another entry
+go to a small dense Smith reduction, whose divisors exceeding 1 are the
+torsion summands (``matrices.pivot_pairs``).
 
 ``homology_table`` reduces each graded piece one vertex orbit of Aut(G)
 at a time, on the summand of trails from the orbit's least vertex
 (``chains.orbit_summands``): ranks count once per orbit vertex, and
-torsion repeats as often and is regrouped into invariant factors.  The
-spectral sequences pair the cells of the whole total complex by the
-top-down boundary reduction instead, so ``rmpss_report`` compares the
-results of two different reductions: its E^1 check sets the pairing of
-the whole complex against tables reduced one orbit summand at a time.
+torsion repeats as often and is regrouped into invariant factors.  So
+the E^1 check of ``rmpss_report``, which sets the pairing of the whole
+complex against these tables, compares two different matrices.
 
 ``les_verify`` checks the long exact sequence at one length.  Its cycle
 bases are the kernel columns of one sparse column reduction per boundary
@@ -31,15 +32,14 @@ from dataclasses import dataclass
 
 from .chains import KINDS, certified_length_bound, orbit_summands, trail_complex
 from .errors import GraphError
-from .matrices import combine, eliminate, reduce_column, reduce_columns
-from .snf import smith_normal_form
+from .matrices import combine, pivot_pairs, reduce_column, reduce_columns
 
 
 def parse_ring(ring):
     """Turn a ring (Z, Q, Fp:<p>, or a prime p) into the internal form."""
     if ring in ("Z", "Q"):
         return ring
-    if isinstance(ring, str) and ring.startswith("Fp:"):
+    if isinstance(ring, str) and ring.startswith("Fp:") and ring[3:].isdigit():
         ring = int(ring[3:])
     if isinstance(ring, int):
         if ring < 2 or any(ring % d == 0 for d in range(2, int(ring**0.5) + 1)):
@@ -160,27 +160,29 @@ class HomologyTable:
         return "\n".join(lines) + "\n"
 
 
-def _coboundary_divisors(complex_, ring, weight):
-    """{k: Smith divisors of the differential into degree k}, from one
-    bottom-up pass of coboundary reductions with clearing.
+def coboundary_pass(complex_, ring, weight=None):
+    """Yield (k, pairs, divisors) for each degree k, from one bottom-up
+    pass of coboundary reductions with clearing.
 
-    Degree k reduces the anti-transpose of boundary(k + 1, weight):
-    columns are the degree-k cells and rows the degree-(k + 1) cells,
-    both in reversed order.  A column whose index was a lowest row of
-    degree k - 1 is a coboundary there, so it is skipped (Bauer,
-    *Ripser*, J. Appl. Comput. Topol. 2021).  Over a field every divisor
-    is 1 and their number is the rank.  Over Z the elimination is left
-    unscaled; while every pivot's lowest entry is +-1 each step is an
-    integer column operation, the pivots certify that the divisors are
-    all 1, and only those pivots clear.  At the first other pivot the
-    degree's divisors come from its Smith normal form instead.
+    Degree k reduces the anti-transpose of boundary(k + 1, weight) with
+    ``matrices.pivot_pairs``: columns are the degree-k cells and rows the
+    degree-(k + 1) cells, both in reversed order.  A column whose index
+    was a lowest row of degree k - 1 is a coboundary there, so it is
+    skipped (Bauer, *Ripser*, J. Appl. Comput. Topol. 2021).  pairs lists
+    (birth, death) per pivot, the index of its degree-k cell and of the
+    degree-(k + 1) cell at its lowest row, in the complex's own cell
+    order; these are the persistence pairs of the boundary reduction (de
+    Silva, Morozov & Vejdemo-Johansson, *Dualities in persistent
+    (co)homology*, Inverse Problems 2011).  divisors are the Smith
+    divisors of the differential into degree k.  Over Z only the +-1
+    pivots pair and clear the next degree.
     """
     p = ring if isinstance(ring, int) else None
-    out = {}
     cleared = {}
     for k in range(complex_.top_degree + 1):
         if not (complex_.dim(k, weight) and complex_.dim(k + 1, weight)):
-            out[k], cleared = (), {}
+            cleared = {}
+            yield k, [], ()
             continue
         mat = complex_.boundary(k + 1, weight)
         cols = [{} for _ in range(mat.nrows)]
@@ -189,22 +191,9 @@ def _coboundary_divisors(complex_, ring, weight):
                 v %= p
             if v:
                 cols[mat.nrows - 1 - r][mat.ncols - 1 - c] = v
-        pivots, certified = {}, True
-        for j, col in enumerate(cols):
-            if j in cleared or not col:
-                continue
-            if ring == "Z":
-                eliminate(col, pivots)
-                certified = not col or col[max(col)] in (1, -1)
-                if not certified:
-                    break
-            else:
-                col, _ = reduce_column(col, pivots, p)
-            if col:
-                pivots[max(col)] = (col, None)
-        out[k] = (1,) * len(pivots) if certified else smith_normal_form(mat)[0]
-        cleared = pivots
-    return out
+        cleared, divisors = pivot_pairs(cols, ring, skip=cleared)
+        pairs = [(mat.nrows - 1 - j, mat.ncols - 1 - low) for low, j in cleared.items()]
+        yield k, pairs, divisors
 
 
 def chain_homology(complex_, ring="Z", reduced=False, weight=None):
@@ -215,17 +204,16 @@ def chain_homology(complex_, ring="Z", reduced=False, weight=None):
     0.  Returns {degree: AbelianGroupInvariant}, trivial groups dropped.
     """
     ring = parse_ring(ring)
-    divisors = _coboundary_divisors(complex_, ring, weight)
     out = {}
-    for k, incoming in divisors.items():
+    outgoing = 1 if reduced else 0
+    for k, _, incoming in coboundary_pass(complex_, ring, weight):
         dim = complex_.dim(k, weight)
-        if not dim:
-            continue
-        outgoing = 1 if reduced and k == 0 else len(divisors.get(k - 1, ()))
-        torsion = tuple(d for d in incoming if d > 1)
-        g = AbelianGroupInvariant(dim - outgoing - len(incoming), torsion)
-        if not g.trivial:
-            out[k] = g
+        if dim:
+            torsion = tuple(d for d in incoming if d > 1)
+            g = AbelianGroupInvariant(dim - outgoing - len(incoming), torsion)
+            if not g.trivial:
+                out[k] = g
+        outgoing = len(incoming)
     return out
 
 

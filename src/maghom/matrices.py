@@ -1,5 +1,6 @@
 """Sparse integer matrices for boundary operators, and the column
-reduction that every rank, basis and coordinate comes from.
+reduction that every rank, basis, coordinate and Smith divisor comes
+from.
 
 ``reduce_column`` is the standard persistence reduction R = D V
 (Edelsbrunner & Harer, *Computational Topology*, 2010, ch. VII): the
@@ -9,6 +10,14 @@ integers mod p.  Recording V makes each column that reduces to zero a
 kernel vector, with its own index as lowest entry.  ``eliminate`` is
 the clearing loop alone, before any content is divided out, so an
 integer pivot's lowest entry can be read as it came.
+
+``pivot_pairs`` runs the same reduction over Z, Q or F_p and returns its
+pivot pairs and the Smith divisors of the matrix.  Over Z it takes only
+pivots with lowest entry +-1, so every step is a unimodular column
+operation; the columns that end on another entry are left to a dense
+least-magnitude-pivot Smith reduction, ``_dense_snf``, once the unit
+pivots' rows are cleared from them.  Arithmetic is plain Python int, so there is
+no overflow to manage.
 """
 
 from __future__ import annotations
@@ -154,3 +163,102 @@ def reduce_columns(cols, p=None, skip=(), record=False):
         else:
             kernel.append(ops)
     return pivots, kernel
+
+
+def pivot_pairs(cols, ring, skip=()):
+    """Reduce the columns of D left to right; returns (pairs, divisors).
+
+    ring is "Z", "Q" or a prime p, and over F_p the entries are in
+    range(p).  pairs maps the lowest row of each pivot to its column; a
+    column whose index is in skip is left out, which is clearing when
+    skip holds the lowest rows of the reduction one degree down.
+    divisors are the nonzero Smith divisors of D (of D without the
+    skipped columns), in divisibility order; over a field, one 1 per
+    pivot.
+
+    Over Z a column that reduces to a lowest entry other than +-1 is set
+    aside and pairs with nothing.  The pivots have no entry below their
+    lowest rows, so clearing each set-aside column's entries in pivot
+    rows, highest row first, is a sequence of unimodular column
+    operations.  Restricted to their rows the pivots are then triangular
+    with a +-1 diagonal, and row operations on those rows, which the
+    set-aside columns no longer meet, split them off.  The divisors are
+    one 1 per pivot followed by those of the set-aside columns.
+    """
+    p = ring if isinstance(ring, int) else None
+    integral = ring == "Z"
+    pivots, pairs, aside = {}, {}, []
+    for j, col in enumerate(cols):
+        if j in skip or not col:
+            continue
+        if integral:
+            eliminate(col, pivots)
+        else:
+            col, _ = reduce_column(col, pivots, p)
+        if not col:
+            continue
+        low = max(col)
+        if integral and col[low] not in (1, -1):
+            aside.append(col)
+            continue
+        pivots[low] = (col, None)
+        pairs[low] = j
+    divisors = (1,) * len(pairs)
+    if aside:
+        divisors += _residue_divisors(aside, pivots)
+    return pairs, divisors
+
+
+def _residue_divisors(aside, pivots):
+    """Smith divisors of the set-aside integer columns, ascending, once
+    every entry in a row of the +-1 pivots is cleared from them."""
+    residue = []
+    for col in aside:
+        while hits := [i for i in col if i in pivots]:
+            low = max(hits)
+            piv = pivots[low][0]
+            _subtract(col, 1, col[low] * piv[low], piv, None)
+        if col:
+            residue.append(col)
+    rows = sorted({i for col in residue for i in col})
+    return tuple(_dense_snf([[col.get(i, 0) for col in residue] for i in rows]))
+
+
+def _dense_snf(rows):
+    """Nonzero diagonal of the Smith form of a small dense integer matrix,
+    in divisibility order.
+
+    The entry of least magnitude is moved to the corner and divides its
+    row and column out; a remainder is a smaller entry and starts the
+    step again.  Once the corner is alone in its row and column, a row
+    with an entry it does not divide is added to the first row, which
+    leaves a remainder too.  Otherwise the corner divides the rest, so it
+    is the next divisor and the rest is reduced on its own.
+    """
+    a = [list(row) for row in rows]
+    diag = []
+    while a and a[0]:
+        entries = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        piv = a[0][0]
+        for row in a[1:]:
+            if q := row[0] // piv:
+                row[:] = [x - q * y for x, y in zip(row, a[0])]
+        for j in range(1, len(a[0])):
+            if q := a[0][j] // piv:
+                for row in a:
+                    row[j] -= q * row[0]
+        if any(row[0] for row in a[1:]) or any(a[0][1:]):
+            continue
+        bad = next((row for row in a[1:] if any(x % piv for x in row[1:])), None)
+        if bad is not None:
+            a[0] = [x + y for x, y in zip(a[0], bad)]
+            continue
+        diag.append(abs(piv))
+        a = [row[1:] for row in a[1:]]
+    return diag

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from math import comb, factorial, perm
+from math import comb, perm
 
 from .chains import trail_complex
 from .errors import GraphError
@@ -35,7 +35,7 @@ from .invariants import (
 )
 from .pathhom import path_homology
 from .spectral import page_one_inclusion_report, rmpss_report
-from .words import injective_words_via_flag
+from .words import derangement_count, injective_words_via_flag
 
 INF = float("inf")
 
@@ -43,11 +43,6 @@ INF = float("inf")
 # 2-sphere for both, while the all-distinct homology tells them apart
 SPHERE_1 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (2, 3), (1, 3)])
 SPHERE_2 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (3, 1), (3, 2)])
-
-
-def derangement_count(n):
-    """Fixed-point-free permutation count by inclusion-exclusion."""
-    return sum((-1) ** i * comb(n, i) * factorial(n - i) for i in range(n + 1))
 
 
 @dataclass

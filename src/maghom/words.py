@@ -6,10 +6,14 @@ the full alternating face sum over entry deletions.  Each builder here
 returns a ``chains.FilteredComplex`` with every cell at weight 0; the
 injective words of a digraph, filtered by length, are
 ``chains.trail_complex(G)``, and ``injective_words_via_flag`` builds the
-same cells independently, through the reachability preorder.
+same cells independently, through the reachability preorder.  When
+every vertex reaches every other, those cells are all the injective
+words, whose homology ``injective_word_ranks`` gives in closed form.
 """
 
 from __future__ import annotations
+
+from math import comb, factorial
 
 from .chains import FilteredComplex
 from .errors import GraphError
@@ -56,3 +60,16 @@ def order_complex(P):
 def injective_words_via_flag(G):
     """The cells of trail_complex(G), built through the reachability flag."""
     return directed_flag(reachability_preorder(G))
+
+
+def derangement_count(n):
+    """Fixed-point-free permutation count by inclusion-exclusion."""
+    return sum((-1) ** i * comb(n, i) * factorial(n - i) for i in range(n + 1))
+
+
+def injective_word_ranks(n):
+    """Homology ranks of the complex of all injective words on n >= 1
+    letters: a wedge of D_n spheres of dimension n - 1 (Farmer, *Cellular
+    homology for posets*, Math. Japon. 1978; Björner & Wachs, Trans. AMS
+    1983), free over Z."""
+    return {0: 1, n - 1: derangement_count(n)} if n > 1 else {0: 1}

@@ -67,6 +67,14 @@ def test_bad_family_and_ring():
     assert run(["compute", "ph", "--family", "complete:3", "--ring", "Z", "--kmax", "2"])[0] == 2
 
 
+@pytest.mark.parametrize("ring", ["Fp:x", "Fp:", "Fp:2.0"])
+def test_malformed_prime_ring_is_a_usage_error(ring):
+    code, out, err = run(["compute", "emh", "--family", "complete:3", "--ring", ring])
+    assert code == 2 and out == ""
+    assert f"unknown ring {ring!r}; expected Z, Q, or Fp:<p>" in err
+    assert "invalid literal" not in err
+
+
 def test_flag_scoping():
     # lmax belongs to length-graded commands only
     code, _, err = run(["compute", "rph", "--family", "complete:3", "--lmax", "2", "--ring", "Q"])

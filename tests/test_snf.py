@@ -1,4 +1,8 @@
-"""Integer Smith normal form against the sympy implementation."""
+"""Smith divisors of ``matrices.pivot_pairs`` against sympy's Smith normal form.
+
+The helpers apply it to whole matrices as given, untransposed and with
+no column cleared, so they reduce different matrices from the ones the
+coboundary pass of ``homology.chain_homology`` reduces."""
 
 import random
 
@@ -10,8 +14,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from maghom.chains import trail_complex
 from maghom.graphs import digraph
-from maghom.matrices import SparseMatrix
-from maghom.snf import _dense_snf, smith_normal_form
+from maghom.matrices import SparseMatrix, _dense_snf, pivot_pairs
 from test_chains import dense
 
 
@@ -34,9 +37,15 @@ def as_sparse(rows):
     return mat
 
 
+def smith_divisors(mat):
+    """Nonzero Smith divisors of a SparseMatrix, in divisibility order."""
+    return pivot_pairs(mat.columns(), "Z")[1]
+
+
 def snf(rows):
-    """Smith form of a dense list of rows."""
-    return smith_normal_form(as_sparse(rows))
+    """(Smith divisors, rank) of a dense list of rows."""
+    divisors = smith_divisors(as_sparse(rows))
+    return divisors, len(divisors)
 
 
 def snf_rank(mat, p=None):
@@ -44,8 +53,7 @@ def snf_rank(mat, p=None):
 
     Over F_p the rank is the number of divisors p does not divide.
     """
-    divisors, rank = smith_normal_form(mat)
-    return rank if p is None else sum(1 for d in divisors if d % p)
+    return sum(1 for d in smith_divisors(mat) if p is None or d % p)
 
 
 def test_fixed_cases():
@@ -58,9 +66,14 @@ def test_fixed_cases():
     divs, rank = snf([[1, 1], [1, 1]])
     assert divs == (1,) and rank == 1
 
-    # 2x2 with determinant 2: one unit, one even divisor
+    # 2x2 with determinant 4: one unit, one even divisor
     divs, rank = snf([[2, 1], [0, 2]])
     assert divs == (1, 4) and rank == 2
+
+    # the second column ends on 2 and is set aside; the first column's
+    # unit pivot row must be cleared from it, or the 2 is lost
+    divs, rank = snf([[1, 1], [0, 2]])
+    assert divs == (1, 2) and rank == 2
 
 
 def test_empty_and_zero():
@@ -156,13 +169,49 @@ def test_snf_matches_sympy_property(rows):
 @settings(max_examples=80, deadline=None)
 @given(int_matrices())
 def test_dense_snf_returns_a_divisor_chain(rows):
-    # smith_normal_form relies on this: it puts its unit pivots in front
-    # of the dense divisors and returns them as they come
+    # pivot_pairs relies on this: it puts its unit pivots in front of the
+    # dense divisors and returns them as they come
     divs = _dense_snf(rows)
     assert all(d > 0 for d in divs)
     for a, b in zip(divs, divs[1:]):
         assert b % a == 0, divs
     assert tuple(divs) == oracle_divisors(rows)
+
+
+@st.composite
+def planted_matrices(draw):
+    """(rows, divisors): U * diag(divisors, 0, ...) * V for unimodular U and
+    V, each a short product of sparse elementary operations, and a planted
+    divisor chain whose last entry is not a unit."""
+    nr, nc = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    steps = draw(st.lists(st.sampled_from([1, 1, 2, 3]), max_size=min(nr, nc) - 1))
+    steps.append(draw(st.sampled_from([2, 3])))
+    divisors = []
+    for step in steps:
+        divisors.append(step * (divisors[-1] if divisors else 1))
+    rows = [[0] * nc for _ in range(nr)]
+    for i, d in enumerate(divisors):
+        rows[i][i] = d
+    op = st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 7), st.sampled_from([1, -1, 2, -3]))
+    for on_rows, a, b, c in draw(st.lists(op, max_size=3 * (nr + nc))):
+        n = nr if on_rows else nc
+        a, b = a % n, b % n
+        if a == b:
+            continue
+        # add c times line a to line b, an elementary unimodular operation
+        if on_rows:
+            rows[b] = [x + c * y for x, y in zip(rows[b], rows[a])]
+        else:
+            for row in rows:
+                row[b] += c * row[a]
+    return rows, tuple(divisors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_matrices())
+def test_planted_divisors_match_sympy(planted):
+    rows, divisors = planted
+    assert smith_divisors(as_sparse(rows)) == oracle_divisors(rows) == divisors
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,5 +250,5 @@ def test_boundary_ranks_match_sympy(G, kind, p):
         mat = complex_.boundary(k, l)
         if not (mat.nrows and mat.ncols):
             continue
-        assert smith_normal_form(mat)[1] == domain_rank(mat, sympy.QQ), (k, l)
+        assert snf_rank(mat) == domain_rank(mat, sympy.QQ), (k, l)
         assert snf_rank(mat, p) == domain_rank(mat, sympy.GF(p)), (k, l, p)

@@ -14,7 +14,12 @@ from maghom.graphs import (
     transitive_tournament,
 )
 from maghom.homology import chain_homology
-from maghom.words import directed_flag, injective_words_via_flag, order_complex
+from maghom.words import (
+    directed_flag,
+    injective_word_ranks,
+    injective_words_via_flag,
+    order_complex,
+)
 from test_chains import compose
 
 SPHERE_1 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (2, 3), (1, 3)])
@@ -38,6 +43,22 @@ def test_complete_graph_word_complex():
 def test_derangement_top_rank():
     wc = trail_complex(family("complete", 4))
     assert ranks(chain_homology(wc, reduced=True)) == {3: 9}
+
+
+# derangement numbers D_n, OEIS A000166
+DERANGEMENTS = {3: 2, 4: 9, 5: 44, 6: 265, 7: 1854}
+
+
+@pytest.mark.parametrize("n", sorted(DERANGEMENTS))
+def test_strongly_connected_words_are_a_wedge_of_derangement_spheres(n):
+    # every injective word on n letters is a cell, and that complex is a
+    # wedge of D_n spheres of dimension n - 1 (Bjorner & Wachs 1983)
+    want = {0: 1, n - 1: DERANGEMENTS[n]}
+    assert injective_word_ranks(n) == want
+    for name in ("complete", "cycle", "dir_cycle"):
+        groups = chain_homology(trail_complex(family(name, n)), "Z")
+        assert ranks(groups) == want, name
+        assert all(not g.torsion for g in groups.values()), name
 
 
 def test_directed_line_word_complex_is_contractible():
