@@ -19,6 +19,9 @@ steps add up to the distance they shortcut.  The graded piece at one
 length, the magnitude differential, keeps only those deletions; faces
 with a repeated consecutive pair always change length, and quotient
 faces that land on all-distinct tuples are dropped.
+``FilteredComplex.boundary`` builds either one as a list of sparse
+columns {row: coeff}, the one form every reduction in the package reads,
+and caches it per (degree, weight, modulus).
 
 At fixed length the differential deletes interior entries only, so each
 graded piece splits by first vertex, and an automorphism taking a to b
@@ -45,7 +48,6 @@ from itertools import chain
 
 from .errors import GraphError
 from .graphs import distance_matrix, eccentricity_bound, vertex_orbits
-from .matrices import SparseMatrix
 
 KINDS = ("eulerian", "ordinary", "discriminant")
 
@@ -152,38 +154,6 @@ def orbit_summands(G, kind="eulerian", l_max=None):
     ]
 
 
-def boundary_matrix(domain, codomain, dist=None):
-    """Alternating face sum from domain cells onto codomain cells.
-
-    With dist, the graded piece of a trail complex: an interior entry is
-    deleted only when its two steps add up to the distance they
-    shortcut, and faces outside the codomain are dropped.  Without dist,
-    the full face sum: faces repeating a vertex consecutively are
-    degenerate and dropped, and every other face must be a codomain cell.
-    """
-    index = {t: i for i, t in enumerate(codomain)}
-    mat = SparseMatrix(len(codomain), len(domain))
-    for j, t in enumerate(domain):
-        if dist is not None:
-            sign = 1
-            for i in range(1, len(t) - 1):
-                sign = -sign
-                a, b, c = t[i - 1], t[i], t[i + 1]
-                if dist[a][b] + dist[b][c] == dist[a][c]:
-                    row = index.get(t[:i] + t[i + 1 :])
-                    if row is not None:
-                        mat.add_at(row, j, sign)
-            continue
-        for i in range(len(t) if len(t) > 1 else 0):
-            face = t[:i] + t[i + 1 :]
-            row = index.get(face)
-            if row is not None:
-                mat.add_at(row, j, (-1) ** i)
-            elif all(a != b for a, b in zip(face, face[1:])):
-                raise GraphError(f"face {face} of {t} is missing")
-    return mat
-
-
 class FilteredComplex:
     """Cells graded by degree and weighted by a filtration level.
 
@@ -245,15 +215,47 @@ class FilteredComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * len(cells) for (k, _), cells in self.buckets.items())
 
-    def boundary(self, k, weight=None):
-        """Differential out of degree k, or out of its graded piece at weight."""
-        key = (k, weight)
-        if key not in self._boundaries:
-            dist = None if weight is None else self.dist
-            self._boundaries[key] = boundary_matrix(
-                self.cells(k, weight), self.cells(k - 1, weight), dist
-            )
-        return self._boundaries[key]
+    def boundary(self, k, weight=None, p=None):
+        """Differential out of degree k, or out of its graded piece at
+        weight, as sparse columns {row: coeff}, one per degree-k cell,
+        with entries mod p when p is set.
+
+        With weight and dist, the graded piece of a trail complex: an
+        interior entry is deleted only when its two steps add up to the
+        distance they shortcut, and faces outside the codomain are
+        dropped.  Otherwise the full face sum: faces repeating a vertex
+        consecutively are degenerate and dropped, and every other face
+        must be a cell.  Consecutive entries of a cell are distinct, so
+        its faces are too.  The list is cached and shared: a caller that
+        reduces columns in place reduces copies.
+        """
+        key = (k, weight, p)
+        if key in self._boundaries:
+            return self._boundaries[key]
+        index = {t: i for i, t in enumerate(self.cells(k - 1, weight))}
+        sign = (1, p - 1) if p else (1, -1)
+        dist = None if weight is None else self.dist
+        cols = []
+        for t in self.cells(k, weight):
+            col = {}
+            if dist is not None:
+                for i in range(1, len(t) - 1):
+                    a, b, c = t[i - 1], t[i], t[i + 1]
+                    if dist[a][b] + dist[b][c] == dist[a][c]:
+                        row = index.get(t[:i] + t[i + 1 :])
+                        if row is not None:
+                            col[row] = sign[i % 2]
+            else:
+                for i in range(len(t) if len(t) > 1 else 0):
+                    face = t[:i] + t[i + 1 :]
+                    row = index.get(face)
+                    if row is not None:
+                        col[row] = sign[i % 2]
+                    elif all(a != b for a, b in zip(face, face[1:])):
+                        raise GraphError(f"face {face} of {t} is missing")
+            cols.append(col)
+        self._boundaries[key] = cols
+        return cols
 
     def __eq__(self, other):
         """Same cells in every degree; weights are not compared."""

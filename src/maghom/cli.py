@@ -21,7 +21,13 @@ from functools import partial
 from .errors import GraphError, MaghomError, ParseError, ResourceCapError
 from .graphs import family, is_weakly_connected, parse_graph
 from .chains import trail_complex
-from .homology import chain_homology, homology_table, parse_ring, ring_name
+from .homology import (
+    chain_homology,
+    homology_table,
+    parse_ring,
+    reduced_homology,
+    ring_name,
+)
 from .invariants import (
     classify_diagonality,
     complete_graph_detector,
@@ -137,7 +143,7 @@ def _cmd_inj(args):
     G = _load_graph(args)
     complex_ = trail_complex(G)
     hom = chain_homology(complex_, args.ring)
-    red = chain_homology(complex_, args.ring, reduced=True)
+    red = reduced_homology(hom)
     data = {
         "kind": "injective_words",
         "ring": ring_name(args.ring),

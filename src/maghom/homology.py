@@ -164,7 +164,7 @@ def coboundary_pass(complex_, ring, weight=None):
     """Yield (k, pairs, divisors) for each degree k, from one bottom-up
     pass of coboundary reductions with clearing.
 
-    Degree k reduces the anti-transpose of boundary(k + 1, weight) with
+    Degree k reduces the anti-transpose of boundary(k + 1, weight, p) with
     ``matrices.pivot_pairs``: columns are the degree-k cells and rows the
     degree-(k + 1) cells, both in reversed order.  A column whose index
     was a lowest row of degree k - 1 is a coboundary there, so it is
@@ -184,15 +184,14 @@ def coboundary_pass(complex_, ring, weight=None):
             cleared = {}
             yield k, [], ()
             continue
-        mat = complex_.boundary(k + 1, weight)
-        cols = [{} for _ in range(mat.nrows)]
-        for (r, c), v in mat.entries.items():
-            if p:
-                v %= p
-            if v:
-                cols[mat.nrows - 1 - r][mat.ncols - 1 - c] = v
+        down = complex_.boundary(k + 1, weight, p)
+        top_row, top_col = complex_.dim(k, weight) - 1, len(down) - 1
+        cols = [{} for _ in range(top_row + 1)]
+        for c, col in enumerate(down):
+            for r, v in col.items():
+                cols[top_row - r][top_col - c] = v
         cleared, divisors = pivot_pairs(cols, ring, skip=cleared)
-        pairs = [(mat.nrows - 1 - j, mat.ncols - 1 - low) for low, j in cleared.items()]
+        pairs = [(top_row - j, top_col - low) for low, j in cleared.items()]
         yield k, pairs, divisors
 
 
@@ -214,6 +213,17 @@ def chain_homology(complex_, ring="Z", reduced=False, weight=None):
             if not g.trivial:
                 out[k] = g
         outgoing = len(incoming)
+    return out
+
+
+def reduced_homology(groups):
+    """Reduced homology from the unreduced groups of ``chain_homology``:
+    the augmentation splits off one free summand of degree 0."""
+    out = dict(groups)
+    if 0 in out:
+        out[0] = AbelianGroupInvariant(out[0].rank - 1, out[0].torsion)
+        if out[0].trivial:
+            del out[0]
     return out
 
 
@@ -309,7 +319,8 @@ def les_verify(G, l):
         """(pivots, cycle basis) of the boundary of c out of degree k."""
         key = (id(c), k)
         if key not in reductions:
-            reductions[key] = reduce_columns(c.boundary(k, l).columns(), record=True)
+            cols = [dict(col) for col in c.boundary(k, l)]
+            reductions[key] = reduce_columns(cols, record=True)
         return reductions[key]
 
     def cycles(c, k):
@@ -345,7 +356,7 @@ def les_verify(G, l):
         # differential, read the result in the all-distinct basis
         r_conn[k] = 0
         if k >= 1:
-            full = mx.boundary(k, l).columns()
+            full = mx.boundary(k, l)
             lower = mx.cells(k - 1, l)
             lower_index = {t: i for i, t in enumerate(emx.cells(k - 1, l))}
             images = []

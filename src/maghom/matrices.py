@@ -1,6 +1,9 @@
-"""Sparse integer matrices for boundary operators, and the column
-reduction that every rank, basis, coordinate and Smith divisor comes
-from.
+"""The column reduction that every rank, basis, coordinate and Smith
+divisor comes from.
+
+A matrix is a list of sparse columns {row: coeff}, zero entries absent,
+as ``chains.FilteredComplex.boundary`` builds them; the reductions here
+change the columns they are given in place.
 
 ``reduce_column`` is the standard persistence reduction R = D V
 (Edelsbrunner & Harer, *Computational Topology*, 2010, ch. VII): the
@@ -23,58 +26,6 @@ no overflow to manage.
 from __future__ import annotations
 
 from math import gcd
-
-
-class SparseMatrix:
-    """Integer matrix stored as {(row, col): value}, zero entries absent."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, nrows, ncols, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if v:
-                    if not (0 <= r < nrows and 0 <= c < ncols):
-                        raise ValueError(f"entry ({r}, {c}) out of shape")
-                    self.entries[(r, c)] = v
-
-    @property
-    def nnz(self):
-        return len(self.entries)
-
-    def add_at(self, r, c, v):
-        if not v:
-            return
-        key = (r, c)
-        nv = self.entries.get(key, 0) + v
-        if nv:
-            self.entries[key] = nv
-        else:
-            self.entries.pop(key, None)
-
-    def columns(self, p=None):
-        """Sparse columns as {row: value} dicts, entries mod p when p is set."""
-        cols = [{} for _ in range(self.ncols)]
-        for (r, c), v in self.entries.items():
-            if p:
-                v %= p
-            if v:
-                cols[c][r] = v
-        return cols
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
 def combine(cols, vec, p=None):

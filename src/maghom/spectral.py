@@ -28,9 +28,11 @@ Differentials and page maps are matrices of page one, where E_1(p, n)
 is the homology of the graded piece at weight p.  The same reduction,
 recording its column operations, gives each entry's representatives,
 and the class coordinates of an image are read off by reducing it
-against those and the boundaries.  A matrix is a list of sparse columns
-{row: coefficient}, one per source class, as ``reduce_columns`` makes
-them, and maps compose with ``matrices.combine``.
+against those and the boundaries.  The graded boundaries are weight
+blocks sliced from ``FilteredComplex.boundary``, the cached columns the
+pairing read.  A matrix is a list of sparse columns {row: coefficient},
+one per source class, as ``reduce_columns`` makes them, and maps compose
+with ``matrices.combine``.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class SpectralSequence:
         self.fc = filtered
         self.p = parse_field(ring, "spectral sequences need")
         self._bars = None
-        self._cols = {}
         self._page_one = {}
 
     @property
@@ -136,14 +137,15 @@ class SpectralSequence:
 
     def _columns(self, n, p_from, p_to):
         """Sparse columns of the degree-n boundary from the cells of weight
-        p_from to those of weight p_to, each indexed within its weight."""
-        if n not in self._cols:
-            self._cols[n] = self.fc.boundary(n).columns(self.p)
+        p_from to those of weight p_to, each indexed within its weight.
+
+        The slices are new dicts, so the cached boundary, which the
+        pairing read first, stays intact when they are reduced."""
         a, b = self._graded(n, p_from)
         lo, hi = self._graded(n - 1, p_to)
         return [
             {i - lo: v for i, v in col.items() if lo <= i < hi}
-            for col in self._cols[n][a:b]
+            for col in self.fc.boundary(n, p=self.p)[a:b]
         ]
 
     def _page_one_entry(self, p, n):

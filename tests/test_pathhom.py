@@ -11,40 +11,43 @@ from sympy.polys.matrices import DomainMatrix
 
 from maghom.chains import KINDS, trail_complex
 from maghom.graphs import digraph, family, point, transitive_tournament
-from maghom.matrices import SparseMatrix, combine, reduce_columns
+from maghom.matrices import combine, reduce_columns
 from maghom.pathhom import _paths, allowed_paths, omega_basis, path_homology
-from test_snf import small_digraphs, snf_rank
+from test_snf import residues, small_digraphs, snf_rank
 
 
 def face_sums(paths, n, stray_only):
     """Face sum from allowed n-paths onto the tuples it hits: full_n, or
-    with stray_only stray_n, its rows on tuples outside A_{n-1}.
+    with stray_only stray_n, its rows on tuples outside A_{n-1}, as
+    (sparse columns, row count).
 
     paths holds the allowed paths of degrees n - 1 and n, as ``_paths``
-    buckets them.  Rows are numbered by first hit.  The differential
-    vanishes on vertices, so n = 0 gives the zero map.
+    buckets them.  Rows are numbered by first hit.  A graph has no loops,
+    so the faces of one path are distinct.  The differential vanishes on
+    vertices, so n = 0 gives the zero map.
     """
     allowed = set(paths.get((n - 1, n - 1), ())) if stray_only else ()
-    cells = paths.get((n, n), ())
     index = {}
-    entries = {}
-    for j, path in enumerate(cells if n > 0 else ()):
-        for i in range(len(path)):
+    cols = []
+    for path in paths.get((n, n), ()):
+        col = {}
+        for i in range(len(path) if n > 0 else 0):
             face = path[:i] + path[i + 1 :]
             if face not in allowed:
-                key = (index.setdefault(face, len(index)), j)
-                entries[key] = entries.get(key, 0) + (-1) ** i
-    return SparseMatrix(len(index), len(cells), entries)
+                col[index.setdefault(face, len(index))] = (-1) ** i
+        cols.append(col)
+    return cols, len(index)
 
 
 def four_rank_homology(paths, top, rank, reduced, n_vertices):
     """rank H_n = |A_n| - rank full_n - rank full_{n+1} + rank stray_{n+1},
-    with each rank taken by rank(matrix) of its own face-sum matrix."""
+    with each rank taken by rank(columns, row count) of its own face-sum
+    matrix."""
     full = {0: 1 if reduced and n_vertices else 0}
     stray = {}
     for n in range(1, top + 2):
-        full[n] = rank(face_sums(paths, n, stray_only=False))
-        stray[n] = rank(face_sums(paths, n, stray_only=True))
+        full[n] = rank(*face_sums(paths, n, stray_only=False))
+        stray[n] = rank(*face_sums(paths, n, stray_only=True))
     want = {}
     for n in range(top + 1):
         h = len(paths.get((n, n), ())) - full[n] - full[n + 1] + stray[n + 1]
@@ -159,7 +162,7 @@ def test_omega_basis_columns_are_independent_and_in_the_kernel(p):
     for G in small_graphs():
         for strong in (False, True):
             for n in range(4):
-                stray = face_sums(_paths(G, n, strong), n, stray_only=True).columns(p)
+                stray = residues(face_sums(_paths(G, n, strong), n, stray_only=True)[0], p)
                 basis = omega_basis(G, n, strong, p)
                 assert all(z and combine(stray, z, p) == {} for z in basis)
                 lows = [max(z) for z in basis]
@@ -321,7 +324,7 @@ def test_four_rank_formula_matches_oracle_on_random_digraphs(G, strong, field):
     # dim Omega_n = |A_n| - rank stray_n, the identity the formula rests on
     for n in range(top + 2):
         stray = face_sums(_paths(G, n, strong), n, stray_only=True)
-        rank = snf_rank(stray, p)
+        rank = snf_rank(*stray, p)
         want = len(allowed_paths(G, n, strong)) - rank
         assert want == dims[n] == len(omega_basis(G, n, strong, p)), (n, p)
 
@@ -331,8 +334,8 @@ def two_matrix_homology(G, kmax, strong, p, reduced):
     separately in every degree, without clearing."""
     top = min(kmax, G.n - 1) if strong else kmax
 
-    def rank(mat):
-        return len(reduce_columns(mat.columns(p), p)[0])
+    def rank(cols, nrows):
+        return len(reduce_columns(residues(cols, p), p)[0])
 
     return four_rank_homology(_paths(G, top + 1, strong), top, rank, reduced, G.n)
 

@@ -14,7 +14,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from maghom.chains import trail_complex
 from maghom.graphs import digraph
-from maghom.matrices import SparseMatrix, _dense_snf, pivot_pairs
+from maghom.matrices import _dense_snf, pivot_pairs
 from test_chains import dense
 
 
@@ -28,32 +28,43 @@ def oracle_divisors(rows):
     return tuple(sorted(divs))
 
 
-def as_sparse(rows):
-    mat = SparseMatrix(len(rows), len(rows[0]) if rows else 0)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                mat.add_at(i, j, v)
-    return mat
+def as_columns(rows):
+    """Sparse columns {row: value} of a dense list of rows."""
+    ncols = len(rows[0]) if rows else 0
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
 
 
-def smith_divisors(mat):
-    """Nonzero Smith divisors of a SparseMatrix, in divisibility order."""
-    return pivot_pairs(mat.columns(), "Z")[1]
+def residues(cols, p):
+    """New copies of integer columns, entries mod p when p is set."""
+    if not p:
+        return [dict(col) for col in cols]
+    return [{i: v % p for i, v in col.items() if v % p} for col in cols]
+
+
+def smith_divisors(cols, nrows):
+    """Nonzero Smith divisors of the integer matrix with nrows rows and
+    these sparse columns, in divisibility order.
+
+    The reduction changes its columns in place, so it gets copies; cols
+    may be a cached boundary.
+    """
+    assert all(0 <= i < nrows for col in cols for i in col)
+    return pivot_pairs(residues(cols, None), "Z")[1]
 
 
 def snf(rows):
     """(Smith divisors, rank) of a dense list of rows."""
-    divisors = smith_divisors(as_sparse(rows))
+    divisors = smith_divisors(as_columns(rows), len(rows))
     return divisors, len(divisors)
 
 
-def snf_rank(mat, p=None):
-    """Rank of a SparseMatrix over Q, or over F_p, read off its Smith divisors.
+def snf_rank(cols, nrows, p=None):
+    """Rank over Q, or over F_p, of an integer matrix given as sparse
+    columns, read off its Smith divisors.
 
     Over F_p the rank is the number of divisors p does not divide.
     """
-    return sum(1 for d in smith_divisors(mat) if p is None or d % p)
+    return sum(1 for d in smith_divisors(cols, nrows) if p is None or d % p)
 
 
 def test_fixed_cases():
@@ -120,15 +131,15 @@ def test_rank_z_matches_snf():
     for _ in range(20):
         rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
         _, rank = snf(rows)
-        assert snf_rank(as_sparse(rows)) == rank == sympy.Matrix(rows).rank()
+        assert snf_rank(as_columns(rows), len(rows)) == rank == sympy.Matrix(rows).rank()
 
 
 def test_rank_mod_p():
     # rank drops mod 2 but not mod 3
-    mat = as_sparse([[2, 0], [0, 1]])
-    assert snf_rank(mat) == 2
-    assert snf_rank(mat, 2) == 1
-    assert snf_rank(mat, 3) == 2
+    cols = as_columns([[2, 0], [0, 1]])
+    assert snf_rank(cols, 2) == 2
+    assert snf_rank(cols, 2, 2) == 1
+    assert snf_rank(cols, 2, 3) == 2
 
 
 def test_rank_mod_p_against_sympy():
@@ -140,7 +151,7 @@ def test_rank_mod_p_against_sympy():
             dm = sympy.polys.matrices.DomainMatrix(
                 [[gf(v) for v in row] for row in rows], (4, 4), gf
             )
-            assert snf_rank(as_sparse(rows), p) == dm.rank()
+            assert snf_rank(as_columns(rows), len(rows), p) == dm.rank()
 
 
 @st.composite
@@ -211,7 +222,7 @@ def planted_matrices(draw):
 @given(planted_matrices())
 def test_planted_divisors_match_sympy(planted):
     rows, divisors = planted
-    assert smith_divisors(as_sparse(rows)) == oracle_divisors(rows) == divisors
+    assert smith_divisors(as_columns(rows), len(rows)) == oracle_divisors(rows) == divisors
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,10 +243,11 @@ def small_digraphs(draw, max_n=5):
     return digraph(n, [e for e, kept in zip(pairs, keep) if kept])
 
 
-def domain_rank(mat, domain):
-    """Rank of a SparseMatrix over a sympy domain (QQ or a finite field)."""
-    rows = [[domain(v) for v in row] for row in dense(mat)]
-    return DomainMatrix(rows, (mat.nrows, mat.ncols), domain).rank()
+def domain_rank(cols, nrows, domain):
+    """Rank over a sympy domain (QQ or a finite field) of the matrix with
+    nrows rows and these sparse columns."""
+    rows = [[domain(v) for v in row] for row in dense(cols, nrows)]
+    return DomainMatrix(rows, (nrows, len(cols)), domain).rank()
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,8 +259,8 @@ def domain_rank(mat, domain):
 def test_boundary_ranks_match_sympy(G, kind, p):
     complex_ = trail_complex(G, kind, None if kind == "eulerian" else 3)
     for k, l in complex_.graded_counts():
-        mat = complex_.boundary(k, l)
-        if not (mat.nrows and mat.ncols):
+        cols, nrows = complex_.boundary(k, l), complex_.dim(k - 1, l)
+        if not (nrows and cols):
             continue
-        assert snf_rank(mat) == domain_rank(mat, sympy.QQ), (k, l)
-        assert snf_rank(mat, p) == domain_rank(mat, sympy.GF(p)), (k, l, p)
+        assert snf_rank(cols, nrows) == domain_rank(cols, nrows, sympy.QQ), (k, l)
+        assert snf_rank(cols, nrows, p) == domain_rank(cols, nrows, sympy.GF(p)), (k, l, p)

@@ -8,14 +8,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
+from test_chains import dense
 from test_snf import small_digraphs
 
 from maghom import spectral
+from maghom.chains import FilteredComplex, trail_complex
 from maghom.graphs import digraph, family, transitive_tournament
 from maghom.homology import chain_homology, homology_table
 from maghom.matrices import reduce_column
 from maghom.pathhom import path_homology
 from maghom.spectral import (
+    SpectralSequence,
     _compose as compose,
     diagonal_convergence,
     mpss,
@@ -194,11 +197,6 @@ CYCLE_4_TRUNCATED_PAGES = {
 }
 
 
-def dense(cols, nrows):
-    """Row lists of a matrix given as sparse columns {row: coeff}."""
-    return [[col.get(i, 0) for col in cols] for i in range(nrows)]
-
-
 def matrix_rank(rows, p):
     """Rank over Q (p None) or F_p, by sympy."""
     if not rows or not rows[0]:
@@ -304,17 +302,18 @@ def top_down_pairing(ss):
     maps, births, deaths and unpaired cells first, deaths alone second.
 
     Degrees run from the top down; a cell already paired as a birth is a
-    cycle, so its column is skipped.
+    cycle, so its column is skipped.  The boundary columns are the cached
+    ones the pairing reads, so each is reduced as a copy.
     """
     ends, deaths = defaultdict(Counter), defaultdict(Counter)
     births = ()
     for n in range(ss.fc.top_degree, -1, -1):
         w_here, w_below = ss.fc.weights(n), ss.fc.weights(n - 1)
         pivots = {}
-        for j, col in enumerate(ss.fc.boundary(n).columns(ss.p)):
+        for j, col in enumerate(ss.fc.boundary(n, p=ss.p)):
             if j in births:
                 continue
-            col, _ = reduce_column(col, pivots, ss.p)
+            col, _ = reduce_column(dict(col), pivots, ss.p)
             if not col:
                 ends[(w_here[j], n)][inf] += 1
                 continue
@@ -341,3 +340,29 @@ def test_pairing_matches_the_top_down_reduction(G, ring, l_max):
     # l_max None is the regular sequence, an integer the ordinary one
     ss = rmpss(G, ring) if l_max is None else mpss(G, l_max, ring)
     assert ss._pairing() == top_down_pairing(ss)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([family("cycle", 5), family("complete", 4)]),
+        small_digraphs(max_n=5),
+    )
+)
+def test_readers_leave_the_cached_boundaries_intact(G):
+    # homology, the pairing and the page-one maps all read the shared
+    # columns FilteredComplex.boundary caches; a reader that reduces them
+    # in place would leave them unequal to freshly built ones
+    fc = trail_complex(G)
+    for ring in ("Z", "Q", "Fp:2", "Fp:3"):
+        chain_homology(fc, ring)
+        for l in sorted({l for _, l in fc.buckets}):
+            chain_homology(fc, ring, weight=l)
+    for ring in ("Q", "Fp:2", "Fp:3"):
+        ss = SpectralSequence(fc, ring)
+        for p, n in ss.page(1):
+            ss.differential(p, n)
+    fresh = FilteredComplex(fc.buckets, fc.dist)
+    assert fc._boundaries
+    for (k, w, p), cols in fc._boundaries.items():
+        assert cols == fresh.boundary(k, w, p), (k, w, p)
