@@ -19,9 +19,14 @@ steps add up to the distance they shortcut.  The graded piece at one
 length, the magnitude differential, keeps only those deletions; faces
 with a repeated consecutive pair always change length, and quotient
 faces that land on all-distinct tuples are dropped.
-``FilteredComplex.boundary`` builds either one as a list of sparse
-columns {row: coeff}, the one form every reduction in the package reads,
-and caches it per (degree, weight, modulus).
+``FilteredComplex.coboundary`` is the one face-sum loop.  It walks the
+cells one degree up once and writes each face's sign into that face's
+column, building either differential anti-transposed, as the list of
+sparse columns {row: coeff} that the coboundary pass reduces in place;
+the interior test reads a table of geodesic triples made once per
+complex from the metric.  Its columns are new on every call.
+``FilteredComplex.boundary`` is their anti-transpose, cached per
+(degree, weight, modulus) for the readers that read it more than once.
 
 At fixed length the differential deletes interior entries only, so each
 graded piece splits by first vertex, and an automorphism taking a to b
@@ -159,7 +164,8 @@ class FilteredComplex:
 
     buckets maps (degree, weight) to the sorted cells there; dist, when
     given, is the metric the weights are lengths in, and makes
-    boundary(k, weight) the graded piece of the trail differential.
+    coboundary(k, weight) and boundary(k, weight) graded pieces of the
+    trail differential.
     Cells of one degree are ordered by (weight, cell), so every
     filtration stage is a coordinate prefix.
     """
@@ -169,6 +175,7 @@ class FilteredComplex:
         self.dist = dist
         self._degrees = {}
         self._boundaries = {}
+        self._geo = None
 
     def _degree(self, k):
         """All cells of degree k in (weight, cell) order, with their weights."""
@@ -215,47 +222,82 @@ class FilteredComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * len(cells) for (k, _), cells in self.buckets.items())
 
-    def boundary(self, k, weight=None, p=None):
-        """Differential out of degree k, or out of its graded piece at
-        weight, as sparse columns {row: coeff}, one per degree-k cell,
-        with entries mod p when p is set.
+    def _geodesics(self):
+        """geo[a][c][b]: whether b lies on a geodesic from a to c, that is
+        d(a, b) + d(b, c) = d(a, c), read once from dist."""
+        if self._geo is None:
+            into = tuple(zip(*self.dist))  # into[c][b] = d(b, c)
+            self._geo = [
+                [
+                    tuple(ab + bc == ac for ab, bc in zip(row, into[c]))
+                    for c, ac in enumerate(row)
+                ]
+                for row in self.dist
+            ]
+        return self._geo
+
+    def coboundary(self, k, weight=None, p=None):
+        """Differential into degree k + 1, or into its graded piece at
+        weight, anti-transposed: sparse columns {row: coeff}, one per
+        degree-k cell, with columns and rows both in reversed cell order,
+        entries mod p when p is set.
 
         With weight and dist, the graded piece of a trail complex: an
-        interior entry is deleted only when its two steps add up to the
-        distance they shortcut, and faces outside the codomain are
-        dropped.  Otherwise the full face sum: faces repeating a vertex
-        consecutively are degenerate and dropped, and every other face
-        must be a cell.  Consecutive entries of a cell are distinct, so
-        its faces are too.  The list is cached and shared: a caller that
-        reduces columns in place reduces copies.
+        interior entry is deleted only when it lies on a geodesic between
+        its neighbours, and faces outside the codomain are dropped.
+        Otherwise the full face sum: faces repeating a vertex consecutively
+        are degenerate and dropped, and every other face must be a cell.
+        Each degree-(k + 1) cell is walked once and writes the sign of each
+        face into that face's column; consecutive entries of a cell are
+        distinct, so its faces are too.  The columns are new on every call
+        and belong to the caller.
         """
-        key = (k, weight, p)
-        if key in self._boundaries:
-            return self._boundaries[key]
-        index = {t: i for i, t in enumerate(self.cells(k - 1, weight))}
+        faces = self.cells(k, weight)
+        top = len(faces) - 1
+        index = {t: top - i for i, t in enumerate(faces)}
+        cols = [{} for _ in faces]
         sign = (1, p - 1) if p else (1, -1)
-        dist = None if weight is None else self.dist
-        cols = []
-        for t in self.cells(k, weight):
-            col = {}
-            if dist is not None:
+        cofaces = self.cells(k + 1, weight)
+        row = len(cofaces)
+        if weight is not None and self.dist is not None:
+            geo = self._geodesics()
+            for t in cofaces:
+                row -= 1
                 for i in range(1, len(t) - 1):
-                    a, b, c = t[i - 1], t[i], t[i + 1]
-                    if dist[a][b] + dist[b][c] == dist[a][c]:
-                        row = index.get(t[:i] + t[i + 1 :])
-                        if row is not None:
-                            col[row] = sign[i % 2]
-            else:
+                    if geo[t[i - 1]][t[i + 1]][t[i]]:
+                        col = index.get(t[:i] + t[i + 1 :])
+                        if col is not None:
+                            cols[col][row] = sign[i % 2]
+        else:
+            for t in cofaces:
+                row -= 1
                 for i in range(len(t) if len(t) > 1 else 0):
                     face = t[:i] + t[i + 1 :]
-                    row = index.get(face)
-                    if row is not None:
-                        col[row] = sign[i % 2]
+                    col = index.get(face)
+                    if col is not None:
+                        cols[col][row] = sign[i % 2]
                     elif all(a != b for a, b in zip(face, face[1:])):
                         raise GraphError(f"face {face} of {t} is missing")
-            cols.append(col)
-        self._boundaries[key] = cols
         return cols
+
+    def boundary(self, k, weight=None, p=None):
+        """Differential out of degree k, or out of its graded piece at
+        weight, as sparse columns {row: coeff}, one per degree-k cell, in
+        cell order: the anti-transpose of coboundary(k - 1, weight, p).
+
+        For readers that read it more than once; the list is cached and
+        shared, so a caller that reduces columns in place reduces copies.
+        """
+        key = (k, weight, p)
+        if key not in self._boundaries:
+            co = self.coboundary(k - 1, weight, p)
+            top_row, top_col = len(co) - 1, self.dim(k, weight) - 1
+            cols = [{} for _ in range(top_col + 1)]
+            for c, col in enumerate(co):
+                for r, v in col.items():
+                    cols[top_col - r][top_row - c] = v
+            self._boundaries[key] = cols
+        return self._boundaries[key]
 
     def __eq__(self, other):
         """Same cells in every degree; weights are not compared."""

@@ -4,8 +4,9 @@ One loop, ``coboundary_pass``, serves every ``chains.FilteredComplex``
 in the package: a graded piece of a trail complex (one column of a
 homology table), the total complex of injective words or of the
 truncated nerve, and a flag complex.  It is one bottom-up pass of
-coboundary column reductions with clearing, mod p over F_p and
-fraction-free in integers over Q and Z, and it yields each degree's
+coboundary column reductions with clearing, in place on the columns
+``FilteredComplex.coboundary`` builds for each degree, mod p over F_p
+and fraction-free in integers over Q and Z, and it yields each degree's
 pivot pairs and Smith divisors.  ``chain_homology`` reads the ranks and
 torsion off the divisors; the spectral sequences read their persistence
 pairing off the pairs of the whole total complex.  Over Z only pivots
@@ -22,8 +23,9 @@ complex against these tables, compares two different matrices.
 
 ``les_verify`` checks the long exact sequence at one length.  Its cycle
 bases are the kernel columns of one sparse column reduction per boundary
-(``matrices.reduce_columns``), and each map rank is the number of pivots
-its images add to the reduction of the boundaries.
+(``matrices.reduce_columns``), from the top degree down with clearing,
+and each map rank is the number of pivots its images add to the
+reduction of the boundaries.
 """
 
 from __future__ import annotations
@@ -164,9 +166,10 @@ def coboundary_pass(complex_, ring, weight=None):
     """Yield (k, pairs, divisors) for each degree k, from one bottom-up
     pass of coboundary reductions with clearing.
 
-    Degree k reduces the anti-transpose of boundary(k + 1, weight, p) with
+    Degree k reduces coboundary(k, weight, p) in place with
     ``matrices.pivot_pairs``: columns are the degree-k cells and rows the
-    degree-(k + 1) cells, both in reversed order.  A column whose index
+    degree-(k + 1) cells, both in reversed order, built fresh for this
+    pass and dropped once the degree is reduced.  A column whose index
     was a lowest row of degree k - 1 is a coboundary there, so it is
     skipped (Bauer, *Ripser*, J. Appl. Comput. Topol. 2021).  pairs lists
     (birth, death) per pivot, the index of its degree-k cell and of the
@@ -184,13 +187,8 @@ def coboundary_pass(complex_, ring, weight=None):
             cleared = {}
             yield k, [], ()
             continue
-        down = complex_.boundary(k + 1, weight, p)
-        top_row, top_col = complex_.dim(k, weight) - 1, len(down) - 1
-        cols = [{} for _ in range(top_row + 1)]
-        for c, col in enumerate(down):
-            for r, v in col.items():
-                cols[top_row - r][top_col - c] = v
-        cleared, divisors = pivot_pairs(cols, ring, skip=cleared)
+        top_row, top_col = complex_.dim(k, weight) - 1, complex_.dim(k + 1, weight) - 1
+        cleared, divisors = pivot_pairs(complex_.coboundary(k, weight, p), ring, skip=cleared)
         pairs = [(top_row - j, top_col - low) for low, j in cleared.items()]
         yield k, pairs, divisors
 
@@ -308,19 +306,23 @@ def les_verify(G, l):
     exactness identities the ranks must satisfy.  Cycle bases are the V
     columns of the zero columns in the column reduction of each boundary;
     every map rank comes from chain-level images, never from the
-    exactness identities.  Each boundary is reduced once: its zero columns
-    give a cycle basis, and its pivots the boundaries a map rank reduces
-    images against.
+    exactness identities.  Each boundary is reduced once, from the top
+    degree down with clearing: its zero columns and the cleared ones,
+    which are boundaries, span the cycles, and its pivots are the
+    boundaries a map rank reduces images against.  A map sends
+    boundaries to boundaries, so the zero columns alone give its rank.
     """
     emx, mx, dmx = (trail_complex(G, kind, l) for kind in KINDS)
     reductions = {}
 
     def reduction(c, k):
-        """(pivots, cycle basis) of the boundary of c out of degree k."""
+        """(pivots, cycle basis) of the boundary of c out of degree k,
+        cleared by the lowest rows of the reduction one degree up."""
         key = (id(c), k)
         if key not in reductions:
+            skip = reduction(c, k + 1)[0] if c.dim(k + 1, l) else ()
             cols = [dict(col) for col in c.boundary(k, l)]
-            reductions[key] = reduce_columns(cols, record=True)
+            reductions[key] = reduce_columns(cols, skip=skip, record=True)
         return reductions[key]
 
     def cycles(c, k):
@@ -334,7 +336,7 @@ def les_verify(G, l):
     r_incl = {}
     r_proj = {}
     r_conn = {}
-    for k in range(l + 1):
+    for k in range(l, -1, -1):
         emc, mc, dmc = emx.cells(k, l), mx.cells(k, l), dmx.cells(k, l)
         mc_index = {t: i for i, t in enumerate(mc)}
         dmc_index = {t: i for i, t in enumerate(dmc)}
@@ -370,7 +372,7 @@ def les_verify(G, l):
                 images.append({lower_index[lower[i]]: v for i, v in pushed.items()})
             r_conn[k] = _map_rank(images, reduction(emx, k)[0])
         for c in (emx, mx, dmx):
-            reductions.pop((id(c), k), None)  # no later degree reads it
+            reductions.pop((id(c), k + 1), None)  # no later degree reads it
 
     checks = []
     failures = []
@@ -390,9 +392,9 @@ def les_verify(G, l):
         "eulerian": e,
         "ordinary": m,
         "discriminant": d,
-        "rank_inclusion": {k: v for k, v in r_incl.items() if v},
-        "rank_projection": {k: v for k, v in r_proj.items() if v},
-        "rank_connecting": {k: v for k, v in r_conn.items() if v},
+        "rank_inclusion": {k: r_incl[k] for k in range(l + 1) if r_incl[k]},
+        "rank_projection": {k: r_proj[k] for k in range(l + 1) if r_proj[k]},
+        "rank_connecting": {k: r_conn[k] for k in range(l + 1) if r_conn[k]},
         "checks": checks,
         "failures": failures,
         "exact": not failures,

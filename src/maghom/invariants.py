@@ -2,7 +2,8 @@
 
 The regular magnitude polynomial counts all-distinct trails with signs,
 so it is exact and finite; the ordinary magnitude series has to be
-truncated at a length cap.  The remaining operations are classifiers
+truncated at a length cap, and is counted from the distance matrix
+without building a trail.  The remaining operations are classifiers
 and metrics: diagonality of the homology tables, the girth bound on
 subdiagonal vanishing, the network of connected spanning subgraphs of
 K_n with its path metric, and the extremal girth number gamma(n, s).
@@ -19,6 +20,7 @@ from .errors import GraphError, ResourceCapError
 from .graphs import (
     canonical_form,
     connected_graph_classes,
+    distance_matrix,
     girth,
     is_weakly_connected,
 )
@@ -72,25 +74,40 @@ class Polynomial:
         return " ".join(parts) if parts else "0"
 
 
-def _signed_counts(G, kind, l_max=None):
-    """Signed trail counts by length, one representative summand per vertex orbit."""
-    by_degree = {}
-    for size, complex_ in orbit_summands(G, kind, l_max):
-        for (k, l), cells in complex_.buckets.items():
-            by_degree[l] = by_degree.get(l, 0) + (-1) ** k * size * len(cells)
-    return Polynomial.from_map(by_degree)
-
-
 def regular_magnitude(G):
-    """Exact signed count of all-distinct trails, graded by length."""
-    return _signed_counts(G, "eulerian")
+    """Exact signed count of all-distinct trails, graded by length, from
+    the cells of one representative summand per vertex orbit."""
+    by_length = {}
+    for size, complex_ in orbit_summands(G, "eulerian"):
+        for (k, l), cells in complex_.buckets.items():
+            by_length[l] = by_length.get(l, 0) + (-1) ** k * size * len(cells)
+    return Polynomial.from_map(by_length)
 
 
 def magnitude_series(G, l_max):
-    """Signed trail counts up to the length cap; a truncated series."""
+    """Signed trail counts up to the length cap; a truncated series.
+
+    No trail is built.  The signed count c_l(v) of the trails of length
+    l that end at v satisfies c_0(v) = 1 and, for l > 0,
+    c_l(v) = -sum c_{l - d(u, v)}(u) over u != v with d(u, v) <= l: such
+    a trail is a shorter one ending at u, plus the step from u to v.
+    This is the expansion of the sum of the entries of Z_G(q)^{-1}, with
+    Z_G(q)[u][v] = q^d(u, v) (Leinster, *The magnitude of a graph*, Math.
+    Proc. Camb. Phil. Soc. 2019).
+    """
     if l_max is None or l_max < 0:
         raise GraphError("magnitude series needs a finite degree cap")
-    return _signed_counts(G, "ordinary", l_max)
+    dist = distance_matrix(G)
+    steps = [
+        [(u, row[v]) for u, row in enumerate(dist) if u != v and row[v] != INF]
+        for v in range(G.n)
+    ]
+    counts = [[1] * G.n]
+    for l in range(1, l_max + 1):
+        counts.append(
+            [-sum(counts[l - d][u] for u, d in into if d <= l) for into in steps]
+        )
+    return Polynomial(tuple(sum(c) for c in counts))
 
 
 def is_regularly_diagonal(G):

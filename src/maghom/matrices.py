@@ -2,8 +2,8 @@
 divisor comes from.
 
 A matrix is a list of sparse columns {row: coeff}, zero entries absent,
-as ``chains.FilteredComplex.boundary`` builds them; the reductions here
-change the columns they are given in place.
+as ``chains.FilteredComplex.coboundary`` and ``boundary`` build them;
+the reductions here change the columns they are given in place.
 
 ``reduce_column`` is the standard persistence reduction R = D V
 (Edelsbrunner & Harer, *Computational Topology*, 2010, ch. VII): the

@@ -29,8 +29,8 @@ is the homology of the graded piece at weight p.  The same reduction,
 recording its column operations, gives each entry's representatives,
 and the class coordinates of an image are read off by reducing it
 against those and the boundaries.  The graded boundaries are weight
-blocks sliced from ``FilteredComplex.boundary``, the cached columns the
-pairing read.  A matrix is a list of sparse columns {row: coefficient},
+blocks sliced from ``FilteredComplex.boundary``, built once and cached
+for every entry of page one.  A matrix is a list of sparse columns {row: coefficient},
 one per source class, as ``reduce_columns`` makes them, and maps compose
 with ``matrices.combine``.
 """
@@ -139,8 +139,8 @@ class SpectralSequence:
         """Sparse columns of the degree-n boundary from the cells of weight
         p_from to those of weight p_to, each indexed within its weight.
 
-        The slices are new dicts, so the cached boundary, which the
-        pairing read first, stays intact when they are reduced."""
+        The slices are new dicts, so the cached boundary, which every
+        entry of page one reads, stays intact when they are reduced."""
         a, b = self._graded(n, p_from)
         lo, hi = self._graded(n - 1, p_to)
         return [

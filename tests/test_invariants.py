@@ -4,12 +4,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_snf import small_digraphs
 
 from maghom.errors import GraphError, ResourceCapError
 from maghom.graphs import (
     canonical_form,
     connected_graph_classes,
     digraph,
+    distance_matrix,
     family,
     is_weakly_connected,
     rho,
@@ -66,6 +70,91 @@ def test_series_low_coefficients_count_vertices_and_edges():
         coeffs = p.coefficients + (0,) * 3
         assert coeffs[0] == nv
         assert coeffs[1] == -G.m
+
+
+def enumerated_series(G, l_max):
+    """Signed counts of the trails of length at most l_max, one depth-first
+    walk per trail, as a list of coefficients."""
+    dist = distance_matrix(G)
+    counts = [0] * (l_max + 1)
+
+    def extend(last, length, sign):
+        counts[length] += sign
+        for v, d in enumerate(dist[last]):
+            if v != last and length + d <= l_max:
+                extend(v, length + d, -sign)
+
+    for v in range(G.n):
+        extend(v, 0, 1)
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs(), st.integers(0, 8))
+def test_series_equals_the_enumerated_signed_counts(G, l_max):
+    assert magnitude_series(G, l_max) == Polynomial(tuple(enumerated_series(G, l_max)))
+
+
+def series_product(a, b, top):
+    """Product of two integer power series given as coefficient lists,
+    truncated above q^top."""
+    out = [0] * (top + 1)
+    for i, x in enumerate(a[: top + 1]):
+        if x:
+            for j, y in enumerate(b[: top + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def series_inverse(a, top):
+    """Inverse of an integer power series with constant term +-1,
+    truncated above q^top."""
+    out = [0] * (top + 1)
+    out[0] = a[0]
+    for n in range(1, top + 1):
+        out[n] = -a[0] * sum(a[i] * out[n - i] for i in range(1, min(n, len(a) - 1) + 1))
+    return out
+
+
+def inverse_entry_sum(G, top):
+    """The sum of the entries of Z_G(q)^{-1}, Z_G(q)[u][v] = q^d(u, v) (0
+    when v is out of reach), up to q^top, by Gauss-Jordan elimination over
+    truncated power series.  Z_G(0) is the identity and every pivot keeps
+    constant term 1, so the arithmetic stays in integers."""
+    n = G.n
+    dist = distance_matrix(G)
+    rows = []
+    for u in range(n):
+        row = []
+        for d in dist[u]:
+            entry = [0] * (top + 1)
+            if d <= top:
+                entry[d] = 1
+            row.append(entry)
+        row += [[int(u == v)] + [0] * top for v in range(n)]
+        rows.append(row)
+    for j in range(n):
+        inv = series_inverse(rows[j][j], top)
+        rows[j] = [series_product(inv, x, top) for x in rows[j]]
+        for i in range(n):
+            if i != j and any(rows[i][j]):
+                c = rows[i][j]
+                rows[i] = [
+                    [x - y for x, y in zip(xs, series_product(c, ys, top))]
+                    for xs, ys in zip(rows[i], rows[j])
+                ]
+    return [sum(row[n + v][l] for row in rows for v in range(n)) for l in range(top + 1)]
+
+
+def test_series_is_the_expansion_of_the_inverse_similarity_matrix():
+    # Leinster, *The magnitude of a graph*, 2019: the magnitude is the sum
+    # of the entries of Z_G(q)^{-1}
+    rng = random.Random(7001)
+    for p in (0.2, 0.3, 0.3, 0.45, 0.6):
+        edges = [(u, v) for u in range(7) for v in range(7) if u != v and rng.random() < p]
+        G = digraph(7, edges)
+        want = Polynomial(tuple(inverse_entry_sum(G, 10)))
+        assert magnitude_series(G, 10) == want, edges
 
 
 def test_regular_magnitude_values():

@@ -303,7 +303,7 @@ def top_down_pairing(ss):
 
     Degrees run from the top down; a cell already paired as a birth is a
     cycle, so its column is skipped.  The boundary columns are the cached
-    ones the pairing reads, so each is reduced as a copy.
+    ones page one reads, so each is reduced as a copy.
     """
     ends, deaths = defaultdict(Counter), defaultdict(Counter)
     births = ()
@@ -350,18 +350,22 @@ def test_pairing_matches_the_top_down_reduction(G, ring, l_max):
     )
 )
 def test_readers_leave_the_cached_boundaries_intact(G):
-    # homology, the pairing and the page-one maps all read the shared
-    # columns FilteredComplex.boundary caches; a reader that reduces them
-    # in place would leave them unequal to freshly built ones
+    # the page-one maps read the shared columns FilteredComplex.boundary
+    # caches, and homology and the pairing then reduce coboundary columns
+    # of the same complex in place; a reader that reduced the cached
+    # columns, or coboundary columns that shared them, would leave them
+    # unequal to freshly built ones
     fc = trail_complex(G)
+    for ring in ("Q", "Fp:2", "Fp:3"):
+        ss = SpectralSequence(fc, ring)
+        for p, n in ss.page(1):
+            ss.differential(p, n)
     for ring in ("Z", "Q", "Fp:2", "Fp:3"):
         chain_homology(fc, ring)
         for l in sorted({l for _, l in fc.buckets}):
             chain_homology(fc, ring, weight=l)
     for ring in ("Q", "Fp:2", "Fp:3"):
-        ss = SpectralSequence(fc, ring)
-        for p, n in ss.page(1):
-            ss.differential(p, n)
+        SpectralSequence(fc, ring).page(2)
     fresh = FilteredComplex(fc.buckets, fc.dist)
     assert fc._boundaries
     for (k, w, p), cols in fc._boundaries.items():
