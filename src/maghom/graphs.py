@@ -7,9 +7,9 @@ only make sense for undirected graphs (girth, subgraph networks, ...) can
 insist on it.
 
 Isomorphism and automorphism share one backtracking search, which places
-vertices so that distances are preserved.  ``vertex_orbits`` prunes it
-with colours refined on the distance matrix and merges the cycles of
-every automorphism it confirms.
+vertices so that distances are preserved, each among the vertices of its
+colour refined on the distance matrix.  ``vertex_orbits`` merges the
+cycles of every automorphism it confirms.
 """
 
 from __future__ import annotations
@@ -401,15 +401,6 @@ def is_weakly_connected(G):
 # isomorphism
 
 
-def _degree_profile(G):
-    indeg = [0] * G.n
-    outdeg = [0] * G.n
-    for u, v in G.edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    return indeg, outdeg
-
-
 def _match(G, H, cands):
     """A bijection img of V(G) onto V(H) with img[v] in cands[v] that
     carries distances to distances, or None.
@@ -447,18 +438,19 @@ def _match(G, H, cands):
 
 
 def are_isomorphic(G, H):
-    """Exact digraph isomorphism by backtracking with degree pruning."""
+    """Exact digraph isomorphism by backtracking, each vertex's candidate
+    images drawn from its distance colour class.
+
+    An isomorphism carries each vertex to one of the same colour, since
+    the colours are ranks computed from distances alone; graphs whose
+    sorted colours differ are not isomorphic.
+    """
     if G.n != H.n or G.m != H.m or G.symmetric != H.symmetric:
         return False
-    gi, go = _degree_profile(G)
-    hi, ho = _degree_profile(H)
-    if sorted(zip(gi, go)) != sorted(zip(hi, ho)):
+    gc, hc = _distance_colours(G), _distance_colours(H)
+    if sorted(gc) != sorted(hc):
         return False
-    # candidate images per vertex, filtered by degree pair
-    cands = [
-        [w for w in range(H.n) if (hi[w], ho[w]) == (gi[v], go[v])]
-        for v in range(G.n)
-    ]
+    cands = [[w for w in range(H.n) if hc[w] == gc[v]] for v in range(G.n)]
     return _match(G, H, cands) is not None
 
 

@@ -12,7 +12,7 @@ torsion off the divisors; the spectral sequences read their persistence
 pairing off the pairs of the whole total complex.  Over Z only pivots
 with lowest entry +-1 are taken; the columns that end on another entry
 go to a small dense Smith reduction, whose divisors exceeding 1 are the
-torsion summands (``matrices.pivot_pairs``).
+torsion summands (``matrices.reduce_columns``).
 
 ``homology_table`` reduces each graded piece one vertex orbit of Aut(G)
 at a time, on the summand of trails from the orbit's least vertex
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .chains import KINDS, certified_length_bound, orbit_summands, trail_complex
 from .errors import GraphError
-from .matrices import combine, pivot_pairs, reduce_column, reduce_columns
+from .matrices import combine, reduce_column, reduce_columns
 
 
 def parse_ring(ring):
@@ -167,9 +167,9 @@ def coboundary_pass(complex_, ring, weight=None):
     pass of coboundary reductions with clearing.
 
     Degree k reduces coboundary(k, weight, p) in place with
-    ``matrices.pivot_pairs``: columns are the degree-k cells and rows the
-    degree-(k + 1) cells, both in reversed order, built fresh for this
-    pass and dropped once the degree is reduced.  A column whose index
+    ``matrices.reduce_columns``: columns are the degree-k cells and rows
+    the degree-(k + 1) cells, both in reversed order, built fresh for
+    this pass and dropped once the degree is reduced.  A column whose index
     was a lowest row of degree k - 1 is a coboundary there, so it is
     skipped (Bauer, *Ripser*, J. Appl. Comput. Topol. 2021).  pairs lists
     (birth, death) per pivot, the index of its degree-k cell and of the
@@ -188,8 +188,13 @@ def coboundary_pass(complex_, ring, weight=None):
             yield k, [], ()
             continue
         top_row, top_col = complex_.dim(k, weight) - 1, complex_.dim(k + 1, weight) - 1
-        cleared, divisors = pivot_pairs(complex_.coboundary(k, weight, p), ring, skip=cleared)
-        pairs = [(top_row - j, top_col - low) for low, j in cleared.items()]
+        pivots, _, divisors = reduce_columns(
+            complex_.coboundary(k, weight, p), ring, skip=cleared
+        )
+        pairs = [(top_row - j, top_col - low) for low, (j, _, _) in pivots.items()]
+        # only the lowest rows outlive this degree, not its reduced columns
+        cleared = set(pivots)
+        del pivots
         yield k, pairs, divisors
 
 
@@ -290,9 +295,10 @@ def _map_rank(images, pivots):
     pivots = dict(pivots)
     added = 0
     for image in images:
-        col, _ = reduce_column(dict(image), pivots)
-        if col:
-            pivots[max(col)] = (col, None)
+        col = dict(image)
+        low = reduce_column(col, pivots, "Q")
+        if low is not None:
+            pivots[low] = (None, col, None)
             added += 1
     return added
 
@@ -311,6 +317,9 @@ def les_verify(G, l):
     which are boundaries, span the cycles, and its pivots are the
     boundaries a map rank reduces images against.  A map sends
     boundaries to boundaries, so the zero columns alone give its rank.
+    The homology ranks come from ``chain_homology``, which builds each
+    face sum again as coboundaries, on purpose: they are the side of the
+    exactness identities that owes nothing to these reductions.
     """
     emx, mx, dmx = (trail_complex(G, kind, l) for kind in KINDS)
     reductions = {}
@@ -322,7 +331,7 @@ def les_verify(G, l):
         if key not in reductions:
             skip = reduction(c, k + 1)[0] if c.dim(k + 1, l) else ()
             cols = [dict(col) for col in c.boundary(k, l)]
-            reductions[key] = reduce_columns(cols, skip=skip, record=True)
+            reductions[key] = reduce_columns(cols, "Q", skip=skip, record=True)
         return reductions[key]
 
     def cycles(c, k):

@@ -1,26 +1,25 @@
-"""The column reduction that every rank, basis, coordinate and Smith
-divisor comes from.
+"""The column reduction that every rank, basis, coordinate, persistence
+pair and Smith divisor comes from.
 
 A matrix is a list of sparse columns {row: coeff}, zero entries absent,
 as ``chains.FilteredComplex.coboundary`` and ``boundary`` build them;
-the reductions here change the columns they are given in place.
+the reductions here change the columns they are given in place.  A ring
+is in ``homology.parse_ring``'s form: "Z", "Q" or a prime p, and over
+F_p the entries are in range(p).
 
-``reduce_column`` is the standard persistence reduction R = D V
-(Edelsbrunner & Harer, *Computational Topology*, 2010, ch. VII): the
-lowest entry of a column is cleared against earlier columns with the
-same lowest row.  Over Q it is fraction-free in integers, over F_p in
-integers mod p.  Recording V makes each column that reduces to zero a
-kernel vector, with its own index as lowest entry.  ``eliminate`` is
-the clearing loop alone, before any content is divided out, so an
-integer pivot's lowest entry can be read as it came.
-
-``pivot_pairs`` runs the same reduction over Z, Q or F_p and returns its
-pivot pairs and the Smith divisors of the matrix.  Over Z it takes only
-pivots with lowest entry +-1, so every step is a unimodular column
+``reduce_columns`` is the standard persistence reduction R = D V
+(Edelsbrunner & Harer, *Computational Topology*, 2010, ch. VII), left
+to right: ``reduce_column`` clears the lowest entry of a column against
+earlier columns with the same lowest row.  Over Q and Z it is
+fraction-free in integers, over F_p in integers mod p.  Recording V
+makes each column that reduces to zero a kernel vector, with its own
+index as lowest entry.  The pivots give the persistence pairs, and the
+Smith divisors of the matrix come with them.  Over Z only pivots with
+lowest entry +-1 are taken, so every step is a unimodular column
 operation; the columns that end on another entry are left to a dense
 least-magnitude-pivot Smith reduction, ``_dense_snf``, once the unit
-pivots' rows are cleared from them.  Arithmetic is plain Python int, so there is
-no overflow to manage.
+pivots' rows are cleared from them.  Arithmetic is plain Python int, so
+there is no overflow to manage.
 """
 
 from __future__ import annotations
@@ -54,22 +53,25 @@ def _subtract(col, a, c, piv, p):
             del col[i]
 
 
-def eliminate(col, pivots, p=None, ops=None):
-    """Clear the lowest entry of col against pivots while one matches.
+def reduce_column(col, pivots, ring, ops=None):
+    """Clear the lowest entry of col against pivots while one matches;
+    returns the lowest row left, or None once col is zero.
 
-    col maps rows to nonzero entries (in range(p) mod p) and is changed
-    in place; pivots maps a lowest row to a reduced (column, ops) pair.
+    col maps rows to nonzero entries and is changed in place; pivots maps
+    a lowest row to a (column index, reduced column, V column) triple.
     ops, when given, is col's column of V, {input column: coefficient},
-    and undergoes the same operations.  Over Q the step
-    col <- a * col - c * piv keeps the entries integral; while every
-    pivot's lowest entry is +-1, a is +-1 and each step is an integer
-    column operation.  Returns col.
+    and undergoes the same operations, so the V columns of the pivots
+    must be given too.  Over Z and Q the step col <- a * col - c * piv
+    keeps the entries integral; while every pivot's lowest entry is +-1,
+    a is +-1 and each step is an integer column operation.  Over Q the
+    content common to col and ops is then divided out, in place.
     """
+    p = ring if isinstance(ring, int) else None
     while col:
         low = max(col)
         if low not in pivots:
             break
-        piv, piv_ops = pivots[low]
+        _, piv, piv_ops = pivots[low]
         if p:
             a, c = 1, col[low] * pow(piv[low], -1, p)
         else:
@@ -78,86 +80,57 @@ def eliminate(col, pivots, p=None, ops=None):
         _subtract(col, a, c, piv, p)
         if ops is not None:
             _subtract(ops, a, c, piv_ops, p)
-    return col
-
-
-def reduce_column(col, pivots, p=None, ops=None):
-    """``eliminate``, then over Q the content common to col and ops is
-    divided out.  Returns (col, ops)."""
-    eliminate(col, pivots, p, ops)
-    if not p:
+    else:
+        low = None
+    if ring == "Q":
         g = gcd(*col.values(), *(ops or {}).values())
         if g > 1:
-            col = {i: v // g for i, v in col.items()}
-            if ops:
-                ops = {i: v // g for i, v in ops.items()}
-    return col, ops
+            for part in (col, ops or {}):
+                for i in part:
+                    part[i] //= g
+    return low
 
 
-def reduce_columns(cols, p=None, skip=(), record=False):
-    """Reduce the columns of D left to right; returns (pivots, kernel).
+def reduce_columns(cols, ring, skip=(), record=False):
+    """Reduce the columns of D left to right; returns (pivots, kernel,
+    divisors).
 
-    pivots maps the lowest row of each nonzero reduced column to its
-    (column, ops) pair; kernel lists, in column order, the V columns of
-    the columns that reduced to zero (with record; None otherwise).  A
-    column whose index is in skip is left out.  With skip the lowest rows
-    of the reduced boundary one degree up, this is clearing: those
-    columns are cycles, and kernel holds the remaining ones.
-    """
-    pivots, kernel = {}, []
-    for j, col in enumerate(cols):
-        if j in skip:
-            continue
-        col, ops = reduce_column(col, pivots, p, {j: 1} if record else None)
-        if col:
-            pivots[max(col)] = (col, ops)
-        else:
-            kernel.append(ops)
-    return pivots, kernel
-
-
-def pivot_pairs(cols, ring, skip=()):
-    """Reduce the columns of D left to right; returns (pairs, divisors).
-
-    ring is "Z", "Q" or a prime p, and over F_p the entries are in
-    range(p).  pairs maps the lowest row of each pivot to its column; a
-    column whose index is in skip is left out, which is clearing when
-    skip holds the lowest rows of the reduction one degree down.
-    divisors are the nonzero Smith divisors of D (of D without the
-    skipped columns), in divisibility order; over a field, one 1 per
-    pivot.
+    pivots maps the lowest row of each pivot to its (column index,
+    reduced column, V column) triple, the V column None without record.
+    kernel lists, in column order, the V columns of the columns that
+    reduced to zero (None each without record).  A column whose index is
+    in skip is left out.  With skip the lowest rows of the reduction one
+    degree away, this is clearing: those columns are boundaries or
+    cycles already, and kernel holds the remaining ones.  divisors are
+    the nonzero Smith divisors of D (of D without the skipped columns),
+    in divisibility order; over a field, one 1 per pivot.
 
     Over Z a column that reduces to a lowest entry other than +-1 is set
-    aside and pairs with nothing.  The pivots have no entry below their
-    lowest rows, so clearing each set-aside column's entries in pivot
-    rows, highest row first, is a sequence of unimodular column
+    aside and is neither a pivot nor in kernel.  The pivots have no entry
+    below their lowest rows, so clearing each set-aside column's entries
+    in pivot rows, highest row first, is a sequence of unimodular column
     operations.  Restricted to their rows the pivots are then triangular
     with a +-1 diagonal, and row operations on those rows, which the
     set-aside columns no longer meet, split them off.  The divisors are
     one 1 per pivot followed by those of the set-aside columns.
     """
-    p = ring if isinstance(ring, int) else None
     integral = ring == "Z"
-    pivots, pairs, aside = {}, {}, []
+    pivots, kernel, aside = {}, [], []
     for j, col in enumerate(cols):
-        if j in skip or not col:
+        if j in skip:
             continue
-        if integral:
-            eliminate(col, pivots)
-        else:
-            col, _ = reduce_column(col, pivots, p)
-        if not col:
-            continue
-        low = max(col)
-        if integral and col[low] not in (1, -1):
+        ops = {j: 1} if record else None
+        low = reduce_column(col, pivots, ring, ops) if col else None
+        if low is None:
+            kernel.append(ops)
+        elif integral and col[low] not in (1, -1):
             aside.append(col)
-            continue
-        pivots[low] = (col, None)
-        pairs[low] = j
-    divisors = (1,) * len(pairs)
+        else:
+            pivots[low] = (j, col, ops)
+    divisors = (1,) * len(pivots)
     if aside:
         divisors += _residue_divisors(aside, pivots)
-    return pairs, divisors
+    return pivots, kernel, divisors
 
 
 def _residue_divisors(aside, pivots):
@@ -167,7 +140,7 @@ def _residue_divisors(aside, pivots):
     for col in aside:
         while hits := [i for i in col if i in pivots]:
             low = max(hits)
-            piv = pivots[low][0]
+            piv = pivots[low][1]
             _subtract(col, 1, col[low] * piv[low], piv, None)
         if col:
             residue.append(col)

@@ -79,8 +79,8 @@ def omega_basis(G, n, strong=False, p=None):
     """Basis of Omega_n = ker stray_n: sparse columns {index in
     allowed_paths(G, n, strong): coeff}, by increasing lowest index."""
     cols, base = _face_columns(_paths(G, n, strong), n, p)
-    pivots, kernel = reduce_columns(cols, p, record=True)
-    return sorted(kernel + [v for low, (_, v) in pivots.items() if low < base], key=max)
+    pivots, kernel, _ = reduce_columns(cols, p or "Q", record=True)
+    return sorted(kernel + [v for low, (_, _, v) in pivots.items() if low < base], key=max)
 
 
 def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):
@@ -106,7 +106,7 @@ def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):
     for n in range(top + 1, 0, -1):
         cols, base = _face_columns(paths, n, p)
         # a lowest row one degree up is below its base: an allowed path
-        pivots = reduce_columns(cols, p, skip=cleared)[0]
+        pivots = reduce_columns(cols, p or "Q", skip=cleared)[0]
         full[n] = len(pivots)
         stray[n] = sum(low >= base for low in pivots)
         cleared = set(pivots)

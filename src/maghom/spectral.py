@@ -21,17 +21,19 @@ complex: coboundaries are reduced from degree 0 up with clearing, and
 the pairs are those of the boundary reduction (de Silva, Morozov &
 Vejdemo-Johansson, *Dualities in persistent (co)homology*, Inverse
 Problems 2011).  A cell that is neither a birth nor a death is unpaired.
-The reduction is ``matrices.reduce_column``: sparse, fraction-free over
-Q and mod p over F_p.
+The reduction is the package's one column reduction,
+``matrices.reduce_columns``: sparse, fraction-free over Q and mod p over
+F_p.
 
 Differentials and page maps are matrices of page one, where E_1(p, n)
 is the homology of the graded piece at weight p.  The same reduction,
 recording its column operations, gives each entry's representatives,
 and the class coordinates of an image are read off by reducing it
-against those and the boundaries.  The graded boundaries are weight
-blocks sliced from ``FilteredComplex.boundary``, built once and cached
-for every entry of page one.  A matrix is a list of sparse columns {row: coefficient},
-one per source class, as ``reduce_columns`` makes them, and maps compose
+against those and the boundaries (``matrices.reduce_column``).  The
+graded boundaries are weight blocks sliced from
+``FilteredComplex.boundary``, built once and cached for every entry of
+page one.  A matrix is a list of sparse columns {row: coefficient}, one
+per source class, as ``reduce_columns`` makes them, and maps compose
 with ``matrices.combine``.
 """
 
@@ -59,6 +61,7 @@ class SpectralSequence:
     def __init__(self, filtered, ring="Q"):
         self.fc = filtered
         self.p = parse_field(ring, "spectral sequences need")
+        self.ring = self.p or "Q"
         self._bars = None
         self._page_one = {}
 
@@ -84,7 +87,7 @@ class SpectralSequence:
         if self._bars is None:
             ends, deaths = defaultdict(Counter), defaultdict(Counter)
             dead = set()
-            for n, pairs, _ in coboundary_pass(self.fc, self.p or "Q"):
+            for n, pairs, _ in coboundary_pass(self.fc, self.ring):
                 here, above = self.fc.weights(n), self.fc.weights(n + 1)
                 born = set()
                 for i, j in pairs:
@@ -158,11 +161,11 @@ class SpectralSequence:
         distinct lowest entries: a basis of the cycles of the graded piece.
         """
         if (p, n) not in self._page_one:
-            bounds = reduce_columns(self._columns(n + 1, p, p), self.p)[0]
+            bounds = reduce_columns(self._columns(n + 1, p, p), self.ring)[0]
             here = self._columns(n, p, p)
-            reps = reduce_columns(here, self.p, skip=bounds, record=True)[1]
-            pivots = {low: (col, {}) for low, (col, _) in bounds.items()}
-            pivots.update((max(z), (z, {i: 1})) for i, z in enumerate(reps))
+            reps = reduce_columns(here, self.ring, skip=bounds, record=True)[1]
+            pivots = {low: (j, col, {}) for low, (j, col, _) in bounds.items()}
+            pivots.update((max(z), (i, z, {i: 1})) for i, z in enumerate(reps))
             self._page_one[(p, n)] = (reps, pivots)
         return self._page_one[(p, n)]
 
@@ -177,8 +180,8 @@ class SpectralSequence:
         pivots = self._page_one_entry(p, n)[1]
         cols = []
         for image in images:
-            rest, ops = reduce_column(image, pivots, self.p, {-1: 1})
-            if rest:
+            ops = {-1: 1}
+            if reduce_column(image, pivots, self.ring, ops) is not None:
                 raise ArithmeticError(f"an image in E_1({p},{n}) is not a page-one class")
             # scale * image = -sum ops[i] * rep_i + boundaries; mod p the
             # image is never scaled, so scale is 1

@@ -1,12 +1,16 @@
-"""The sparse column reduction R = D V against sympy and the Smith ranks."""
+"""The sparse column reduction R = D V against sympy, the Smith ranks, and
+the two reductions it replaced."""
 
+from math import gcd
+
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_snf import as_columns, domain_rank, int_matrices, residues, small_digraphs, snf_rank
 
 from maghom.chains import trail_complex
-from maghom.matrices import combine, reduce_columns
+from maghom.matrices import _dense_snf, combine, reduce_columns
 
 FIELDS = st.sampled_from([None, 2, 3])
 
@@ -15,7 +19,7 @@ def check_reduction(mat, nrows, p):
     """Check the reduction of the integer matrix with nrows rows and the
     sparse columns mat, taken mod p; mat may be a cached boundary, so
     the reduction gets copies."""
-    pivots, kernel = reduce_columns(residues(mat, p), p, record=True)
+    pivots, kernel, _ = reduce_columns(residues(mat, p), p or "Q", record=True)
     cols = residues(mat, p)
     domain = sympy.GF(p) if p else sympy.QQ
     rank = domain_rank(mat, nrows, domain) if nrows and mat else 0
@@ -27,7 +31,7 @@ def check_reduction(mat, nrows, p):
         assert combine(cols, z, p) == {}
     assert len({max(z) for z in kernel}) == len(kernel)
     # every reduced column is D times its column of V
-    for low, (col, ops) in pivots.items():
+    for low, (_, col, ops) in pivots.items():
         assert max(col) == low
         assert combine(cols, ops, p) == col
 
@@ -44,3 +48,149 @@ def test_reduction_of_eulerian_boundaries(G, p):
     complex_ = trail_complex(G, "eulerian")
     for k, l in complex_.graded_counts():
         check_reduction(complex_.boundary(k, l), complex_.dim(k - 1, l), p)
+
+
+# References: the two reductions ``reduce_columns`` merged, as they were
+# before, with one ring convention each: ``ref_reduce_columns`` took a
+# modulus or None for Q and recorded V, ``ref_pivot_pairs`` took "Z", "Q"
+# or p and returned pairs {lowest row: column} and Smith divisors.
+
+
+def ref_subtract(col, a, c, piv, p):
+    if a != 1:
+        for i in col:
+            col[i] *= a
+    for i, v in piv.items():
+        x = col.get(i, 0) - c * v
+        if p:
+            x %= p
+        if x:
+            col[i] = x
+        else:
+            del col[i]
+
+
+def ref_eliminate(col, pivots, p=None, ops=None):
+    while col:
+        low = max(col)
+        if low not in pivots:
+            break
+        piv, piv_ops = pivots[low]
+        if p:
+            a, c = 1, col[low] * pow(piv[low], -1, p)
+        else:
+            g = gcd(piv[low], col[low])
+            a, c = piv[low] // g, col[low] // g
+        ref_subtract(col, a, c, piv, p)
+        if ops is not None:
+            ref_subtract(ops, a, c, piv_ops, p)
+    return col
+
+
+def ref_reduce_column(col, pivots, p=None, ops=None):
+    ref_eliminate(col, pivots, p, ops)
+    if not p:
+        g = gcd(*col.values(), *(ops or {}).values())
+        if g > 1:
+            col = {i: v // g for i, v in col.items()}
+            if ops:
+                ops = {i: v // g for i, v in ops.items()}
+    return col, ops
+
+
+def ref_reduce_columns(cols, p=None, skip=(), record=False):
+    pivots, kernel = {}, []
+    for j, col in enumerate(cols):
+        if j in skip:
+            continue
+        col, ops = ref_reduce_column(col, pivots, p, {j: 1} if record else None)
+        if col:
+            pivots[max(col)] = (col, ops)
+        else:
+            kernel.append(ops)
+    return pivots, kernel
+
+
+def ref_pivot_pairs(cols, ring, skip=()):
+    p = ring if isinstance(ring, int) else None
+    integral = ring == "Z"
+    pivots, pairs, aside = {}, {}, []
+    for j, col in enumerate(cols):
+        if j in skip or not col:
+            continue
+        if integral:
+            ref_eliminate(col, pivots)
+        else:
+            col, _ = ref_reduce_column(col, pivots, p)
+        if not col:
+            continue
+        low = max(col)
+        if integral and col[low] not in (1, -1):
+            aside.append(col)
+            continue
+        pivots[low] = (col, None)
+        pairs[low] = j
+    divisors = (1,) * len(pairs)
+    if aside:
+        divisors += ref_residue_divisors(aside, pivots)
+    return pairs, divisors
+
+
+def ref_residue_divisors(aside, pivots):
+    residue = []
+    for col in aside:
+        while hits := [i for i in col if i in pivots]:
+            low = max(hits)
+            piv = pivots[low][0]
+            ref_subtract(col, 1, col[low] * piv[low], piv, None)
+        if col:
+            residue.append(col)
+    rows = sorted({i for col in residue for i in col})
+    return tuple(_dense_snf([[col.get(i, 0) for col in residue] for i in rows]))
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """(columns, skip): sparse integer columns, mostly zero and +-1, with
+    a planted entry that is not a unit, and a random set of skipped
+    column indices."""
+    nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -3])
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    i, j = draw(st.integers(0, nr - 1)), draw(st.integers(0, nc - 1))
+    rows[i][j] = draw(st.sampled_from([2, -2, 3, 4, -6]))
+    skip = draw(st.sets(st.integers(0, nc - 1), max_size=nc // 2))
+    return as_columns(rows), skip
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("ring", ["Z", "Q", 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(matrix=sparse_int_matrices())
+def test_reduction_matches_the_two_it_replaced(matrix, ring, record):
+    mat, skip = matrix
+    p = ring if isinstance(ring, int) else None
+    pivots, kernel, divisors = reduce_columns(residues(mat, p), ring, skip, record)
+    ref_cols = residues(mat, p)
+    pairs, ref_divisors = ref_pivot_pairs(ref_cols, ring, skip)
+    assert {low: j for low, (j, _, _) in pivots.items()} == pairs
+    assert divisors == ref_divisors
+    if ring == "Z":
+        # the reference reduces its pivot columns in place, to the same
+        # columns; it records no V, so V is checked as R = D V
+        assert {low: col for low, (_, col, _) in pivots.items()} == {
+            low: ref_cols[j] for low, j in pairs.items()
+        }
+        cols = residues(mat, p)
+        if record:
+            for low, (_, col, ops) in pivots.items():
+                assert combine(cols, ops) == col
+            for z in kernel:
+                assert combine(cols, z) == {}
+            assert len({max(z) for z in kernel}) == len(kernel)
+        else:
+            assert set(kernel) <= {None}
+    else:
+        ref_pivots, ref_kernel = ref_reduce_columns(residues(mat, p), p, skip, record)
+        assert {low: (col, ops) for low, (_, col, ops) in pivots.items()} == ref_pivots
+        assert kernel == ref_kernel

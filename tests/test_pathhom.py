@@ -335,7 +335,7 @@ def two_matrix_homology(G, kmax, strong, p, reduced):
     top = min(kmax, G.n - 1) if strong else kmax
 
     def rank(cols, nrows):
-        return len(reduce_columns(residues(cols, p), p)[0])
+        return len(reduce_columns(residues(cols, p), p or "Q")[0])
 
     return four_rank_homology(_paths(G, top + 1, strong), top, rank, reduced, G.n)
 

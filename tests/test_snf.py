@@ -1,4 +1,5 @@
-"""Smith divisors of ``matrices.pivot_pairs`` against sympy's Smith normal form.
+"""Smith divisors of ``matrices.reduce_columns`` over Z against sympy's
+Smith normal form.
 
 The helpers apply it to whole matrices as given, untransposed and with
 no column cleared, so they reduce different matrices from the ones the
@@ -14,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from maghom.chains import trail_complex
 from maghom.graphs import digraph
-from maghom.matrices import _dense_snf, pivot_pairs
+from maghom.matrices import _dense_snf, reduce_columns
 from test_chains import dense
 
 
@@ -49,7 +50,7 @@ def smith_divisors(cols, nrows):
     may be a cached boundary.
     """
     assert all(0 <= i < nrows for col in cols for i in col)
-    return pivot_pairs(residues(cols, None), "Z")[1]
+    return reduce_columns(residues(cols, None), "Z")[2]
 
 
 def snf(rows):
@@ -180,7 +181,7 @@ def test_snf_matches_sympy_property(rows):
 @settings(max_examples=80, deadline=None)
 @given(int_matrices())
 def test_dense_snf_returns_a_divisor_chain(rows):
-    # pivot_pairs relies on this: it puts its unit pivots in front of the
+    # reduce_columns relies on this: it puts its unit pivots in front of the
     # dense divisors and returns them as they come
     divs = _dense_snf(rows)
     assert all(d > 0 for d in divs)

@@ -313,12 +313,12 @@ def top_down_pairing(ss):
         for j, col in enumerate(ss.fc.boundary(n, p=ss.p)):
             if j in births:
                 continue
-            col, _ = reduce_column(dict(col), pivots, ss.p)
-            if not col:
+            col = dict(col)
+            low = reduce_column(col, pivots, ss.p or "Q")
+            if low is None:
                 ends[(w_here[j], n)][inf] += 1
                 continue
-            low = max(col)
-            pivots[low] = (col, None)
+            pivots[low] = (j, col, None)
             b, d = w_below[low], w_here[j]
             ends[(b, n - 1)][d - b] += 1
             ends[(d, n)][d - b] += 1
