@@ -26,7 +26,8 @@ sparse columns {row: coeff} that the coboundary pass reduces in place;
 the interior test reads a table of geodesic triples made once per
 complex from the metric.  Its columns are new on every call.
 ``FilteredComplex.boundary`` is their anti-transpose, cached per
-(degree, weight, modulus) for the readers that read it more than once.
+(degree, weight) for the readers that read it more than once.  Entries
+are +-1 whatever the ring; ``matrices`` reads them mod p over F_p.
 
 At fixed length the differential deletes interior entries only, so each
 graded piece splits by first vertex, and an automorphism taking a to b
@@ -236,11 +237,10 @@ class FilteredComplex:
             ]
         return self._geo
 
-    def coboundary(self, k, weight=None, p=None):
+    def coboundary(self, k, weight=None):
         """Differential into degree k + 1, or into its graded piece at
-        weight, anti-transposed: sparse columns {row: coeff}, one per
-        degree-k cell, with columns and rows both in reversed cell order,
-        entries mod p when p is set.
+        weight, anti-transposed: sparse columns {row: +-1}, one per
+        degree-k cell, with columns and rows both in reversed cell order.
 
         With weight and dist, the graded piece of a trail complex: an
         interior entry is deleted only when it lies on a geodesic between
@@ -256,7 +256,7 @@ class FilteredComplex:
         top = len(faces) - 1
         index = {t: top - i for i, t in enumerate(faces)}
         cols = [{} for _ in faces]
-        sign = (1, p - 1) if p else (1, -1)
+        sign = (1, -1)
         cofaces = self.cells(k + 1, weight)
         row = len(cofaces)
         if weight is not None and self.dist is not None:
@@ -280,17 +280,17 @@ class FilteredComplex:
                         raise GraphError(f"face {face} of {t} is missing")
         return cols
 
-    def boundary(self, k, weight=None, p=None):
+    def boundary(self, k, weight=None):
         """Differential out of degree k, or out of its graded piece at
-        weight, as sparse columns {row: coeff}, one per degree-k cell, in
-        cell order: the anti-transpose of coboundary(k - 1, weight, p).
+        weight, as sparse columns {row: +-1}, one per degree-k cell, in
+        cell order: the anti-transpose of coboundary(k - 1, weight).
 
         For readers that read it more than once; the list is cached and
         shared, so a caller that reduces columns in place reduces copies.
         """
-        key = (k, weight, p)
+        key = (k, weight)
         if key not in self._boundaries:
-            co = self.coboundary(k - 1, weight, p)
+            co = self.coboundary(k - 1, weight)
             top_row, top_col = len(co) - 1, self.dim(k, weight) - 1
             cols = [{} for _ in range(top_col + 1)]
             for c, col in enumerate(co):

@@ -24,6 +24,7 @@ from .chains import trail_complex
 from .homology import (
     chain_homology,
     homology_table,
+    parse_field,
     parse_ring,
     reduced_homology,
     ring_name,
@@ -43,12 +44,9 @@ from .verify import CHECKS, run_suite
 
 def _ring(text, field=False):
     try:
-        ring = parse_ring(text)
+        return parse_field(text, "needs") if field else parse_ring(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if field and ring == "Z":
-        raise argparse.ArgumentTypeError("needs field coefficients; use Q or Fp:<p>")
-    return ring
 
 
 def _count(text, least=0):

@@ -4,7 +4,7 @@ One loop, ``coboundary_pass``, serves every ``chains.FilteredComplex``
 in the package: a graded piece of a trail complex (one column of a
 homology table), the total complex of injective words or of the
 truncated nerve, and a flag complex.  It is one bottom-up pass of
-coboundary column reductions with clearing, in place on the columns
+coboundary column reductions with clearing, in place on the +-1 columns
 ``FilteredComplex.coboundary`` builds for each degree, mod p over F_p
 and fraction-free in integers over Q and Z, and it yields each degree's
 pivot pairs and Smith divisors.  ``chain_homology`` reads the ranks and
@@ -23,9 +23,9 @@ complex against these tables, compares two different matrices.
 
 ``les_verify`` checks the long exact sequence at one length.  Its cycle
 bases are the kernel columns of one sparse column reduction per boundary
-(``matrices.reduce_columns``), from the top degree down with clearing,
-and each map rank is the number of pivots its images add to the
-reduction of the boundaries.
+(``matrices.reduce_columns``), in one loop from the top degree down with
+clearing, and each map rank is the number of pivots its images add to
+the reduction of the boundaries.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def parse_ring(ring):
 
 
 def parse_field(ring, needs):
-    """Characteristic of a field ring: None for Q, p for Fp:<p> or p.
+    """A field ring in parse_ring's form: "Q", or p for Fp:<p> or p.
 
     Raises ValueError naming the computation (needs, e.g. "path homology
     needs") for Z, and as parse_ring does for anything else that is not
@@ -60,7 +60,7 @@ def parse_field(ring, needs):
     ring = parse_ring(ring)
     if ring == "Z":
         raise ValueError(f"{needs} field coefficients, got 'Z'")
-    return None if ring == "Q" else ring
+    return ring
 
 
 def ring_name(ring):
@@ -166,7 +166,7 @@ def coboundary_pass(complex_, ring, weight=None):
     """Yield (k, pairs, divisors) for each degree k, from one bottom-up
     pass of coboundary reductions with clearing.
 
-    Degree k reduces coboundary(k, weight, p) in place with
+    Degree k reduces coboundary(k, weight) in place with
     ``matrices.reduce_columns``: columns are the degree-k cells and rows
     the degree-(k + 1) cells, both in reversed order, built fresh for
     this pass and dropped once the degree is reduced.  A column whose index
@@ -180,7 +180,6 @@ def coboundary_pass(complex_, ring, weight=None):
     divisors of the differential into degree k.  Over Z only the +-1
     pivots pair and clear the next degree.
     """
-    p = ring if isinstance(ring, int) else None
     cleared = {}
     for k in range(complex_.top_degree + 1):
         if not (complex_.dim(k, weight) and complex_.dim(k + 1, weight)):
@@ -189,7 +188,7 @@ def coboundary_pass(complex_, ring, weight=None):
             continue
         top_row, top_col = complex_.dim(k, weight) - 1, complex_.dim(k + 1, weight) - 1
         pivots, _, divisors = reduce_columns(
-            complex_.coboundary(k, weight, p), ring, skip=cleared
+            complex_.coboundary(k, weight), ring, skip=cleared
         )
         pairs = [(top_row - j, top_col - low) for low, (j, _, _) in pivots.items()]
         # only the lowest rows outlive this degree, not its reduced columns
@@ -321,67 +320,53 @@ def les_verify(G, l):
     face sum again as coboundaries, on purpose: they are the side of the
     exactness identities that owes nothing to these reductions.
     """
-    emx, mx, dmx = (trail_complex(G, kind, l) for kind in KINDS)
-    reductions = {}
+    complexes = [trail_complex(G, kind, l) for kind in KINDS]
+    emx, mx, dmx = complexes
+    e, m, d = (
+        {k: g.rank for k, g in chain_homology(c, "Q", weight=l).items()} for c in complexes
+    )
 
-    def reduction(c, k):
-        """(pivots, cycle basis) of the boundary of c out of degree k,
-        cleared by the lowest rows of the reduction one degree up."""
-        key = (id(c), k)
-        if key not in reductions:
-            skip = reduction(c, k + 1)[0] if c.dim(k + 1, l) else ()
-            cols = [dict(col) for col in c.boundary(k, l)]
-            reductions[key] = reduce_columns(cols, "Q", skip=skip, record=True)
-        return reductions[key]
-
-    def cycles(c, k):
-        return reduction(c, k)[1]
-
-    def ranks(c):
-        return {k: g.rank for k, g in chain_homology(c, "Q", weight=l).items()}
-
-    e, m, d = ranks(emx), ranks(mx), ranks(dmx)
-
-    r_incl = {}
-    r_proj = {}
-    r_conn = {}
+    r_incl, r_proj, r_conn = {}, {}, {}
+    # the pivots of each boundary out of degree k + 1: the boundaries in
+    # degree k, and the columns its reduction skips
+    above = [{}, {}, {}]
     for k in range(l, -1, -1):
+        here = [
+            reduce_columns([dict(col) for col in c.boundary(k, l)], "Q", skip, record=True)
+            for c, skip in zip(complexes, above)
+        ]
+        (e_piv, e_cyc, _), (_, m_cyc, _), (_, d_cyc, _) = here
         emc, mc, dmc = emx.cells(k, l), mx.cells(k, l), dmx.cells(k, l)
         mc_index = {t: i for i, t in enumerate(mc)}
         dmc_index = {t: i for i, t in enumerate(dmc)}
 
         # inclusion on homology
-        images = [
-            {mc_index[emc[i]]: v for i, v in z.items()} for z in cycles(emx, k)
-        ]
-        r_incl[k] = _map_rank(images, reduction(mx, k + 1)[0])
+        images = [{mc_index[emc[i]]: v for i, v in z.items()} for z in e_cyc]
+        r_incl[k] = _map_rank(images, above[1])
 
         # projection on homology
         images = [
             {dmc_index[mc[i]]: v for i, v in z.items() if mc[i] in dmc_index}
-            for z in cycles(mx, k)
+            for z in m_cyc
         ]
-        r_proj[k] = _map_rank(images, reduction(dmx, k + 1)[0])
+        r_proj[k] = _map_rank(images, above[2])
 
         # connecting map: lift a quotient cycle, push it through the full
         # differential, read the result in the all-distinct basis
-        r_conn[k] = 0
-        if k >= 1:
-            full = mx.boundary(k, l)
-            lower = mx.cells(k - 1, l)
-            lower_index = {t: i for i, t in enumerate(emx.cells(k - 1, l))}
-            images = []
-            for z in cycles(dmx, k):
-                pushed = combine(full, {mc_index[dmc[i]]: v for i, v in z.items()})
-                for i in pushed:
-                    if lower[i] not in lower_index:
-                        raise GraphError(
-                            f"connecting image of a cycle hit repeat trail {lower[i]}"
-                        )
-                images.append({lower_index[lower[i]]: v for i, v in pushed.items()})
-            r_conn[k] = _map_rank(images, reduction(emx, k)[0])
-        for c in (emx, mx, dmx):
-            reductions.pop((id(c), k + 1), None)  # no later degree reads it
+        full = mx.boundary(k, l)
+        lower = mx.cells(k - 1, l)
+        lower_index = {t: i for i, t in enumerate(emx.cells(k - 1, l))}
+        images = []
+        for z in d_cyc:
+            pushed = combine(full, {mc_index[dmc[i]]: v for i, v in z.items()})
+            for i in pushed:
+                if lower[i] not in lower_index:
+                    raise GraphError(
+                        f"connecting image of a cycle hit repeat trail {lower[i]}"
+                    )
+            images.append({lower_index[lower[i]]: v for i, v in pushed.items()})
+        r_conn[k] = _map_rank(images, e_piv)
+        above = [pivots for pivots, _, _ in here]
 
     checks = []
     failures = []

@@ -4,8 +4,9 @@ pair and Smith divisor comes from.
 A matrix is a list of sparse columns {row: coeff}, zero entries absent,
 as ``chains.FilteredComplex.coboundary`` and ``boundary`` build them;
 the reductions here change the columns they are given in place.  A ring
-is in ``homology.parse_ring``'s form: "Z", "Q" or a prime p, and over
-F_p the entries are in range(p).
+is in ``homology.parse_ring``'s form: "Z", "Q" or a prime p.  The face
+sums write +-1 whatever the ring, and this is the one module that works
+mod p: over F_p it reads integer entries mod p and writes them in range(p).
 
 ``reduce_columns`` is the standard persistence reduction R = D V
 (Edelsbrunner & Harer, *Computational Topology*, 2010, ch. VII), left
@@ -27,59 +28,74 @@ from __future__ import annotations
 from math import gcd
 
 
-def combine(cols, vec, p=None):
+def combine(cols, vec, ring="Q"):
     """The sparse column sum of cols[j] * vec[j], zeros dropped."""
     out = {}
     for j, x in vec.items():
         for i, v in cols[j].items():
             out[i] = out.get(i, 0) + x * v
-    if p:
-        out = {i: v % p for i, v in out.items()}
+    if isinstance(ring, int):
+        out = {i: v % ring for i, v in out.items()}
     return {i: v for i, v in out.items() if v}
 
 
-def _subtract(col, a, c, piv, p):
+def _subtract(col, a, c, piv):
     """col <- a * col - c * piv in place, zeros dropped."""
     if a != 1:
         for i in col:
             col[i] *= a
     for i, v in piv.items():
         x = col.get(i, 0) - c * v
-        if p:
-            x %= p
         if x:
             col[i] = x
         else:
             del col[i]
 
 
+def _subtract_mod(col, c, piv, p):
+    """col <- col - c * piv mod p in place, zeros dropped."""
+    for i, v in piv.items():
+        if x := (col.get(i, 0) - c * v) % p:
+            col[i] = x
+        else:
+            col.pop(i, None)  # input entries 0 mod p make zeros col lacks
+
+
 def reduce_column(col, pivots, ring, ops=None):
     """Clear the lowest entry of col against pivots while one matches;
     returns the lowest row left, or None once col is zero.
 
-    col maps rows to nonzero entries and is changed in place; pivots maps
-    a lowest row to a (column index, reduced column, V column) triple.
-    ops, when given, is col's column of V, {input column: coefficient},
-    and undergoes the same operations, so the V columns of the pivots
-    must be given too.  Over Z and Q the step col <- a * col - c * piv
-    keeps the entries integral; while every pivot's lowest entry is +-1,
-    a is +-1 and each step is an integer column operation.  Over Q the
-    content common to col and ops is then divided out, in place.
+    col maps rows to nonzero integers and is changed in place; over F_p a
+    lowest entry that is 0 mod p is dropped.  pivots maps a lowest row to
+    a (column index, reduced column, V column) triple.  ops, when given,
+    is col's column of V, {input column: coefficient}, and undergoes the
+    same operations, so the V columns of the pivots must be given too.
+    Over Z and Q the step col <- a * col - c * piv keeps the entries
+    integral; while every pivot's lowest entry is +-1, a is +-1 and each
+    step is an integer column operation.  Over Q the content common to
+    col and ops is then divided out, in place.  Over F_p the step is
+    col <- col - c * piv mod p.
     """
     p = ring if isinstance(ring, int) else None
     while col:
         low = max(col)
         if low not in pivots:
+            if p and not col[low] % p:  # an input entry 0 mod p
+                del col[low]
+                continue
             break
         _, piv, piv_ops = pivots[low]
         if p:
-            a, c = 1, col[low] * pow(piv[low], -1, p)
-        else:
-            g = gcd(piv[low], col[low])
-            a, c = piv[low] // g, col[low] // g
-        _subtract(col, a, c, piv, p)
+            c = col[low] * pow(piv[low], -1, p)
+            _subtract_mod(col, c, piv, p)
+            if ops is not None:
+                _subtract_mod(ops, c, piv_ops, p)
+            continue
+        g = gcd(piv[low], col[low])
+        a, c = piv[low] // g, col[low] // g
+        _subtract(col, a, c, piv)
         if ops is not None:
-            _subtract(ops, a, c, piv_ops, p)
+            _subtract(ops, a, c, piv_ops)
     else:
         low = None
     if ring == "Q":
@@ -141,7 +157,7 @@ def _residue_divisors(aside, pivots):
         while hits := [i for i in col if i in pivots]:
             low = max(hits)
             piv = pivots[low][1]
-            _subtract(col, 1, col[low] * piv[low], piv, None)
+            _subtract(col, 1, col[low] * piv[low], piv)
         if col:
             residue.append(col)
     rows = sorted({i for col in residue for i in col})

@@ -25,15 +25,16 @@ rank H_n = dim Omega_n - rank d_n - rank d_{n+1} gives
 
 with the augmentation (rank 1 on a nonempty vertex set) in place of
 full_0 for reduced homology.  One sparse column reduction of full_n
-(``matrices.reduce_columns``, exact over Q and mod p) gives both ranks
-of a degree.  The stray rows come last, so in R = full_n V they form
-stray_n V, already in echelon form: rank full_n counts the pivots and
-rank stray_n those with a stray lowest row.  Degrees run from the top
-down with clearing (Chen & Kerber, *Persistent homology computation with
-a twist*, 2011): a degree-(n+1) pivot whose lowest row is the allowed
-path j has no stray entry, so it lies in span(A_n), full_n kills it, and
-column j is skipped.  ``omega_basis`` records V: Omega_n is spanned by
-the V columns whose R column is zero or has an allowed lowest row.
+(``matrices.reduce_columns``, exact over Q and mod p, on the same +-1
+face columns for every field) gives both ranks of a degree.  The stray
+rows come last, so in R = full_n V they form stray_n V, already in
+echelon form: rank full_n counts the pivots and rank stray_n those with
+a stray lowest row.  Degrees run from the top down with clearing (Chen &
+Kerber, *Persistent homology computation with a twist*, 2011): a
+degree-(n+1) pivot whose lowest row is the allowed path j has no stray
+entry, so it lies in span(A_n), full_n kills it, and column j is
+skipped.  ``omega_basis`` records V: Omega_n is spanned by the V columns
+whose R column is zero or has an allowed lowest row.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def allowed_paths(G, n, strong=False):
     return _paths(G, n, strong).get((n, n), ())
 
 
-def _face_columns(paths, n, p=None):
-    """full_n as sparse columns {row: coeff} mod p, and base = |A_{n-1}|.
+def _face_columns(paths, n):
+    """full_n as sparse columns {row: +-1}, and base = |A_{n-1}|.
 
     paths holds the allowed paths of degrees n - 1 and n, as ``_paths``
     buckets them.  Row i < base is the allowed (n-1)-path of index i;
@@ -66,7 +67,7 @@ def _face_columns(paths, n, p=None):
     """
     lower = paths.get((n - 1, n - 1), ())
     index = {t: i for i, t in enumerate(lower)}
-    sign = (1, p - 1) if p else (1, -1)
+    sign = (1, -1)
     faces = range(n + 1) if n else ()
     cols = [
         {index.setdefault(t[:i] + t[i + 1 :], len(index)): sign[i % 2] for i in faces}
@@ -75,11 +76,12 @@ def _face_columns(paths, n, p=None):
     return cols, len(lower)
 
 
-def omega_basis(G, n, strong=False, p=None):
-    """Basis of Omega_n = ker stray_n: sparse columns {index in
-    allowed_paths(G, n, strong): coeff}, by increasing lowest index."""
-    cols, base = _face_columns(_paths(G, n, strong), n, p)
-    pivots, kernel, _ = reduce_columns(cols, p or "Q", record=True)
+def omega_basis(G, n, strong=False, ring="Q"):
+    """Basis of Omega_n = ker stray_n over a field: sparse columns {index
+    in allowed_paths(G, n, strong): coeff}, by increasing lowest index."""
+    ring = parse_field(ring, "path homology needs")
+    cols, base = _face_columns(_paths(G, n, strong), n)
+    pivots, kernel, _ = reduce_columns(cols, ring, record=True)
     return sorted(kernel + [v for low, (_, _, v) in pivots.items() if low < base], key=max)
 
 
@@ -89,7 +91,7 @@ def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):
     The strong variant is bounded by the vertex count, so kmax is only
     mandatory without strong.  Returns {degree: rank} with zeros dropped.
     """
-    p = parse_field(ring, "path homology needs")
+    ring = parse_field(ring, "path homology needs")
     if strong:
         top = G.n - 1 if kmax is None else min(kmax, G.n - 1)
     else:
@@ -104,9 +106,9 @@ def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):
     stray = {}
     cleared = set()
     for n in range(top + 1, 0, -1):
-        cols, base = _face_columns(paths, n, p)
+        cols, base = _face_columns(paths, n)
         # a lowest row one degree up is below its base: an allowed path
-        pivots = reduce_columns(cols, p or "Q", skip=cleared)[0]
+        pivots = reduce_columns(cols, ring, skip=cleared)[0]
         full[n] = len(pivots)
         stray[n] = sum(low >= base for low in pivots)
         cleared = set(pivots)

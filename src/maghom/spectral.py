@@ -23,7 +23,7 @@ Vejdemo-Johansson, *Dualities in persistent (co)homology*, Inverse
 Problems 2011).  A cell that is neither a birth nor a death is unpaired.
 The reduction is the package's one column reduction,
 ``matrices.reduce_columns``: sparse, fraction-free over Q and mod p over
-F_p.
+F_p, on the same +-1 columns for every field.
 
 Differentials and page maps are matrices of page one, where E_1(p, n)
 is the homology of the graded piece at weight p.  The same reduction,
@@ -60,8 +60,7 @@ def _alive(lifetimes, r):
 class SpectralSequence:
     def __init__(self, filtered, ring="Q"):
         self.fc = filtered
-        self.p = parse_field(ring, "spectral sequences need")
-        self.ring = self.p or "Q"
+        self.ring = parse_field(ring, "spectral sequences need")
         self._bars = None
         self._page_one = {}
 
@@ -148,7 +147,7 @@ class SpectralSequence:
         lo, hi = self._graded(n - 1, p_to)
         return [
             {i - lo: v for i, v in col.items() if lo <= i < hi}
-            for col in self.fc.boundary(n, p=self.p)[a:b]
+            for col in self.fc.boundary(n)[a:b]
         ]
 
     def _page_one_entry(self, p, n):
@@ -186,16 +185,16 @@ class SpectralSequence:
             # scale * image = -sum ops[i] * rep_i + boundaries; mod p the
             # image is never scaled, so scale is 1
             scale = ops.pop(-1)
-            if self.p:
-                cols.append({i: -x % self.p for i, x in ops.items()})
-            else:
+            if self.ring == "Q":
                 cols.append({i: Fraction(-x, scale) for i, x in ops.items()})
+            else:
+                cols.append({i: -x % self.ring for i, x in ops.items()})
         return cols
 
     def differential(self, p, n):
         """Sparse columns of d_1 from E_1(p, n) to E_1(p - 1, n - 1)."""
         down = self._columns(n, p, p - 1)
-        images = [combine(down, z, self.p) for z in self._page_one_entry(p, n)[0]]
+        images = [combine(down, z, self.ring) for z in self._page_one_entry(p, n)[0]]
         return self._coordinates(p - 1, n - 1, images)
 
 
@@ -206,14 +205,14 @@ def page_map(source, target, p, n, cell_map=None):
     cell_map sends a source cell to a target cell (identity by default)
     and must commute with the boundary; weights must match exactly.
     """
-    if source.p != target.p:
+    if source.ring != target.ring:
         raise ValueError("page maps need matching coefficient fields")
     a, b = source._graded(n, p)
     ta, tb = target._graded(n, p)
     index = {c: i for i, c in enumerate(target.fc.cells(n)[ta:tb])}
     cells = source.fc.cells(n)[a:b]
     moved = [{index[c if cell_map is None else cell_map(c)]: 1} for c in cells]
-    images = [combine(moved, z, target.p) for z in source._page_one_entry(p, n)[0]]
+    images = [combine(moved, z, target.ring) for z in source._page_one_entry(p, n)[0]]
     return target._coordinates(p, n, images)
 
 
@@ -257,9 +256,8 @@ def rmpss_report(G, ring="Q", rmax=None):
     gives the pages, so no other reduction is compared with them.
     """
     ss = rmpss(G, ring)
-    field = ss.p or "Q"
-    e1_mismatches = _table_mismatch(ss.page(1), homology_table(G, "eulerian", field))
-    sph = path_homology(G, strong=True, ring=field)
+    e1_mismatches = _table_mismatch(ss.page(1), homology_table(G, "eulerian", ss.ring))
+    sph = path_homology(G, strong=True, ring=ss.ring)
     diag = {n: m for n in range(ss.top_degree + 1) if (m := ss.entry_rank(2, n, n))}
     totals = ss.total_ranks()
     words = sum((-1) ** n * m for n, m in totals.items()) == ss.fc.euler_characteristic()
@@ -276,9 +274,9 @@ def rmpss_report(G, ring="Q", rmax=None):
     }
 
 
-def _compose(outer, inner, p):
+def _compose(outer, inner, ring):
     """The product outer * inner of matrices given as sparse columns."""
-    return [combine(outer, col, p) for col in inner]
+    return [combine(outer, col, ring) for col in inner]
 
 
 def _inclusion_commutes(reg, ord_):
@@ -287,8 +285,8 @@ def _inclusion_commutes(reg, ord_):
     for (p, n) in sorted(reg.page(1)):
         f_here = page_map(reg, ord_, p, n)
         f_down = page_map(reg, ord_, p - 1, n - 1)
-        left = _compose(f_down, reg.differential(p, n), reg.p)
-        right = _compose(ord_.differential(p, n), f_here, reg.p)
+        left = _compose(f_down, reg.differential(p, n), reg.ring)
+        right = _compose(ord_.differential(p, n), f_here, reg.ring)
         if left != right:
             return {"commutes": False, "failed_at": (p, n), "checked": checked}
         checked += 1
@@ -319,7 +317,7 @@ def mpss_report(G, l_max, ring="Q", rmax=2):
     next to nothing.
     """
     ss = mpss(G, l_max, ring)
-    mh = homology_table(G, "ordinary", ss.p or "Q", l_max=l_max)
+    mh = homology_table(G, "ordinary", ss.ring, l_max=l_max)
     mismatches = _table_mismatch(ss.page(1), mh)
     reg = rmpss(G, ring)
     inclusion = _inclusion_commutes(reg, ss) if reg.top_weight <= l_max else None
@@ -342,7 +340,7 @@ def diagonal_convergence(G, ring="Q"):
     full = homology_table(G, "eulerian", "Z")
     if not full.diagonal:
         raise GraphError("not regularly diagonal")
-    field = parse_field(ring, "diagonal convergence needs") or "Q"
+    field = parse_field(ring, "diagonal convergence needs")
     sph = path_homology(G, strong=True, ring=field)
     word = {k: g.rank for k, g in chain_homology(trail_complex(G), field).items()}
     return {

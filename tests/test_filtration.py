@@ -112,12 +112,12 @@ def test_full_boundary_needs_closed_cells():
         fc.boundary(1)
 
 
-def face_loop(fc, k, weight, p):
+def face_loop(fc, k, weight):
     """Reference: the differential out of degree k as sparse columns, one
     per degree-k cell in cell order, by deleting each entry of each cell
     and looking the face up."""
     index = {t: i for i, t in enumerate(fc.cells(k - 1, weight))}
-    sign = (1, p - 1) if p else (1, -1)
+    sign = (1, -1)
     dist = None if weight is None else fc.dist
     cols = []
     for t in fc.cells(k, weight):
@@ -152,20 +152,19 @@ def anti_transpose(cols, nrows):
     small_digraphs(),
     st.sampled_from(["eulerian", "ordinary", "discriminant"]),
     st.integers(0, 4),
-    st.sampled_from([None, 2, 3]),
 )
-def test_coboundary_is_the_anti_transposed_face_loop(G, kind, l_max, p):
+def test_coboundary_is_the_anti_transposed_face_loop(G, kind, l_max):
     fc = trail_complex(G, kind, None if kind == "eulerian" else l_max)
     # the quotient has no full face sum: its faces may be all-distinct
     total = () if kind == "discriminant" else (None,)
     for weight in (*total, *sorted({l for _, l in fc.buckets})):
         for k in range(-1, fc.top_degree + 1):
-            want = face_loop(fc, k + 1, weight, p)
-            cols = fc.coboundary(k, weight, p)
+            want = face_loop(fc, k + 1, weight)
+            cols = fc.coboundary(k, weight)
             assert cols == anti_transpose(want, fc.dim(k, weight)), (k, weight)
-            assert fc.boundary(k + 1, weight, p) == want, (k, weight)
+            assert fc.boundary(k + 1, weight) == want, (k, weight)
             # each call builds new columns, so reducing them in place is safe
-            again = fc.coboundary(k, weight, p)
+            again = fc.coboundary(k, weight)
             assert all(a is not b for a, b in zip(cols, again))
 
 

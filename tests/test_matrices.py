@@ -50,6 +50,35 @@ def test_reduction_of_eulerian_boundaries(G, p):
         check_reduction(complex_.boundary(k, l), complex_.dim(k - 1, l), p)
 
 
+@st.composite
+def small_int_columns(draw):
+    """Sparse columns of a small integer matrix with entries in -3..3,
+    so that over F_2 and F_3 some nonzero entries are 0 mod p."""
+    nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    row = st.lists(st.integers(-3, 3), min_size=nc, max_size=nc)
+    return as_columns(draw(st.lists(row, min_size=nr, max_size=nr)))
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=100, deadline=None)
+@given(mat=small_int_columns())
+def test_reduction_over_a_prime_field_reads_entries_mod_p(mat, p, record):
+    # the face sums write +-1 whatever the ring, so over F_p the reduction
+    # must give on integer columns what it gives on their residues
+    pivots, kernel, divisors = reduce_columns(residues(mat, p), p, record=record)
+    raw_pivots, raw_kernel, raw_divisors = reduce_columns(mat, p, record=record)
+    assert {low: (j, ops) for low, (j, _, ops) in raw_pivots.items()} == {
+        low: (j, ops) for low, (j, _, ops) in pivots.items()
+    }
+    assert raw_kernel == kernel
+    assert raw_divisors == divisors
+    # a reduced column may keep an input entry that no step touched
+    assert {low: residues([col], p)[0] for low, (_, col, _) in raw_pivots.items()} == {
+        low: col for low, (_, col, _) in pivots.items()
+    }
+
+
 # References: the two reductions ``reduce_columns`` merged, as they were
 # before, with one ring convention each: ``ref_reduce_columns`` took a
 # modulus or None for Q and recorded V, ``ref_pivot_pairs`` took "Z", "Q"

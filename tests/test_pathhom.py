@@ -163,7 +163,7 @@ def test_omega_basis_columns_are_independent_and_in_the_kernel(p):
         for strong in (False, True):
             for n in range(4):
                 stray = residues(face_sums(_paths(G, n, strong), n, stray_only=True)[0], p)
-                basis = omega_basis(G, n, strong, p)
+                basis = omega_basis(G, n, strong, ring_of(p))
                 assert all(z and combine(stray, z, p) == {} for z in basis)
                 lows = [max(z) for z in basis]
                 assert len(set(lows)) == len(lows), (G, strong, n, p)
@@ -275,6 +275,23 @@ def ring_of(p):
     return "Q" if p is None else f"Fp:{p}"
 
 
+@pytest.mark.parametrize(
+    "ring, domain", [("Q", sympy.QQ), ("Fp:2", sympy.GF(2)), (2, sympy.GF(2)), (3, sympy.GF(3))]
+)
+def test_omega_basis_takes_a_field_ring(ring, domain):
+    # omega_basis reads its ring as path_homology does
+    for G in small_graphs():
+        for strong in (False, True):
+            dims, _ = oracle_omega_dims_and_homology(G, 3, strong, domain)
+            for n in range(4):
+                assert len(omega_basis(G, n, strong, ring)) == dims[n], (G, strong, n)
+
+
+def test_omega_basis_refuses_the_integers():
+    with pytest.raises(ValueError, match="path homology"):
+        omega_basis(family("cycle", 4), 2, ring="Z")
+
+
 @pytest.mark.parametrize("p, domain", FIELDS, ids=["Q", "F2", "F3"])
 def test_homology_matches_oracle_over_each_field(p, domain):
     for G in small_graphs():
@@ -326,7 +343,7 @@ def test_four_rank_formula_matches_oracle_on_random_digraphs(G, strong, field):
         stray = face_sums(_paths(G, n, strong), n, stray_only=True)
         rank = snf_rank(*stray, p)
         want = len(allowed_paths(G, n, strong)) - rank
-        assert want == dims[n] == len(omega_basis(G, n, strong, p)), (n, p)
+        assert want == dims[n] == len(omega_basis(G, n, strong, ring_of(p))), (n, p)
 
 
 def two_matrix_homology(G, kmax, strong, p, reduced):

@@ -197,11 +197,11 @@ CYCLE_4_TRUNCATED_PAGES = {
 }
 
 
-def matrix_rank(rows, p):
-    """Rank over Q (p None) or F_p, by sympy."""
+def matrix_rank(rows, ring):
+    """Rank over Q or F_p (ring "Q" or p), by sympy."""
     if not rows or not rows[0]:
         return 0
-    domain = sympy.GF(p) if p else sympy.QQ
+    domain = sympy.QQ if ring == "Q" else sympy.GF(ring)
     entries = [[domain(x) for x in row] for row in rows]
     return DomainMatrix(entries, (len(rows), len(rows[0])), domain).rank()
 
@@ -239,12 +239,12 @@ def test_pages_against_smith_form_homology(G, ring, regular):
             assert ss.entry_rank(r + 1, p, n) == m - out - into, (r, p, n)
     # page-one matrices have the shapes and ranks the pairing counts
     for (p, n), m in ss.page(1).items():
-        assert matrix_rank(dense(page_map(ss, ss, p, n), m), ss.p) == m
+        assert matrix_rank(dense(page_map(ss, ss, p, n), m), ss.ring) == m
         d1 = ss.differential(p, n)
         below = ss.entry_rank(1, p - 1, n - 1)
         assert len(d1) == m
         assert all(0 <= i < below for col in d1 for i in col)
-        assert matrix_rank(dense(d1, below), ss.p) == ss.differential_rank(1, p, n)
+        assert matrix_rank(dense(d1, below), ss.ring) == ss.differential_rank(1, p, n)
 
 
 def test_reports_take_prime_field_rings():
@@ -265,7 +265,7 @@ def test_reports_take_prime_field_rings():
 def test_page_one_differential_squares_to_zero(G, ring, regular):
     ss = rmpss(G, ring) if regular else mpss(G, 3, ring)
     for p, n in ss.page(1):
-        square = compose(ss.differential(p - 1, n - 1), ss.differential(p, n), ss.p)
+        square = compose(ss.differential(p - 1, n - 1), ss.differential(p, n), ss.ring)
         assert not any(square), (p, n)
 
 
@@ -310,11 +310,11 @@ def top_down_pairing(ss):
     for n in range(ss.fc.top_degree, -1, -1):
         w_here, w_below = ss.fc.weights(n), ss.fc.weights(n - 1)
         pivots = {}
-        for j, col in enumerate(ss.fc.boundary(n, p=ss.p)):
+        for j, col in enumerate(ss.fc.boundary(n)):
             if j in births:
                 continue
             col = dict(col)
-            low = reduce_column(col, pivots, ss.p or "Q")
+            low = reduce_column(col, pivots, ss.ring)
             if low is None:
                 ends[(w_here[j], n)][inf] += 1
                 continue
@@ -368,5 +368,5 @@ def test_readers_leave_the_cached_boundaries_intact(G):
         SpectralSequence(fc, ring).page(2)
     fresh = FilteredComplex(fc.buckets, fc.dist)
     assert fc._boundaries
-    for (k, w, p), cols in fc._boundaries.items():
-        assert cols == fresh.boundary(k, w, p), (k, w, p)
+    for (k, w), cols in fc._boundaries.items():
+        assert cols == fresh.boundary(k, w), (k, w)
