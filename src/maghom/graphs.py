@@ -133,11 +133,6 @@ def eccentricity_bound(G):
 
 
 def parse_graph(text):
-    g, _labels = parse_graph_labeled(text)
-    return g
-
-
-def parse_graph_labeled(text):
     """Parse the edge-list exchange format.
 
     First meaningful line is ``# directed`` or ``# undirected``.  An optional
@@ -150,7 +145,6 @@ def parse_graph_labeled(text):
     directed = None
     edges = []
     labels = {}
-    label_order = []
 
     def vertex_id(tok, lineno):
         if declared_n is not None:
@@ -165,7 +159,6 @@ def parse_graph_labeled(text):
             return v
         if tok not in labels:
             labels[tok] = len(labels)
-            label_order.append(tok)
         return labels[tok]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -217,15 +210,7 @@ def parse_graph_labeled(text):
     if header is None:
         raise ParseError("empty input: missing orientation header")
     n = declared_n if declared_n is not None else len(labels)
-    if directed:
-        g = digraph(n, edges)
-    else:
-        g = rho(n, edges)
-    if declared_n is not None:
-        label_list = [str(i) for i in range(n)]
-    else:
-        label_list = label_order
-    return g, label_list
+    return digraph(n, edges) if directed else rho(n, edges)
 
 
 # ---------------------------------------------------------------------------

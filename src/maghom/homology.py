@@ -34,20 +34,7 @@ from dataclasses import dataclass
 
 from .chains import KINDS, certified_length_bound, orbit_summands, trail_complex
 from .errors import GraphError
-from .matrices import combine, reduce_column, reduce_columns
-
-
-def parse_ring(ring):
-    """Turn a ring (Z, Q, Fp:<p>, or a prime p) into the internal form."""
-    if ring in ("Z", "Q"):
-        return ring
-    if isinstance(ring, str) and ring.startswith("Fp:") and ring[3:].isdigit():
-        ring = int(ring[3:])
-    if isinstance(ring, int):
-        if ring < 2 or any(ring % d == 0 for d in range(2, int(ring**0.5) + 1)):
-            raise ValueError(f"modulus must be prime, got {ring}")
-        return ring
-    raise ValueError(f"unknown ring {ring!r}; expected Z, Q, or Fp:<p>")
+from .matrices import combine, parse_ring, reduce_column, reduce_columns
 
 
 def parse_field(ring, needs):
@@ -104,10 +91,6 @@ class HomologyTable:
     def rank(self, k, l):
         g = self.entries.get((k, l))
         return g.rank if g else 0
-
-    def torsion(self, k, l):
-        g = self.entries.get((k, l))
-        return g.torsion if g else ()
 
     def group(self, k, l):
         return self.entries.get((k, l), AbelianGroupInvariant(0))
@@ -197,16 +180,16 @@ def coboundary_pass(complex_, ring, weight=None):
         yield k, pairs, divisors
 
 
-def chain_homology(complex_, ring="Z", reduced=False, weight=None):
+def chain_homology(complex_, ring="Z", weight=None):
     """Homology of a FilteredComplex from the ranks of its differentials.
 
-    With weight, the homology of the graded piece at that weight.  With
-    reduced, the augmentation takes the place of the zero map on degree
-    0.  Returns {degree: AbelianGroupInvariant}, trivial groups dropped.
+    With weight, the homology of the graded piece at that weight.
+    Returns {degree: AbelianGroupInvariant}, trivial groups dropped;
+    ``reduced_homology`` reads the reduced groups off them.
     """
     ring = parse_ring(ring)
     out = {}
-    outgoing = 1 if reduced else 0
+    outgoing = 0
     for k, _, incoming in coboundary_pass(complex_, ring, weight):
         dim = complex_.dim(k, weight)
         if dim:

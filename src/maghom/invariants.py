@@ -6,7 +6,8 @@ truncated at a length cap, and is counted from the distance matrix
 without building a trail.  The remaining operations are classifiers
 and metrics: diagonality of the homology tables, the girth bound on
 subdiagonal vanishing, the network of connected spanning subgraphs of
-K_n with its path metric, and the extremal girth number gamma(n, s).
+K_n with its path metric, and the extremal girth number gamma(n, s),
+read off the triangle-free classes of ``graphs.connected_graph_classes``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .graphs import (
     distance_matrix,
     girth,
     is_weakly_connected,
+    rho,
 )
 from .homology import homology_table
 
@@ -193,9 +195,6 @@ class SubgraphNetwork:
     def node_count(self):
         return len(self.classes)
 
-    def degree(self, i):
-        return len(self.adjacency[i])
-
     def max_degree(self):
         return max((len(nbrs) for nbrs in self.adjacency), default=0)
 
@@ -313,55 +312,19 @@ def delta_distance(G, H):
 
 def gamma(n, s):
     """Largest girth over connected graphs on n vertices with s edges
-    removed from complete, i.e. with C(n,2) - s edges."""
+    removed from complete, i.e. with C(n,2) - s edges.
+
+    Above n^2/4 edges a triangle is forced (Mantel); otherwise the answer
+    is the largest girth among the triangle-free classes of
+    ``connected_graph_classes``, generated by vertex augmentation with a
+    girth filter.  With m >= n edges every class has a cycle.
+    """
     if n > 8:
         raise ResourceCapError(f"gamma capped at 8 vertices, got {n}")
     if n < 3 or not 0 <= s <= comb(n, 2) - n:
         raise GraphError(f"edge deficit {s} is infeasible on {n} vertices")
     m = comb(n, 2) - s
     if m > n * n // 4:
-        # above the triangle-free edge maximum, girth 3 is forced
         return 3
-    for g in range(n, 3, -1):
-        if _girth_feasible(n, m, g):
-            return g
-    return 3
-
-
-def _girth_feasible(n, m, g):
-    """Does a connected n-vertex, m-edge graph with girth >= g exist?
-
-    Depth-first over edge slots in a fixed order, keeping the running
-    distance matrix; an edge is allowed only between vertices currently
-    at distance at least g - 1, which preserves the girth bound.
-    """
-    pairs = list(itertools.combinations(range(n), 2))
-    big = n + g  # unreachable marker, safely above any real distance
-    dist = [[0 if i == j else big for j in range(n)] for i in range(n)]
-
-    def addable(dist_, idx):
-        return sum(1 for u, v in pairs[idx:] if dist_[u][v] >= g - 1)
-
-    def search(dist_, idx, placed):
-        if placed == m:
-            return all(d < big for row in dist_ for d in row)
-        if idx == len(pairs) or placed + addable(dist_, idx) < m:
-            return False
-        u, v = pairs[idx]
-        if dist_[u][v] >= g - 1:
-            nd = [row[:] for row in dist_]
-            for x in range(n):
-                xu, xv = dist_[x][u], dist_[x][v]
-                row, du, dv = nd[x], dist_[u], dist_[v]
-                for y in range(n):
-                    alt = xu + 1 + dv[y]
-                    if alt < row[y]:
-                        row[y] = alt
-                    alt = xv + 1 + du[y]
-                    if alt < row[y]:
-                        row[y] = alt
-            if search(nd, idx + 1, placed + 1):
-                return True
-        return search(dist_, idx + 1, placed)
-
-    return search(dist, 0, 0)
+    classes = connected_graph_classes(n, min_girth=4)
+    return max((girth(rho(n, f)) for f in classes if len(f) == m), default=3)

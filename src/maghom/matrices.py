@@ -3,10 +3,12 @@ pair and Smith divisor comes from.
 
 A matrix is a list of sparse columns {row: coeff}, zero entries absent,
 as ``chains.FilteredComplex.coboundary`` and ``boundary`` build them;
-the reductions here change the columns they are given in place.  A ring
-is in ``homology.parse_ring``'s form: "Z", "Q" or a prime p.  The face
-sums write +-1 whatever the ring, and this is the one module that works
-mod p: over F_p it reads integer entries mod p and writes them in range(p).
+the reductions here change the columns they are given in place.
+``combine`` and ``reduce_columns`` take a ring as ``parse_ring`` reads
+it, "Z", "Q", "Fp:<p>" or a prime p, and work with it as "Z", "Q" or p.
+The face sums write +-1 whatever the ring, and this is the one module
+that works mod p: over F_p it reads integer entries mod p and writes
+them in range(p).
 
 ``reduce_columns`` is the standard persistence reduction R = D V
 (Edelsbrunner & Harer, *Computational Topology*, 2010, ch. VII), left
@@ -28,8 +30,22 @@ from __future__ import annotations
 from math import gcd
 
 
+def parse_ring(ring):
+    """Turn a ring (Z, Q, Fp:<p>, or a prime p) into the internal form."""
+    if ring in ("Z", "Q"):
+        return ring
+    if isinstance(ring, str) and ring.startswith("Fp:") and ring[3:].isdigit():
+        ring = int(ring[3:])
+    if isinstance(ring, int):
+        if ring < 2 or any(ring % d == 0 for d in range(2, int(ring**0.5) + 1)):
+            raise ValueError(f"modulus must be prime, got {ring}")
+        return ring
+    raise ValueError(f"unknown ring {ring!r}; expected Z, Q, or Fp:<p>")
+
+
 def combine(cols, vec, ring="Q"):
     """The sparse column sum of cols[j] * vec[j], zeros dropped."""
+    ring = parse_ring(ring)
     out = {}
     for j, x in vec.items():
         for i, v in cols[j].items():
@@ -130,6 +146,7 @@ def reduce_columns(cols, ring, skip=(), record=False):
     set-aside columns no longer meet, split them off.  The divisors are
     one 1 per pivot followed by those of the set-aside columns.
     """
+    ring = parse_ring(ring)
     integral = ring == "Z"
     pivots, kernel, aside = {}, [], []
     for j, col in enumerate(cols):

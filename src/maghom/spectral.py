@@ -198,21 +198,19 @@ class SpectralSequence:
         return self._coordinates(p - 1, n - 1, images)
 
 
-def page_map(source, target, p, n, cell_map=None):
-    """Sparse columns on E_1(p, n) of a filtration- and weight-preserving
-    cell map, one per source class.
-
-    cell_map sends a source cell to a target cell (identity by default)
-    and must commute with the boundary; weights must match exactly.
-    """
+def page_map(source, target, p, n):
+    """Sparse columns on E_1(p, n) of the inclusion of source's cells
+    into target's, one per source class; weights must match exactly."""
     if source.ring != target.ring:
         raise ValueError("page maps need matching coefficient fields")
     a, b = source._graded(n, p)
     ta, tb = target._graded(n, p)
     index = {c: i for i, c in enumerate(target.fc.cells(n)[ta:tb])}
     cells = source.fc.cells(n)[a:b]
-    moved = [{index[c if cell_map is None else cell_map(c)]: 1} for c in cells]
-    images = [combine(moved, z, target.ring) for z in source._page_one_entry(p, n)[0]]
+    images = [
+        {index[cells[j]]: v for j, v in z.items()}
+        for z in source._page_one_entry(p, n)[0]
+    ]
     return target._coordinates(p, n, images)
 
 

@@ -296,7 +296,9 @@ def test_coboundary_pass_matches_smith_form_loop(G, ring, reduced):
         complex_ = trail_complex(G, kind, l_max)
         cases += [(complex_, l) for l in sorted({l for _, l in complex_.buckets})]
     for complex_, weight in cases:
-        got = chain_homology(complex_, ring, reduced, weight)
+        got = chain_homology(complex_, ring, weight=weight)
+        if reduced:
+            got = reduced_homology(got)
         assert got == snf_homology(complex_, ring, reduced, weight), (weight, ring)
 
 
@@ -361,7 +363,7 @@ def test_reduced_homology_from_the_unreduced_groups(ring):
     ]
     for G in graphs:
         complex_ = trail_complex(G)
-        want = chain_homology(complex_, ring, reduced=True)
+        want = snf_homology(complex_, ring, reduced=True)
         assert reduced_homology(chain_homology(complex_, ring)) == want, G
 
 

@@ -28,12 +28,12 @@ def check_reduction(mat, nrows, p):
     # kernel vectors are annihilated, and distinct lowest entries make
     # them independent
     for z in kernel:
-        assert combine(cols, z, p) == {}
+        assert combine(cols, z, p or "Q") == {}
     assert len({max(z) for z in kernel}) == len(kernel)
     # every reduced column is D times its column of V
     for low, (_, col, ops) in pivots.items():
         assert max(col) == low
-        assert combine(cols, ops, p) == col
+        assert combine(cols, ops, p or "Q") == col
 
 
 @settings(max_examples=80, deadline=None)
@@ -77,6 +77,17 @@ def test_reduction_over_a_prime_field_reads_entries_mod_p(mat, p, record):
     assert {low: residues([col], p)[0] for low, (_, col, _) in raw_pivots.items()} == {
         low: col for low, (_, col, _) in pivots.items()
     }
+
+
+def test_the_ring_is_parsed_before_the_reduction():
+    # "Fp:2" works mod 2 as 2 does, and a name that is not a ring is refused
+    pivots, kernel, divisors = reduce_columns([{0: 2}], "Fp:2", record=True)
+    assert pivots == {} and kernel == [{0: 1}] and divisors == ()
+    assert combine([{0: 1}], {0: 3}, "Fp:2") == {0: 1}
+    with pytest.raises(ValueError):
+        reduce_columns([{0: 1}], "F2")
+    with pytest.raises(ValueError):
+        combine([{0: 1}], {0: 1}, "F2")
 
 
 # References: the two reductions ``reduce_columns`` merged, as they were

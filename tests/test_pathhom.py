@@ -164,7 +164,7 @@ def test_omega_basis_columns_are_independent_and_in_the_kernel(p):
             for n in range(4):
                 stray = residues(face_sums(_paths(G, n, strong), n, stray_only=True)[0], p)
                 basis = omega_basis(G, n, strong, ring_of(p))
-                assert all(z and combine(stray, z, p) == {} for z in basis)
+                assert all(z and combine(stray, z, ring_of(p)) == {} for z in basis)
                 lows = [max(z) for z in basis]
                 assert len(set(lows)) == len(lows), (G, strong, n, p)
 

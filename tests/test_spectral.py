@@ -284,17 +284,6 @@ def test_page_one_inclusion_composes_nonzero_columns(monkeypatch):
     assert any(col for product in products for col in product)
 
 
-def test_page_map_refuses_a_map_that_is_not_a_chain_map():
-    # the cycle (3, 4, 5) of the triangle would go to (0, 1, 2), whose
-    # boundary keeps the length: not a page-one class
-    G = digraph(6, [(0, 1), (1, 2), (3, 4), (4, 3), (4, 5), (5, 4), (3, 5), (5, 3)])
-    ss = rmpss(G)
-    swap = {(0, 1, 2): (3, 4, 5), (3, 4, 5): (0, 1, 2)}
-    assert len(page_map(ss, ss, 2, 2)) == ss.entry_rank(1, 2, 2)
-    with pytest.raises(ArithmeticError):
-        page_map(ss, ss, 2, 2, cell_map=lambda c: swap.get(c, c))
-
-
 def top_down_pairing(ss):
     """Reference: the lifetimes of ``ss`` from the top-down boundary
     reduction with clearing (Chen & Kerber, *Persistent homology

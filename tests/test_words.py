@@ -13,7 +13,7 @@ from maghom.graphs import (
     reachability_preorder,
     transitive_tournament,
 )
-from maghom.homology import chain_homology
+from maghom.homology import chain_homology, reduced_homology
 from maghom.words import (
     directed_flag,
     injective_word_ranks,
@@ -35,14 +35,14 @@ def test_complete_graph_word_complex():
     assert wc.f_vector() == (3, 6, 6)
     assert wc.euler_characteristic() == 3
     assert ranks(chain_homology(wc)) == {0: 1, 2: 2}
-    assert ranks(chain_homology(wc, reduced=True)) == {2: 2}
+    assert ranks(reduced_homology(chain_homology(wc))) == {2: 2}
     for g in chain_homology(wc).values():
         assert g.torsion == ()
 
 
 def test_derangement_top_rank():
     wc = trail_complex(family("complete", 4))
-    assert ranks(chain_homology(wc, reduced=True)) == {3: 9}
+    assert ranks(reduced_homology(chain_homology(wc))) == {3: 9}
 
 
 # derangement numbers D_n, OEIS A000166
@@ -66,7 +66,7 @@ def test_directed_line_word_complex_is_contractible():
     assert wc.f_vector() == (3, 3, 1)
     assert wc.euler_characteristic() == 1
     assert ranks(chain_homology(wc)) == {0: 1}
-    assert ranks(chain_homology(wc, reduced=True)) == {}
+    assert ranks(reduced_homology(chain_homology(wc))) == {}
 
 
 def test_directed_flag_of_cyclic_triangle():
@@ -128,7 +128,7 @@ def test_suspension_of_the_digon():
     assert wc.f_vector() == (4, 6, 4)
     assert wc.euler_characteristic() == 2
     assert ranks(chain_homology(wc)) == {0: 1, 2: 1}
-    assert ranks(chain_homology(wc, reduced=True)) == {2: 1}
+    assert ranks(reduced_homology(chain_homology(wc))) == {2: 1}
 
 
 def test_digon_words_make_a_circle():
@@ -141,14 +141,14 @@ def test_point_word_complex():
     wc = trail_complex(point())
     assert wc.f_vector() == (1,)
     assert ranks(chain_homology(wc)) == {0: 1}
-    assert ranks(chain_homology(wc, reduced=True)) == {}
+    assert ranks(reduced_homology(chain_homology(wc))) == {}
 
 
 def test_closure_collapses_directed_cycle():
     # the closure of a directed cycle is complete, so the word homology
     # jumps to the derangement pattern
     wc = trail_complex(family("dir_cycle", 4))
-    assert ranks(chain_homology(wc, reduced=True)) == {3: 9}
+    assert ranks(reduced_homology(chain_homology(wc))) == {3: 9}
 
 
 def test_export_cells_shape():
