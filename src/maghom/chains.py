@@ -30,35 +30,30 @@ complex from the metric.  Its columns are new on every call.
 are +-1 whatever the ring; ``matrices`` reads them mod p over F_p.
 
 At fixed length the differential deletes interior entries only, so each
-graded piece splits by first vertex, and an automorphism taking a to b
-carries the summand of trails from a onto the summand from b.
-``orbit_summands`` builds one summand per vertex orbit of Aut(G)
-(``graphs.vertex_orbits``), from the orbit's least vertex.
+graded piece splits by first vertex: ``trail_complex`` with starts builds
+the summand of the trails from those vertices.
 
 Every cell here and in ``pathhom`` comes from one enumerator, ``walks``,
-which takes the step relation as data and is cached per start vertex.
-``walk_buckets`` concatenates the starts' buckets in ascending start
-order, so whole complexes, orbit summands and magnitude counts read the
-same cache entries.  Trails walk over finite-distance steps; allowed
-paths walk along edges, each step of weight 1.  An n-step trail of
-length n steps along edges only, so the eulerian cells at bidegree
-(n, n) are exactly the regular allowed n-paths (Hepworth and Willerton,
-*Categorifying the magnitude of a graph*, HHA 2017).
+which takes the step relation as data and runs one depth-first pass per
+start into shared buckets.  Nothing is cached: the cells live exactly as
+long as the complex that holds them.  Trails walk over finite-distance
+steps; allowed paths walk along edges, each step of weight 1.  An n-step
+trail of length n steps along edges only, so the eulerian cells at
+bidegree (n, n) are exactly the regular allowed n-paths (Hepworth and
+Willerton, *Categorifying the magnitude of a graph*, HHA 2017).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
-from itertools import chain
 
 from .errors import GraphError
-from .graphs import distance_matrix, eccentricity_bound, vertex_orbits
+from .graphs import distance_matrix, eccentricity_bound
 
 KINDS = ("eulerian", "ordinary", "discriminant")
 
 
-def _finite_steps(G):
+def finite_steps(G):
     """Per vertex, the ascending (target, distance) pairs at finite positive distance."""
     return tuple(
         tuple((v, d) for v, d in enumerate(row) if v != u and d != float("inf"))
@@ -66,18 +61,18 @@ def _finite_steps(G):
     )
 
 
-@lru_cache(maxsize=None)
-def walks(steps, start, cap=None, distinct=False):
-    """Every walk from start along steps, bucketed by (entries - 1, total weight).
+def walks(steps, starts, cap=None, distinct=False):
+    """Every walk along steps from the starts, bucketed by (entries - 1, weight).
 
     steps gives, per vertex, the ascending (target, weight) pairs a walk
     may take from it.  cap bounds the total weight; distinct keeps only
     walks whose entries are pairwise distinct.  Depth-first pre-order
-    over ascending steps lists each bucket in lexicographic order.
+    over ascending steps, from the starts in ascending order, lists each
+    bucket in lexicographic order.
     """
     cap = float("inf") if cap is None else cap
     buckets = {}
-    stack = [start]
+    stack = []
     blocked = stack if distinct else ()
 
     def extend(last, weight):
@@ -88,21 +83,11 @@ def walks(steps, start, cap=None, distinct=False):
                 extend(v, weight + d)
                 stack.pop()
 
-    extend(start, 0)
+    for start in sorted(starts):
+        stack.append(start)
+        extend(start, 0)
+        stack.pop()
     return {key: tuple(cells) for key, cells in buckets.items()}
-
-
-def walk_buckets(steps, starts, cap=None, distinct=False):
-    """The walks buckets of every start, concatenated in ascending start
-    order, so each bucket stays in lexicographic order."""
-    parts = [walks(steps, a, cap, distinct) for a in sorted(starts)]
-    if len(parts) == 1:
-        return parts[0]
-    keys = sorted(set().union(*parts))
-    return {
-        key: tuple(chain.from_iterable(part.get(key, ()) for part in parts))
-        for key in keys
-    }
 
 
 def certified_length_bound(G):
@@ -129,11 +114,11 @@ def trail_complex(G, kind="eulerian", l_max=None, starts=None):
         raise ValueError(f"unknown complex kind {kind!r}; expected one of {KINDS}")
     starts = range(G.n) if starts is None else starts
     if kind == "eulerian":
-        raw = walk_buckets(_finite_steps(G), starts, distinct=True)
+        raw = walks(finite_steps(G), starts, distinct=True)
     elif l_max is None:
         raise ValueError(f"the {kind} complex is unbounded in length; pass l_max")
     else:
-        raw = walk_buckets(_finite_steps(G), starts, l_max)
+        raw = walks(finite_steps(G), starts, l_max)
     buckets = {}
     for key, cells in raw.items():
         if l_max is not None and key[1] > l_max:
@@ -143,21 +128,6 @@ def trail_complex(G, kind="eulerian", l_max=None, starts=None):
         if cells:
             buckets[key] = cells
     return FilteredComplex(buckets, distance_matrix(G))
-
-
-def orbit_summands(G, kind="eulerian", l_max=None):
-    """(orbit size, trail_complex of the trails from its least vertex),
-    one pair per vertex orbit of Aut(G).
-
-    An automorphism taking a to b carries the trails from a onto the
-    trails from b, preserving length and the graded differential, so
-    each graded piece is the sum over orbits of size-many copies of the
-    representative's summand.
-    """
-    return [
-        (len(orbit), trail_complex(G, kind, l_max, starts=orbit[:1]))
-        for orbit in vertex_orbits(G)
-    ]
 
 
 class FilteredComplex:

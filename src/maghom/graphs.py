@@ -588,10 +588,10 @@ def connected_graph_classes(n, min_girth=None):
     for m in range(1, n):
         found = set()
         for edges in classes:
-            dist = distance_matrix(rho(m, edges))
+            dist = distance_matrix(rho(m, edges)) if min_girth else None
             for size in range(1, m + 1):
                 for S in itertools.combinations(range(m), size):
-                    if any(dist[u][v] < gap for u, v in itertools.combinations(S, 2)):
+                    if dist and any(dist[u][v] < gap for u, v in itertools.combinations(S, 2)):
                         continue
                     found.add(canonical_form(m + 1, edges + tuple((v, m) for v in S)))
         classes = sorted(found)

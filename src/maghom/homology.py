@@ -15,11 +15,12 @@ go to a small dense Smith reduction, whose divisors exceeding 1 are the
 torsion summands (``matrices.reduce_columns``).
 
 ``homology_table`` reduces each graded piece one vertex orbit of Aut(G)
-at a time, on the summand of trails from the orbit's least vertex
-(``chains.orbit_summands``): ranks count once per orbit vertex, and
-torsion repeats as often and is regrouped into invariant factors.  So
-the E^1 check of ``rmpss_report``, which sets the pairing of the whole
-complex against these tables, compares two different matrices.
+(``graphs.vertex_orbits``) at a time, on the summand of trails from the
+orbit's least vertex, which an automorphism carries onto the summand of
+any other: ranks count once per orbit vertex, and torsion repeats as
+often and is regrouped into invariant factors.  So the E^1 check of
+``rmpss_report``, which sets the pairing of the whole complex against
+these tables, compares two different matrices.
 
 ``les_verify`` checks the long exact sequence at one length.  Its cycle
 bases are the kernel columns of one sparse column reduction per boundary
@@ -32,8 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import KINDS, certified_length_bound, orbit_summands, trail_complex
+from .chains import KINDS, certified_length_bound, trail_complex
 from .errors import GraphError
+from .graphs import vertex_orbits
 from .matrices import combine, parse_ring, reduce_column, reduce_columns
 
 
@@ -256,7 +258,9 @@ def homology_table(G, kind="eulerian", ring="Z", l_max=None):
             l_max = bound
         certified = l_max >= bound
     sums = {}
-    for size, complex_ in orbit_summands(G, kind, l_max):
+    for orbit in vertex_orbits(G):
+        size = len(orbit)
+        complex_ = trail_complex(G, kind, l_max, starts=orbit[:1])
         for l in sorted({l for _, l in complex_.buckets}):
             for k, g in chain_homology(complex_, ring, weight=l).items():
                 rank, torsion = sums.get((k, l), (0, ()))

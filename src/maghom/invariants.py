@@ -2,7 +2,7 @@
 
 The regular magnitude polynomial counts all-distinct trails with signs,
 so it is exact and finite; the ordinary magnitude series has to be
-truncated at a length cap, and is counted from the distance matrix
+truncated at a length cap.  Both are counted from the distance matrix
 without building a trail.  The remaining operations are classifiers
 and metrics: diagonality of the homology tables, the girth bound on
 subdiagonal vanishing, the network of connected spanning subgraphs of
@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, perm
 
-from .chains import orbit_summands
+from .chains import finite_steps
 from .errors import GraphError, ResourceCapError
 from .graphs import (
     canonical_form,
@@ -77,12 +77,32 @@ class Polynomial:
 
 
 def regular_magnitude(G):
-    """Exact signed count of all-distinct trails, graded by length, from
-    the cells of one representative summand per vertex orbit."""
+    """Exact signed count of all-distinct trails, graded by length.
+
+    No trail is built: a pass over states (set of entries, last entry)
+    adds one entry per layer, along ``chains.finite_steps``.  A state packs
+    its trail counts by length into one int, w bits per length, so a step
+    of distance d is a shift by w * d.  No count exceeds the number of
+    injective words, so nothing carries, and the sum of the layer of
+    k + 1 entries is unpacked with the sign (-1)^k.
+    """
+    w = sum(perm(G.n, k) for k in range(G.n + 1)).bit_length()
+    slot = (1 << w) - 1
+    shifts = [[(v, w * d) for v, d in steps] for steps in finite_steps(G)]
+    layer = {(1 << v, v): 1 for v in range(G.n)}
     by_length = {}
-    for size, complex_ in orbit_summands(G, "eulerian"):
-        for (k, l), cells in complex_.buckets.items():
-            by_length[l] = by_length.get(l, 0) + (-1) ** k * size * len(cells)
+    sign = 1
+    while layer:
+        total = sum(layer.values())
+        for l in range(total.bit_length() // w + 1):
+            by_length[l] = by_length.get(l, 0) + sign * (total >> (w * l) & slot)
+        grown = {}
+        for (seen, last), packed in layer.items():
+            for v, shift in shifts[last]:
+                if not seen >> v & 1:
+                    key = (seen | 1 << v, v)
+                    grown[key] = grown.get(key, 0) + (packed << shift)
+        layer, sign = grown, -sign
     return Polynomial.from_map(by_length)
 
 

@@ -39,7 +39,7 @@ whose R column is zero or has an allowed lowest row.
 
 from __future__ import annotations
 
-from .chains import walk_buckets
+from .chains import walks
 from .graphs import adjacency
 from .homology import parse_field
 from .matrices import reduce_columns
@@ -48,7 +48,7 @@ from .matrices import reduce_columns
 def _paths(G, top, strong):
     """Allowed paths of every degree up to top: walks along edges, bucketed (n, n)."""
     steps = tuple(tuple((v, 1) for v in vs) for vs in adjacency(G))
-    return walk_buckets(steps, range(G.n), top, strong)
+    return walks(steps, range(G.n), top, strong)
 
 
 def allowed_paths(G, n, strong=False):

@@ -59,15 +59,6 @@ class CheckResult:
     details: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "seconds": round(self.seconds, 3),
-            "details": self.details,
-            "failures": self.failures,
-        }
-
 
 class Recorder:
     def __init__(self):

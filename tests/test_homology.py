@@ -2,9 +2,11 @@
 pass against the per-degree Smith normal form loop it replaced, and the
 orbit-summand tables against one reduction of each whole graded piece."""
 
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -398,6 +400,18 @@ def test_orbit_summands_match_the_unsplit_table(G, ring):
         assert got == unsplit_table(G, kind, ring, l_max), (kind, ring)
     assert regular_magnitude(G) == signed_counts(trail_complex(G))
     assert magnitude_series(G, 4) == signed_counts(trail_complex(G, "ordinary", 4))
+
+
+def test_a_table_leaves_no_trails_behind():
+    G = family("cycle", 8)
+    tracemalloc.start()
+    try:
+        assert homology_table(G).top_bidegree() == (7, 25)
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert left < 100_000, f"{left} bytes still traced"
 
 
 @pytest.mark.parametrize(

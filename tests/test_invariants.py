@@ -2,13 +2,15 @@
 
 import itertools
 import random
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_homology import signed_counts
 from test_snf import small_digraphs
 
+from maghom.chains import trail_complex
 from maghom.errors import GraphError, ResourceCapError
 from maghom.graphs import (
     canonical_form,
@@ -17,7 +19,9 @@ from maghom.graphs import (
     distance_matrix,
     family,
     is_weakly_connected,
+    point,
     rho,
+    vertex_orbits,
 )
 from maghom.homology import homology_table
 from maghom.invariants import (
@@ -32,6 +36,7 @@ from maghom.invariants import (
     subdiagonal_bound,
     subgraph_network,
 )
+from maghom.words import derangement_count
 
 
 def test_polynomial_basics():
@@ -164,6 +169,42 @@ def test_regular_magnitude_values():
     # finite polynomial: evaluations at +-1 are honest integers
     p = regular_magnitude(family("cycle", 4))
     assert p(1) == sum(p.coefficients)
+
+
+def test_regular_magnitude_of_complete_graphs():
+    # every injective word of K_n is a trail, and a word with k + 1
+    # entries has length k
+    for n in range(1, 8):
+        want = [(-1) ** k * factorial(n) // factorial(n - k - 1) for k in range(n)]
+        assert regular_magnitude(family("complete", n)) == Polynomial(tuple(want)), n
+
+
+@pytest.mark.parametrize(
+    "G",
+    [digraph(0, []), point(), digraph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])],
+    ids=["empty", "point", "disconnected"],
+)
+def test_regular_magnitude_counts_the_trail_complex(G):
+    assert regular_magnitude(G) == signed_counts(trail_complex(G))
+
+
+def chorded_cycle(n, seed):
+    """Directed n-cycle plus the ordered pairs a seeded coin keeps with
+    probability 1/4: strongly connected."""
+    rng = random.Random(seed)
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    edges |= {e for e in itertools.permutations(range(n), 2) if rng.random() < 0.25}
+    return digraph(n, edges)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_regular_magnitude_without_symmetry_is_counted_not_built(n):
+    # every injective word of a strongly connected digraph is a trail, and
+    # the word complex is a wedge of D_n spheres of dimension n - 1; with
+    # no symmetry, building the trails would enumerate all n! words
+    G = chorded_cycle(n, 5)
+    assert len(vertex_orbits(G)) == n
+    assert regular_magnitude(G)(1) == 1 + (-1) ** (n - 1) * derangement_count(n)
 
 
 def test_regular_magnitude_decategorifies_the_table():
