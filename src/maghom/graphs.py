@@ -6,10 +6,14 @@ Undirected graphs are handled as symmetric digraphs: an undirected edge
 only make sense for undirected graphs (girth, subgraph networks, ...) can
 insist on it.
 
-Isomorphism and automorphism share one backtracking search, which places
-vertices so that distances are preserved, each among the vertices of its
-colour refined on the distance matrix.  ``vertex_orbits`` merges the
-cycles of every automorphism it confirms.
+Canonical forms, isomorphism and automorphism all colour vertices with one
+refinement, ``_refine``: degree first, then the multisets of neighbour
+colours, until the colours are stable.  Isomorphism and automorphism share
+one backtracking search, which places vertices so that distances are
+preserved, each among the vertices of its colour; ``vertex_orbits`` colours
+a graph once and merges the cycles of every automorphism it confirms.  A
+graph computes its distance matrix once and keeps it for as long as the
+graph lives; no cache keyed by graphs outlives them.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import GraphError, ParseError
 
@@ -49,6 +53,26 @@ class DirectedGraph:
                     raise GraphError(
                         f"symmetric graph is missing the reverse of ({u}, {v})"
                     )
+
+    @cached_property
+    def distances(self):
+        """All-pairs directed path-length distances, computed on first use:
+        a tuple of row tuples, int where finite and INF where unreachable."""
+        adj = adjacency(self)
+        rows = []
+        for s in range(self.n):
+            dist = [INF] * self.n
+            dist[s] = 0
+            q = deque([s])
+            while q:
+                u = q.popleft()
+                du = dist[u]
+                for v in adj[u]:
+                    if dist[v] is INF:
+                        dist[v] = du + 1
+                        q.append(v)
+            rows.append(tuple(dist))
+        return tuple(rows)
 
     @property
     def m(self):
@@ -95,27 +119,9 @@ def adjacency(G):
     return tuple(tuple(sorted(vs)) for vs in out)
 
 
-@lru_cache(maxsize=None)
 def distance_matrix(G):
-    """All-pairs directed path-length distances; unreachable pairs get INF.
-
-    Returned as a tuple of row tuples; finite entries are ints.
-    """
-    adj = adjacency(G)
-    rows = []
-    for s in range(G.n):
-        dist = [INF] * G.n
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            du = dist[u]
-            for v in adj[u]:
-                if dist[v] is INF:
-                    dist[v] = du + 1
-                    q.append(v)
-        rows.append(tuple(dist))
-    return tuple(rows)
+    """All-pairs distances of G, unreachable pairs INF: ``G.distances``."""
+    return G.distances
 
 
 def eccentricity_bound(G):
@@ -422,58 +428,46 @@ def _match(G, H, cands):
     return tuple(img) if place(0) else None
 
 
+def _refine(adj):
+    """Vertex colours by iterated degree refinement, as a list of ranks.
+
+    adj lists each vertex's neighbours (a digraph's successors).  Colours
+    start as degrees; a vertex's next colour is its colour with the
+    multiset of its neighbours' colours, ranked, until the colour vector
+    is stable.  Every step reads the graph alone, so an isomorphism
+    carries each vertex to one of the same colour.
+    """
+    n = len(adj)
+    color = [len(adj[v]) for v in range(n)]
+    while True:
+        key = [
+            (color[v], tuple(sorted(color[w] for w in adj[v]))) for v in range(n)
+        ]
+        ranks = {k: i for i, k in enumerate(sorted(set(key)))}
+        new = [ranks[key[v]] for v in range(n)]
+        if new == color:
+            return color
+        color = new
+
+
 def are_isomorphic(G, H):
     """Exact digraph isomorphism by backtracking, each vertex's candidate
-    images drawn from its distance colour class.
+    images drawn from its colour class under ``_refine``.
 
-    An isomorphism carries each vertex to one of the same colour, since
-    the colours are ranks computed from distances alone; graphs whose
-    sorted colours differ are not isomorphic.
+    Graphs whose sorted colours differ are not isomorphic.
     """
     if G.n != H.n or G.m != H.m or G.symmetric != H.symmetric:
         return False
-    gc, hc = _distance_colours(G), _distance_colours(H)
+    gc, hc = _refine(adjacency(G)), _refine(adjacency(H))
     if sorted(gc) != sorted(hc):
         return False
     cands = [[w for w in range(H.n) if hc[w] == gc[v]] for v in range(G.n)]
     return _match(G, H, cands) is not None
 
 
-@lru_cache(maxsize=None)
-def _distance_colours(G):
-    """Vertex colours refined on distance-matrix rows and columns.
-
-    A vertex's next colour is its colour with the multisets of
-    (distance, colour) pairs to and from every vertex; refinement stops
-    when no class splits.  Automorphisms preserve distances, so they
-    preserve every colour.
-    """
-    dist = distance_matrix(G)
-    colour = (0,) * G.n
-    while True:
-        key = [
-            (
-                colour[v],
-                tuple(sorted((dist[v][w], colour[w]) for w in range(G.n))),
-                tuple(sorted((dist[w][v], colour[w]) for w in range(G.n))),
-            )
-            for v in range(G.n)
-        ]
-        ranks = {k: i for i, k in enumerate(sorted(set(key)))}
-        new = tuple(ranks[k] for k in key)
-        if len(ranks) == len(set(colour)):
-            return new
-        colour = new
-
-
-def automorphism(G, u, v):
-    """An automorphism of G taking u to v, as the tuple of vertex images,
-    or None when there is none.
-
-    The ``are_isomorphic`` search from G to itself with the pair (u, v)
-    fixed, each other vertex drawn from its distance colour class.
-    """
-    colour = _distance_colours(G)
+def _pinned(G, colour, u, v):
+    """The ``_match`` of G onto itself with u sent to v, each other vertex
+    drawn from its class under the colours of G."""
     if colour[u] != colour[v]:
         return None
     cands = [[w for w in range(G.n) if colour[w] == colour[x]] for x in range(G.n)]
@@ -481,14 +475,25 @@ def automorphism(G, u, v):
     return _match(G, G, cands)
 
 
-@lru_cache(maxsize=None)
+def automorphism(G, u, v):
+    """An automorphism of G taking u to v, as the tuple of vertex images,
+    or None when there is none.
+
+    The ``are_isomorphic`` search from G to itself with the pair (u, v)
+    fixed, each other vertex drawn from its colour class.
+    """
+    return _pinned(G, _refine(adjacency(G)), u, v)
+
+
 def vertex_orbits(G):
     """Orbits of Aut(G) on the vertices: ascending tuples, by least vertex.
 
     Each vertex is tried against the least vertex of every orbit found so
     far; an automorphism taking one to the other merges every cycle it
-    has, so later vertices are mostly placed without a search.
+    has, so later vertices are mostly placed without a search.  G is
+    coloured once for all of these searches.
     """
+    colour = _refine(adjacency(G))
     root = list(range(G.n))
 
     def find(x):
@@ -502,7 +507,7 @@ def vertex_orbits(G):
         if find(v) != v:
             continue
         for u in firsts:
-            sigma = automorphism(G, u, v)
+            sigma = _pinned(G, colour, u, v)
             if sigma is not None:
                 for x, y in enumerate(sigma):
                     a, b = find(x), find(y)
@@ -520,24 +525,14 @@ def canonical_form(n, pairs):
     """Canonical labelling of an undirected graph given as unordered pairs.
 
     Returns a sorted tuple of sorted pairs, minimal over all vertex
-    permutations compatible with an iterated degree refinement.
+    permutations compatible with ``_refine``'s colours.
     """
     pairs = [tuple(sorted(p)) for p in pairs]
     adj = [set() for _ in range(n)]
     for u, v in pairs:
         adj[u].add(v)
         adj[v].add(u)
-    # refine colors by neighbor color multisets until stable
-    color = [len(adj[v]) for v in range(n)]
-    while True:
-        key = [
-            (color[v], tuple(sorted(color[w] for w in adj[v]))) for v in range(n)
-        ]
-        ranks = {k: i for i, k in enumerate(sorted(set(key)))}
-        new = [ranks[key[v]] for v in range(n)]
-        if new == color:
-            break
-        color = new
+    color = _refine(adj)
     cells = {}
     for v in range(n):
         cells.setdefault(color[v], []).append(v)
@@ -579,7 +574,9 @@ def connected_graph_classes(n, min_girth=None):
     subgraphs, and the shortest cycle through the new vertex has length
     2 + the least distance between two members of S, so with min_girth
     set S must be spread at least min_girth - 2 apart.  Forests count as
-    girth INF and always pass.
+    girth INF and always pass.  The distances cost a search from every
+    vertex of each smaller class, so they are computed only with
+    min_girth.
     """
     if n < 1:
         raise GraphError("need n >= 1")

@@ -216,29 +216,11 @@ def reduced_homology(groups):
 
 def invariant_factors(orders):
     """Invariant factors d_1 | d_2 | ..., each above 1, of the direct sum
-    of the cyclic groups Z/d for d in orders.
-
-    Each order splits into prime powers; the i-th largest factor is the
-    product of every prime's i-th largest power.
+    of the cyclic groups Z/d for d in orders: the Smith divisors above 1
+    of the diagonal matrix of orders.
     """
-    powers = {}
-    for d in orders:
-        p = 2
-        while d > 1:
-            if p * p > d:
-                p = d
-            q = 1
-            while d % p == 0:
-                d //= p
-                q *= p
-            if q > 1:
-                powers.setdefault(p, []).append(q)
-            p += 1
-    factors = [1] * max(map(len, powers.values()), default=0)
-    for qs in powers.values():
-        for i, q in enumerate(sorted(qs, reverse=True)):
-            factors[-1 - i] *= q
-    return tuple(factors)
+    divisors = reduce_columns([{i: d} for i, d in enumerate(orders)], "Z")[2]
+    return tuple(d for d in divisors if d > 1)
 
 
 def homology_table(G, kind="eulerian", ring="Z", l_max=None):

@@ -187,6 +187,40 @@ def test_are_isomorphic():
     assert are_isomorphic(family("cycle", 4), rho(4, [(0, 2), (2, 1), (1, 3), (3, 0)]))
     assert not are_isomorphic(family("cycle", 4), family("complete", 4))
     assert not are_isomorphic(point(), family("dir_linear", 2))
+    # every vertex colours alike in both; only the distances tell them apart
+    two_triangles = digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert not are_isomorphic(family("dir_cycle", 6), two_triangles)
+
+
+def brute_isomorphic(G, H):
+    return any(relabel(G, p).edges == H.edges for p in itertools.permutations(range(G.n)))
+
+
+@st.composite
+def digraph_pairs(draw):
+    """A digraph on at most 5 vertices and a relabelled copy of: itself,
+    itself with edges switched so that every in- and out-degree stays,
+    or any digraph on as many vertices."""
+    G = draw(small_digraphs())
+    rng = draw(st.randoms(use_true_random=False))
+    how = draw(st.sampled_from(["same", "switched", "any"]))
+    edges = set(G.edges)
+    if how == "any":
+        edges = {e for e in itertools.permutations(range(G.n), 2) if rng.random() < 0.5}
+    for _ in range(20 if how == "switched" and len(edges) > 1 else 0):
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if a != d and c != b and not {(a, d), (c, b)} & edges:
+            edges ^= {(a, b), (c, d), (a, d), (c, b)}
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return G, relabel(digraph(G.n, edges), perm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraph_pairs())
+def test_digraph_isomorphism_matches_brute_force(pair):
+    G, H = pair
+    assert are_isomorphic(G, H) == brute_isomorphic(G, H)
 
 
 def test_connected_class_counts():
@@ -305,12 +339,24 @@ def test_orbits_match_brute_force(G):
     assert sorted(v for o in orbits for v in o) == list(range(G.n))
 
 
-@pytest.mark.parametrize("G", SYMMETRIC_GRAPHS + [transitive_tournament(3)])
-def test_every_found_automorphism_preserves_the_edges(G):
-    orbit_of = {v: o for o in vertex_orbits(G) for v in o}
+def assert_automorphisms_are_exact(G):
+    """automorphism(G, u, v) finds one exactly when v is in u's orbit,
+    and what it finds is an automorphism taking u to v."""
+    orbit_of = {v: o for o in brute_orbits(G) for v in o}
     for u, v in itertools.product(range(G.n), repeat=2):
         sigma = automorphism(G, u, v)
         assert (sigma is not None) == (v in orbit_of[u]), (u, v)
         if sigma is not None:
             assert sigma[u] == v and sorted(sigma) == list(range(G.n))
             assert relabel(G, sigma).edges == G.edges
+
+
+@pytest.mark.parametrize("G", SYMMETRIC_GRAPHS + [transitive_tournament(3)])
+def test_every_found_automorphism_preserves_the_edges(G):
+    assert_automorphisms_are_exact(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs())
+def test_every_found_automorphism_of_a_digraph_preserves_the_edges(G):
+    assert_automorphisms_are_exact(G)
