@@ -65,12 +65,15 @@ def walks(steps, starts, cap=None, distinct=False):
     """Every walk along steps from the starts, bucketed by (entries - 1, weight).
 
     steps gives, per vertex, the ascending (target, weight) pairs a walk
-    may take from it.  cap bounds the total weight; distinct keeps only
-    walks whose entries are pairwise distinct.  Depth-first pre-order
-    over ascending steps, from the starts in ascending order, lists each
-    bucket in lexicographic order.
+    may take from it.  cap bounds the total weight: the search takes no
+    step past it, and a negative cap leaves no walk at all.  distinct
+    keeps only walks whose entries are pairwise distinct.  Depth-first
+    pre-order over ascending steps, from the starts in ascending order,
+    lists each bucket in lexicographic order.
     """
     cap = float("inf") if cap is None else cap
+    if cap < 0:
+        return {}
     buckets = {}
     stack = []
     blocked = stack if distinct else ()
@@ -105,28 +108,26 @@ def trail_complex(G, kind="eulerian", l_max=None, starts=None):
     """The trail complex of the given kind, filtered by length up to l_max.
 
     Eulerian trails are finitely many, so l_max may be omitted; the
-    ordinary and discriminant complexes are unbounded and need it.  With
+    ordinary and discriminant complexes are unbounded and need it.  The
+    enumeration of every kind takes no step past l_max, and a trail's
+    prefixes are no longer than it, so the capped complex holds exactly
+    the cells of weight at most l_max.  With
     starts, only the trails whose first entry is one of them; at fixed
     length the differential keeps the first entry, so this is a direct
     summand of every graded piece.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown complex kind {kind!r}; expected one of {KINDS}")
-    starts = range(G.n) if starts is None else starts
-    if kind == "eulerian":
-        raw = walks(finite_steps(G), starts, distinct=True)
-    elif l_max is None:
+    if kind != "eulerian" and l_max is None:
         raise ValueError(f"the {kind} complex is unbounded in length; pass l_max")
-    else:
-        raw = walks(finite_steps(G), starts, l_max)
-    buckets = {}
-    for key, cells in raw.items():
-        if l_max is not None and key[1] > l_max:
-            continue
-        if kind == "discriminant":
-            cells = tuple(t for t in cells if len(set(t)) < len(t))
-        if cells:
-            buckets[key] = cells
+    starts = range(G.n) if starts is None else starts
+    buckets = walks(finite_steps(G), starts, l_max, distinct=kind == "eulerian")
+    if kind == "discriminant":
+        repeats = {
+            key: tuple(t for t in cells if len(set(t)) < len(t))
+            for key, cells in buckets.items()
+        }
+        buckets = {key: cells for key, cells in repeats.items() if cells}
     return FilteredComplex(buckets, distance_matrix(G))
 
 

@@ -22,6 +22,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 from .errors import GraphError, ParseError
 
@@ -564,7 +565,7 @@ def canonical_form(n, pairs):
 # connected undirected graphs up to isomorphism
 
 
-def connected_graph_classes(n, min_girth=None):
+def connected_graph_classes(n, min_girth=None, edge_count=None):
     """Canonical representatives of connected graphs on n vertices, sorted.
 
     Every connected graph has a non-cut vertex, so each class on n
@@ -576,7 +577,9 @@ def connected_graph_classes(n, min_girth=None):
     set S must be spread at least min_girth - 2 apart.  Forests count as
     girth INF and always pass.  The distances cost a search from every
     vertex of each smaller class, so they are computed only with
-    min_girth.
+    min_girth.  With edge_count, only the classes with that many edges:
+    a vertex joined to m old ones brings between 1 and m edges, so S is
+    only as large as lets the vertices still to come reach edge_count.
     """
     if n < 1:
         raise GraphError("need n >= 1")
@@ -584,12 +587,18 @@ def connected_graph_classes(n, min_girth=None):
     classes = [()]
     for m in range(1, n):
         found = set()
+        # the vertices after this one bring at least `left` edges, at most `room`
+        left, room = n - m - 1, comb(n, 2) - comb(m + 1, 2)
         for edges in classes:
             dist = distance_matrix(rho(m, edges)) if min_girth else None
-            for size in range(1, m + 1):
+            lo, hi = 1, m
+            if edge_count is not None:
+                need = edge_count - len(edges)
+                lo, hi = max(lo, need - room), min(hi, need - left)
+            for size in range(lo, hi + 1):
                 for S in itertools.combinations(range(m), size):
                     if dist and any(dist[u][v] < gap for u, v in itertools.combinations(S, 2)):
                         continue
                     found.add(canonical_form(m + 1, edges + tuple((v, m) for v in S)))
         classes = sorted(found)
-    return classes
+    return [c for c in classes if edge_count in (None, len(c))]

@@ -22,6 +22,12 @@ often and is regrouped into invariant factors.  So the E^1 check of
 ``rmpss_report``, which sets the pairing of the whole complex against
 these tables, compares two different matrices.
 
+``is_regularly_diagonal`` gives the eulerian table's diagonality over Z
+without building the table: it reduces each orbit summand one weight at
+a time, in ascending order under a doubling length cap, and stops at
+the first group off the diagonal.  Every caller that reads only the
+verdict uses it.
+
 ``les_verify`` checks the long exact sequence at one length.  Its cycle
 bases are the kernel columns of one sparse column reduction per boundary
 (``matrices.reduce_columns``), in one loop from the top degree down with
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 
 from .chains import KINDS, certified_length_bound, trail_complex
 from .errors import GraphError
-from .graphs import vertex_orbits
+from .graphs import eccentricity_bound, vertex_orbits
 from .matrices import combine, parse_ring, reduce_column, reduce_columns
 
 
@@ -254,6 +260,34 @@ def homology_table(G, kind="eulerian", ring="Z", l_max=None):
     return HomologyTable(kind, ring, entries, l_max, certified, G.n)
 
 
+def is_regularly_diagonal(G):
+    """Whether the eulerian table over Z vanishes off the diagonal k = l.
+
+    The verdict of ``homology_table(G, "eulerian", "Z").diagonal``, read
+    one orbit summand and one weight at a time, and False at the first
+    group off the diagonal: such a group in one summand is an entry of
+    the table.  A graded piece uses only cells of its own weight, so a
+    summand enumerated up to length cap has each piece of weight at most
+    cap exactly.  The cap doubles from 2 to the certified bound, and each
+    pass reduces the weights it adds in ascending order.  A summand whose
+    top weight is at most cap - D, D the largest finite distance, lost no
+    step to the cap, so it is whole and the doubling stops.
+    """
+    bound = certified_length_bound(G)
+    reach = eccentricity_bound(G)
+    for orbit in vertex_orbits(G):
+        done, cap = -1, min(2, bound)
+        while True:
+            complex_ = trail_complex(G, "eulerian", cap, starts=orbit[:1])
+            for l in sorted({l for _, l in complex_.buckets if l > done}):
+                if any(k != l for k in chain_homology(complex_, "Z", weight=l)):
+                    return False
+            if cap == bound or complex_.top_weight <= cap - reach:
+                break
+            done, cap = cap, min(2 * cap, bound)
+    return True
+
+
 def _map_rank(images, pivots):
     """Rank on homology of a map, from chain-level images of a cycle basis.
 
@@ -373,8 +407,7 @@ def splitting_check(G, l_max=None):
     map.  l_max defaults to the certified enumeration bound, which
     covers every level where the diagonal part can be nonzero.
     """
-    full = homology_table(G, "eulerian", "Z")
-    if not full.diagonal:
+    if not is_regularly_diagonal(G):
         raise GraphError("not regularly diagonal")
     if l_max is None:
         l_max = certified_length_bound(G)

@@ -4,10 +4,12 @@ The regular magnitude polynomial counts all-distinct trails with signs,
 so it is exact and finite; the ordinary magnitude series has to be
 truncated at a length cap.  Both are counted from the distance matrix
 without building a trail.  The remaining operations are classifiers
-and metrics: diagonality of the homology tables, the girth bound on
-subdiagonal vanishing, the network of connected spanning subgraphs of
+and metrics: diagonality of the homology tables (the regular verdict is
+``homology.is_regularly_diagonal``, exported here too), the girth bound
+on subdiagonal vanishing, the network of connected spanning subgraphs of
 K_n with its path metric, and the extremal girth number gamma(n, s),
-read off the triangle-free classes of ``graphs.connected_graph_classes``.
+read off the triangle-free classes with the matching edge count of
+``graphs.connected_graph_classes``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, perm
 
-from .chains import finite_steps
+from .chains import certified_length_bound, finite_steps
 from .errors import GraphError, ResourceCapError
 from .graphs import (
     canonical_form,
@@ -26,7 +28,7 @@ from .graphs import (
     is_weakly_connected,
     rho,
 )
-from .homology import homology_table
+from .homology import homology_table, is_regularly_diagonal
 
 INF = float("inf")
 
@@ -132,24 +134,19 @@ def magnitude_series(G, l_max):
     return Polynomial(tuple(sum(c) for c in counts))
 
 
-def is_regularly_diagonal(G):
-    """Exact verdict: all-distinct homology vanishes off the diagonal."""
-    return homology_table(G, "eulerian", "Z").diagonal
-
-
 def classify_diagonality(G, l_max=None):
     """Diagonality of both homology tables.
 
-    The regular verdict is exact; the ordinary one is only meaningful
-    up to the cap, which defaults to the certified regular bound.
+    The regular verdict is exact (``homology.is_regularly_diagonal``);
+    the ordinary one is only meaningful up to the cap, which defaults to
+    the certified regular bound.
     """
-    reg = homology_table(G, "eulerian", "Z")
     if l_max is None:
-        l_max = reg.l_max
+        l_max = certified_length_bound(G)
     ordinary = homology_table(G, "ordinary", "Z", l_max=l_max)
     return {
-        "regularly_diagonal": reg.diagonal,
-        "regular_certified": reg.certified,
+        "regularly_diagonal": is_regularly_diagonal(G),
+        "regular_certified": True,
         "diagonal_up_to_lmax": ordinary.diagonal,
         "l_max": l_max,
         "ordinary_truncated": True,
@@ -336,8 +333,10 @@ def gamma(n, s):
 
     Above n^2/4 edges a triangle is forced (Mantel); otherwise the answer
     is the largest girth among the triangle-free classes of
-    ``connected_graph_classes``, generated by vertex augmentation with a
-    girth filter.  With m >= n edges every class has a cycle.
+    ``connected_graph_classes`` with m edges, generated by vertex
+    augmentation with a girth filter and pruned as soon as a class can
+    no longer end with m edges.  With m >= n edges every class has a
+    cycle.
     """
     if n > 8:
         raise ResourceCapError(f"gamma capped at 8 vertices, got {n}")
@@ -346,5 +345,5 @@ def gamma(n, s):
     m = comb(n, 2) - s
     if m > n * n // 4:
         return 3
-    classes = connected_graph_classes(n, min_girth=4)
-    return max((girth(rho(n, f)) for f in classes if len(f) == m), default=3)
+    classes = connected_graph_classes(n, min_girth=4, edge_count=m)
+    return max((girth(rho(n, f)) for f in classes), default=3)

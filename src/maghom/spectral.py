@@ -46,7 +46,13 @@ from math import inf
 from .errors import GraphError
 from .chains import trail_complex
 from .graphs import distance_matrix, is_weakly_connected
-from .homology import chain_homology, coboundary_pass, homology_table, parse_field
+from .homology import (
+    chain_homology,
+    coboundary_pass,
+    homology_table,
+    is_regularly_diagonal,
+    parse_field,
+)
 from .matrices import combine, reduce_column, reduce_columns
 from .pathhom import path_homology
 from .words import injective_word_ranks
@@ -335,8 +341,7 @@ def diagonal_convergence(G, ring="Q"):
     match the homology of the complex of injective words rank for rank."""
     if not is_weakly_connected(G):
         raise GraphError("diagonal convergence needs a connected graph")
-    full = homology_table(G, "eulerian", "Z")
-    if not full.diagonal:
+    if not is_regularly_diagonal(G):
         raise GraphError("not regularly diagonal")
     field = parse_field(ring, "diagonal convergence needs")
     sph = path_homology(G, strong=True, ring=field)

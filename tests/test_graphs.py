@@ -275,6 +275,15 @@ def test_connected_classes_match_labeled_sweep(min_girth):
             assert not are_isomorphic(G, H)
 
 
+@pytest.mark.parametrize("min_girth", [None, 4, 5])
+def test_an_edge_count_prunes_to_the_classes_with_that_many_edges(min_girth):
+    for n in range(1, 7):
+        classes = connected_graph_classes(n, min_girth=min_girth)
+        for m in range(-1, math.comb(n, 2) + 2):
+            want = [edges for edges in classes if len(edges) == m]
+            assert connected_graph_classes(n, min_girth, edge_count=m) == want, (n, m)
+
+
 def relabel(G, perm):
     return DirectedGraph(
         G.n, frozenset((perm[u], perm[v]) for u, v in G.edges), G.symmetric

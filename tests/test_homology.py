@@ -1,6 +1,8 @@
 """Homology tables against frozen small-graph values, the coboundary
-pass against the per-degree Smith normal form loop it replaced, and the
-orbit-summand tables against one reduction of each whole graded piece."""
+pass against the per-degree Smith normal form loop it replaced, the
+orbit-summand tables against one reduction of each whole graded piece,
+and the early-exit diagonality verdict and the capped eulerian complex
+against the full table and the full complex."""
 
 import gc
 import itertools
@@ -30,6 +32,7 @@ from maghom.homology import (
     chain_homology,
     homology_table,
     invariant_factors,
+    is_regularly_diagonal,
     les_verify,
     parse_ring,
     reduced_homology,
@@ -470,3 +473,73 @@ def test_summed_torsion_keeps_invariant_factor_form(orders):
     want = prime_power_factors(orders)
     assert invariant_factors(orders) == want
     assert invariant_factors(orders * 3) == invariant_factors(want * 3)
+
+
+@st.composite
+def undirected_graphs(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return rho(n, [e for e, kept in zip(pairs, keep) if kept])
+
+
+@st.composite
+def disjoint_unions(draw):
+    G, H = draw(small_digraphs(max_n=3)), draw(small_digraphs(max_n=3))
+    return digraph(G.n + H.n, list(G.edges) + [(u + G.n, v + G.n) for u, v in H.edges])
+
+
+@st.composite
+def acyclic_digraphs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    pairs = list(itertools.combinations(order, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return digraph(n, [e for e, kept in zip(pairs, keep) if kept])
+
+
+DIAGONALITY_INPUTS = st.one_of(
+    small_digraphs(max_n=6), undirected_graphs(), disjoint_unions(), acyclic_digraphs()
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DIAGONALITY_INPUTS)
+def test_diagonality_verdict_matches_the_full_table(G):
+    assert is_regularly_diagonal(G) == homology_table(G, "eulerian", "Z").diagonal
+
+
+@pytest.mark.parametrize(
+    "G",
+    [family("complete", n) for n in range(1, 7)]
+    + [family("tournament", n) for n in range(7)]
+    + [family("dir_linear", n) for n in range(1, 10)],
+)
+def test_diagonal_families_keep_their_verdict_through_every_cap(G):
+    # diagonal digraphs give no early exit: the verdict doubles its cap
+    # up to the certified bound or until the summand is whole
+    assert homology_table(G, "eulerian", "Z").diagonal
+    assert is_regularly_diagonal(G)
+
+
+@settings(max_examples=80, deadline=None)
+@given(DIAGONALITY_INPUTS, st.integers(-1, 12))
+def test_capped_eulerian_complex_is_the_full_one_cut_at_the_cap(G, l_max):
+    full = trail_complex(G).buckets
+    want = {key: cells for key, cells in full.items() if key[1] <= l_max}
+    assert trail_complex(G, "eulerian", l_max).buckets == want
+
+
+def test_capped_table_has_every_diagonal_entry_at_girth_five():
+    # the girth check reads only the (k, k) entries, from the table at l <= n - 1
+    def diagonal(table):
+        return {(k, l): g for (k, l), g in table.entries.items() if k == l}
+
+    seen = 0
+    for n in range(1, 7):
+        for edges in connected_graph_classes(n, min_girth=5):
+            G = rho(n, edges)
+            capped = homology_table(G, "eulerian", "Z", l_max=n - 1)
+            assert diagonal(capped) == diagonal(homology_table(G, "eulerian", "Z")), edges
+            seen += 1
+    assert seen == 17
