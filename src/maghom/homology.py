@@ -28,21 +28,23 @@ a time, in ascending order under a doubling length cap, and stops at
 the first group off the diagonal.  Every caller that reads only the
 verdict uses it.
 
-``les_verify`` checks the long exact sequence at one length.  Its cycle
-bases are the kernel columns of one sparse column reduction per boundary
-(``matrices.reduce_columns``), in one loop from the top degree down with
-clearing, and each map rank is the number of pivots its images add to
-the reduction of the boundaries.
+``les_verify`` checks the long exact sequence at one length.  Its map
+ranks are counts of the persistence pairs of one coboundary pass over
+the ordinary graded piece, its all-distinct trails ordered first: the
+pairing of a complex with a subcomplex gives the ranks of inclusion,
+projection and connecting map, as the pairing of a filtered complex
+gives the pages of its spectral sequence.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .chains import KINDS, certified_length_bound, trail_complex
+from .chains import KINDS, FilteredComplex, certified_length_bound, trail_complex
 from .errors import GraphError
 from .graphs import eccentricity_bound, vertex_orbits
-from .matrices import combine, parse_ring, reduce_column, reduce_columns
+from .matrices import parse_ring, reduce_columns
 
 
 def parse_field(ring, needs):
@@ -288,88 +290,62 @@ def is_regularly_diagonal(G):
     return True
 
 
-def _map_rank(images, pivots):
-    """Rank on homology of a map, from chain-level images of a cycle basis.
-
-    pivots are those of the boundaries' reduction over Q; the images
-    extend a copy of them, and the rank is the number of pivots they add.
-    """
-    pivots = dict(pivots)
-    added = 0
-    for image in images:
-        col = dict(image)
-        low = reduce_column(col, pivots, "Q")
-        if low is not None:
-            pivots[low] = (None, col, None)
-            added += 1
-    return added
-
-
 def les_verify(G, l):
     """Rank bookkeeping for the inclusion/projection/connecting maps at level l.
 
     At a fixed length the ordinary complex is finite (each step has length
     at least one), so no truncation is involved.  Returns per-degree ranks
     of the three homologies and of the maps between them, plus the three
-    exactness identities the ranks must satisfy.  Cycle bases are the V
-    columns of the zero columns in the column reduction of each boundary;
-    every map rank comes from chain-level images, never from the
-    exactness identities.  Each boundary is reduced once, from the top
-    degree down with clearing: its zero columns and the cleared ones,
-    which are boundaries, span the cycles, and its pivots are the
-    boundaries a map rank reduces images against.  A map sends
-    boundaries to boundaries, so the zero columns alone give its rank.
-    The homology ranks come from ``chain_homology``, which builds each
-    face sum again as coboundaries, on purpose: they are the side of the
-    exactness identities that owes nothing to these reductions.
+    exactness identities the ranks must satisfy.
+
+    The map ranks count the persistence pairs of one ``coboundary_pass``
+    over Q on the ordinary graded piece M, its cells in stable order with
+    the all-distinct trails E first (Cohen-Steiner, Edelsbrunner, Harer &
+    Morozov, *Persistent homology for kernels, images, and cokernels*,
+    SODA 2009).  In degree k the inclusion's rank is the number of
+    unpaired all-distinct cells, the projection's the number of unpaired
+    repeat trails, and the connecting map's the number of pairs born on
+    an all-distinct cell in degree k - 1 that die on a repeat trail in
+    degree k.  A pair born on a repeat trail that dies on an all-distinct
+    cell would mean E is no subcomplex of M, and raises GraphError.  The
+    homology ranks come from ``chain_homology`` on the three complexes
+    ``trail_complex`` builds apart, on purpose: they are the side of the
+    exactness identities that owes nothing to this pairing.
     """
-    complexes = [trail_complex(G, kind, l) for kind in KINDS]
-    emx, mx, dmx = complexes
-    e, m, d = (
-        {k: g.rank for k, g in chain_homology(c, "Q", weight=l).items()} for c in complexes
-    )
 
-    r_incl, r_proj, r_conn = {}, {}, {}
-    # the pivots of each boundary out of degree k + 1: the boundaries in
-    # degree k, and the columns its reduction skips
-    above = [{}, {}, {}]
-    for k in range(l, -1, -1):
-        here = [
-            reduce_columns([dict(col) for col in c.boundary(k, l)], "Q", skip, record=True)
-            for c, skip in zip(complexes, above)
-        ]
-        (e_piv, e_cyc, _), (_, m_cyc, _), (_, d_cyc, _) = here
-        emc, mc, dmc = emx.cells(k, l), mx.cells(k, l), dmx.cells(k, l)
-        mc_index = {t: i for i, t in enumerate(mc)}
-        dmc_index = {t: i for i, t in enumerate(dmc)}
+    def ranks(complex_):
+        return {k: g.rank for k, g in chain_homology(complex_, "Q", weight=l).items()}
 
-        # inclusion on homology
-        images = [{mc_index[emc[i]]: v for i, v in z.items()} for z in e_cyc]
-        r_incl[k] = _map_rank(images, above[1])
+    ordinary = trail_complex(G, "ordinary", l)
+    e = ranks(trail_complex(G, "eulerian", l))
+    m = ranks(ordinary)
+    d = ranks(trail_complex(G, "discriminant", l))
 
-        # projection on homology
-        images = [
-            {dmc_index[mc[i]]: v for i, v in z.items() if mc[i] in dmc_index}
-            for z in m_cyc
-        ]
-        r_proj[k] = _map_rank(images, above[2])
+    # the graded piece at length l, all-distinct trails first, and per
+    # degree the number of them
+    buckets, cut = {}, {}
+    for (k, w), cells in ordinary.buckets.items():
+        if w == l:
+            distinct = tuple(t for t in cells if len(set(t)) == len(t))
+            cut[k] = len(distinct)
+            buckets[(k, l)] = distinct + tuple(t for t in cells if len(set(t)) < len(t))
+    piece = FilteredComplex(buckets, ordinary.dist)
 
-        # connecting map: lift a quotient cycle, push it through the full
-        # differential, read the result in the all-distinct basis
-        full = mx.boundary(k, l)
-        lower = mx.cells(k - 1, l)
-        lower_index = {t: i for i, t in enumerate(emx.cells(k - 1, l))}
-        images = []
-        for z in d_cyc:
-            pushed = combine(full, {mc_index[dmc[i]]: v for i, v in z.items()})
-            for i in pushed:
-                if lower[i] not in lower_index:
-                    raise GraphError(
-                        f"connecting image of a cycle hit repeat trail {lower[i]}"
-                    )
-            images.append({lower_index[lower[i]]: v for i, v in pushed.items()})
-        r_conn[k] = _map_rank(images, e_piv)
-        above = [pivots for pivots, _, _ in here]
+    r_incl, r_proj, r_conn = Counter(), Counter(), Counter()
+    dead = []  # the degree-k cells paired with a cell of degree k - 1
+    for k, pairs, _ in coboundary_pass(piece, "Q", weight=l):
+        here, above = cut.get(k, 0), cut.get(k + 1, 0)
+        for birth, death in pairs:
+            if birth >= here and death < above:
+                raise GraphError(
+                    f"all-distinct trail {piece.cells(k + 1, l)[death]} pairs"
+                    f" with repeat trail {piece.cells(k, l)[birth]}"
+                )
+        r_conn[k + 1] = sum(birth < here and death >= above for birth, death in pairs)
+        paired = [birth for birth, _ in pairs] + dead
+        r_incl[k] = here - sum(i < here for i in paired)
+        r_proj[k] = piece.dim(k, l) - here - sum(i >= here for i in paired)
+        dead = [death for _, death in pairs]
 
     checks = []
     failures = []
@@ -378,7 +354,7 @@ def les_verify(G, l):
             "k": k,
             "exact_at_ordinary": r_incl[k] + r_proj[k] == m.get(k, 0),
             "exact_at_discriminant": r_proj[k] + r_conn[k] == d.get(k, 0),
-            "exact_at_eulerian": r_conn.get(k + 1, 0) + r_incl[k] == e.get(k, 0),
+            "exact_at_eulerian": r_conn[k + 1] + r_incl[k] == e.get(k, 0),
         }
         checks.append(row)
         for name in ("ordinary", "discriminant", "eulerian"):

@@ -2,14 +2,14 @@
 
 The regular magnitude polynomial counts all-distinct trails with signs,
 so it is exact and finite; the ordinary magnitude series has to be
-truncated at a length cap.  Both are counted from the distance matrix
-without building a trail.  The remaining operations are classifiers
-and metrics: diagonality of the homology tables (the regular verdict is
-``homology.is_regularly_diagonal``, exported here too), the girth bound
-on subdiagonal vanishing, the network of connected spanning subgraphs of
-K_n with its path metric, and the extremal girth number gamma(n, s),
-read off the triangle-free classes with the matching edge count of
-``graphs.connected_graph_classes``.
+truncated at a length cap.  Both are counted along
+``chains.finite_steps`` without building a trail.  The remaining
+operations are classifiers and metrics: diagonality of the homology
+tables (the regular verdict is ``homology.is_regularly_diagonal``,
+exported here too), the girth bound on subdiagonal vanishing, the
+network of connected spanning subgraphs of K_n with its path metric, and
+the extremal girth number gamma(n, s), read off the triangle-free
+classes with the matching edge count of ``graphs.connected_graph_classes``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import GraphError, ResourceCapError
 from .graphs import (
     canonical_form,
     connected_graph_classes,
-    distance_matrix,
     girth,
     is_weakly_connected,
     rho,
@@ -112,24 +111,21 @@ def magnitude_series(G, l_max):
     """Signed trail counts up to the length cap; a truncated series.
 
     No trail is built.  The signed count c_l(v) of the trails of length
-    l that end at v satisfies c_0(v) = 1 and, for l > 0,
-    c_l(v) = -sum c_{l - d(u, v)}(u) over u != v with d(u, v) <= l: such
-    a trail is a shorter one ending at u, plus the step from u to v.
-    This is the expansion of the sum of the entries of Z_G(q)^{-1}, with
+    l that start at v satisfies c_0(v) = 1 and, for l > 0,
+    c_l(v) = -sum c_{l - d(v, w)}(w) over the steps (w, d(v, w)) of
+    ``chains.finite_steps`` with d(v, w) <= l: such a trail is the step
+    from v to w, then a shorter trail from w.  Summed over v, this is the
+    expansion of the sum of the entries of Z_G(q)^{-1}, with
     Z_G(q)[u][v] = q^d(u, v) (Leinster, *The magnitude of a graph*, Math.
     Proc. Camb. Phil. Soc. 2019).
     """
     if l_max is None or l_max < 0:
         raise GraphError("magnitude series needs a finite degree cap")
-    dist = distance_matrix(G)
-    steps = [
-        [(u, row[v]) for u, row in enumerate(dist) if u != v and row[v] != INF]
-        for v in range(G.n)
-    ]
+    steps = finite_steps(G)
     counts = [[1] * G.n]
     for l in range(1, l_max + 1):
         counts.append(
-            [-sum(counts[l - d][u] for u, d in into if d <= l) for into in steps]
+            [-sum(counts[l - d][w] for w, d in out if d <= l) for out in steps]
         )
     return Polynomial(tuple(sum(c) for c in counts))
 

@@ -212,6 +212,24 @@ def test_verify_paper_list_and_unknown():
     assert run(["verify-paper", "--only", "no_such_check"])[0] == 2
 
 
+def test_verify_paper_across_processes_prints_what_one_process_prints():
+    # --jobs 2 maps the checks over a process pool; the report keeps the
+    # order of --only and leaves timing out, so stdout is the same
+    def verify(jobs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "maghom.cli", "verify-paper", "--jobs", str(jobs)]
+            + ["--only", "tournaments", "--only", "nonhomotopy", "--format", "json"],
+            capture_output=True,
+            text=True,
+        )
+        return proc.returncode, proc.stdout
+
+    code, out = verify(1)
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["tournaments", "nonhomotopy"]
+    assert verify(2) == (code, out)
+
+
 def test_verify_paper_md_format():
     code, out, _ = run(["verify-paper", "--only", "nonhomotopy", "--format", "md"])
     assert code == 0

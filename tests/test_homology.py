@@ -1,8 +1,10 @@
 """Homology tables against frozen small-graph values, the coboundary
 pass against the per-degree Smith normal form loop it replaced, the
 orbit-summand tables against one reduction of each whole graded piece,
-and the early-exit diagonality verdict and the capped eulerian complex
-against the full table and the full complex."""
+the early-exit diagonality verdict and the capped eulerian complex
+against the full table and the full complex, and the long exact
+sequence read off one persistence pairing against the chain-level map
+ranks it replaced."""
 
 import gc
 import itertools
@@ -17,7 +19,7 @@ from test_graphs import SYMMETRIC_GRAPHS, relabel
 from test_pathhom import four_rank_homology
 from test_snf import small_digraphs, smith_divisors, snf_rank
 
-from maghom.chains import trail_complex
+from maghom.chains import KINDS, trail_complex
 from maghom.errors import GraphError
 from maghom.graphs import (
     connected_graph_classes,
@@ -40,6 +42,7 @@ from maghom.homology import (
     splitting_check,
 )
 from maghom.invariants import Polynomial, magnitude_series, regular_magnitude
+from maghom.matrices import combine, reduce_column, reduce_columns
 from maghom.pathhom import _paths, path_homology
 from maghom.spectral import rmpss_report
 from maghom.words import order_complex
@@ -249,6 +252,127 @@ def test_splitting_check():
     assert report["splits"] and report["regularly_diagonal"]
     with pytest.raises(GraphError):
         splitting_check(family("linear", 4))
+
+
+@pytest.mark.parametrize("G", [family("complete", 4), family("tournament", 4)])
+def test_diagonal_graphs_split_with_zero_connecting_rank(G):
+    report = splitting_check(G)
+    assert report["splits"] and report["regularly_diagonal"]
+    for l in range(report["l_max"] + 1):
+        assert report["levels"][l]["splits"], l
+        assert not les_verify(G, l)["rank_connecting"], l
+
+
+# Reference: les_verify as it was before its map ranks were read off the
+# persistence pairs of one coboundary pass.  Cycle bases are recorded V
+# columns of a top-down boundary reduction, pushed through the three
+# chain maps, and each map rank is the number of pivots its images add.
+def ref_map_rank(images, pivots):
+    """Rank on homology of a map, from chain-level images of a cycle basis.
+
+    pivots are those of the boundaries' reduction over Q; the images
+    extend a copy of them, and the rank is the number of pivots they add.
+    """
+    pivots = dict(pivots)
+    added = 0
+    for image in images:
+        col = dict(image)
+        low = reduce_column(col, pivots, "Q")
+        if low is not None:
+            pivots[low] = (None, col, None)
+            added += 1
+    return added
+
+
+def ref_les_verify(G, l):
+    complexes = [trail_complex(G, kind, l) for kind in KINDS]
+    emx, mx, dmx = complexes
+    e, m, d = (
+        {k: g.rank for k, g in chain_homology(c, "Q", weight=l).items()} for c in complexes
+    )
+
+    r_incl, r_proj, r_conn = {}, {}, {}
+    # the pivots of each boundary out of degree k + 1: the boundaries in
+    # degree k, and the columns its reduction skips
+    above = [{}, {}, {}]
+    for k in range(l, -1, -1):
+        here = [
+            reduce_columns([dict(col) for col in c.boundary(k, l)], "Q", skip, record=True)
+            for c, skip in zip(complexes, above)
+        ]
+        (e_piv, e_cyc, _), (_, m_cyc, _), (_, d_cyc, _) = here
+        emc, mc, dmc = emx.cells(k, l), mx.cells(k, l), dmx.cells(k, l)
+        mc_index = {t: i for i, t in enumerate(mc)}
+        dmc_index = {t: i for i, t in enumerate(dmc)}
+
+        # inclusion on homology
+        images = [{mc_index[emc[i]]: v for i, v in z.items()} for z in e_cyc]
+        r_incl[k] = ref_map_rank(images, above[1])
+
+        # projection on homology
+        images = [
+            {dmc_index[mc[i]]: v for i, v in z.items() if mc[i] in dmc_index}
+            for z in m_cyc
+        ]
+        r_proj[k] = ref_map_rank(images, above[2])
+
+        # connecting map: lift a quotient cycle, push it through the full
+        # differential, read the result in the all-distinct basis
+        full = mx.boundary(k, l)
+        lower = mx.cells(k - 1, l)
+        lower_index = {t: i for i, t in enumerate(emx.cells(k - 1, l))}
+        images = []
+        for z in d_cyc:
+            pushed = combine(full, {mc_index[dmc[i]]: v for i, v in z.items()})
+            for i in pushed:
+                if lower[i] not in lower_index:
+                    raise GraphError(
+                        f"connecting image of a cycle hit repeat trail {lower[i]}"
+                    )
+            images.append({lower_index[lower[i]]: v for i, v in pushed.items()})
+        r_conn[k] = ref_map_rank(images, e_piv)
+        above = [pivots for pivots, _, _ in here]
+
+    checks = []
+    failures = []
+    for k in range(l + 1):
+        row = {
+            "k": k,
+            "exact_at_ordinary": r_incl[k] + r_proj[k] == m.get(k, 0),
+            "exact_at_discriminant": r_proj[k] + r_conn[k] == d.get(k, 0),
+            "exact_at_eulerian": r_conn.get(k + 1, 0) + r_incl[k] == e.get(k, 0),
+        }
+        checks.append(row)
+        for name in ("ordinary", "discriminant", "eulerian"):
+            if not row[f"exact_at_{name}"]:
+                failures.append(f"degree {k} at the {name} term")
+    return {
+        "l": l,
+        "eulerian": e,
+        "ordinary": m,
+        "discriminant": d,
+        "rank_inclusion": {k: r_incl[k] for k in range(l + 1) if r_incl[k]},
+        "rank_projection": {k: r_proj[k] for k in range(l + 1) if r_proj[k]},
+        "rank_connecting": {k: r_conn[k] for k in range(l + 1) if r_conn[k]},
+        "checks": checks,
+        "failures": failures,
+        "exact": not failures,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs(), st.integers(0, 5))
+def test_les_pairing_matches_the_chain_level_map_ranks(G, l):
+    assert les_verify(G, l) == ref_les_verify(G, l)
+
+
+@pytest.mark.parametrize(
+    "name, n", [("complete", 4), ("cycle", 5), ("tournament", 4), ("dir_cycle", 4)]
+)
+def test_les_pairing_matches_the_chain_level_map_ranks_on_families(name, n):
+    G = family(name, n)
+    for l in range(7):
+        assert les_verify(G, l) == ref_les_verify(G, l), l
 
 
 def test_table_serializations():

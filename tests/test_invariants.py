@@ -101,6 +101,35 @@ def test_series_equals_the_enumerated_signed_counts(G, l_max):
     assert magnitude_series(G, l_max) == Polynomial(tuple(enumerated_series(G, l_max)))
 
 
+def incoming_series(G, l_max):
+    """Reference: the magnitude series counted by last vertex, over the
+    incoming (u, d(u, v)) lists of the distance matrix, as it was before
+    the count went by first vertex over ``chains.finite_steps``."""
+    dist = distance_matrix(G)
+    steps = [
+        [(u, row[v]) for u, row in enumerate(dist) if u != v and row[v] != float("inf")]
+        for v in range(G.n)
+    ]
+    counts = [[1] * G.n]
+    for l in range(1, l_max + 1):
+        counts.append(
+            [-sum(counts[l - d][u] for u, d in into if d <= l) for into in steps]
+        )
+    return Polynomial(tuple(sum(c) for c in counts))
+
+
+def test_series_by_first_vertex_matches_the_count_by_last_vertex():
+    rng = random.Random(8128)
+    cases = [(family("cycle", 6), 8), (family("dir_cycle", 5), 8)]
+    for _ in range(120):
+        n = rng.randint(1, 7)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+        cases.append((digraph(n, edges), rng.randint(0, 8)))
+    for G, l_max in cases:
+        assert magnitude_series(G, l_max) == incoming_series(G, l_max), (G.edges, l_max)
+
+
 def series_product(a, b, top):
     """Product of two integer power series given as coefficient lists,
     truncated above q^top."""
