@@ -22,11 +22,11 @@ often and is regrouped into invariant factors.  So the E^1 check of
 ``rmpss_report``, which sets the pairing of the whole complex against
 these tables, compares two different matrices.
 
-``is_regularly_diagonal`` gives the eulerian table's diagonality over Z
-without building the table: it reduces each orbit summand one weight at
-a time, in ascending order under a doubling length cap, and stops at
-the first group off the diagonal.  Every caller that reads only the
-verdict uses it.
+``is_diagonal`` gives the eulerian or ordinary table's diagonality over
+Z without building the table: it reduces each orbit summand one weight at a time, in ascending
+order under a doubling length cap, and stops at the first group off the
+diagonal.  Every caller that reads only a verdict uses it, the eulerian
+one through ``is_regularly_diagonal``.
 
 ``les_verify`` checks the long exact sequence at one length.  Its map
 ranks are counts of the persistence pairs of one coboundary pass over
@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .chains import KINDS, FilteredComplex, certified_length_bound, trail_complex
+from .chains import KINDS, certified_length_bound, has_repeat, trail_complex
 from .errors import GraphError
 from .graphs import eccentricity_bound, vertex_orbits
 from .matrices import parse_ring, reduce_columns
@@ -174,12 +174,14 @@ def coboundary_pass(complex_, ring, weight=None):
     pivots pair and clear the next degree.
     """
     cleared = {}
+    above = complex_.dim(0, weight)
     for k in range(complex_.top_degree + 1):
-        if not (complex_.dim(k, weight) and complex_.dim(k + 1, weight)):
+        here, above = above, complex_.dim(k + 1, weight)
+        if not (here and above):
             cleared = {}
             yield k, [], ()
             continue
-        top_row, top_col = complex_.dim(k, weight) - 1, complex_.dim(k + 1, weight) - 1
+        top_row, top_col = here - 1, above - 1
         pivots, _, divisors = reduce_columns(
             complex_.coboundary(k, weight), ring, skip=cleared
         )
@@ -258,36 +260,56 @@ def homology_table(G, kind="eulerian", ring="Z", l_max=None):
     entries = {}
     for k, l in sorted(sums, key=lambda kl: kl[::-1]):
         rank, torsion = sums[(k, l)]
-        entries[(k, l)] = AbelianGroupInvariant(rank, invariant_factors(torsion))
+        if torsion:
+            torsion = invariant_factors(torsion)
+        entries[(k, l)] = AbelianGroupInvariant(rank, torsion)
     return HomologyTable(kind, ring, entries, l_max, certified, G.n)
 
 
-def is_regularly_diagonal(G):
-    """Whether the eulerian table over Z vanishes off the diagonal k = l.
+def is_diagonal(G, kind="eulerian", l_max=None):
+    """Whether the eulerian or ordinary table over Z vanishes off k = l.
 
-    The verdict of ``homology_table(G, "eulerian", "Z").diagonal``, read
+    The verdict of ``homology_table(G, kind, "Z", l_max).diagonal``, read
     one orbit summand and one weight at a time, and False at the first
     group off the diagonal: such a group in one summand is an entry of
-    the table.  A graded piece uses only cells of its own weight, so a
-    summand enumerated up to length cap has each piece of weight at most
-    cap exactly.  The cap doubles from 2 to the certified bound, and each
-    pass reduces the weights it adds in ascending order.  A summand whose
-    top weight is at most cap - D, D the largest finite distance, lost no
-    step to the cap, so it is whole and the doubling stops.
+    the table at any cap at least its weight, so False needs no cap.  A
+    graded piece uses only cells of its own weight, so a summand
+    enumerated up to length cap has each piece of weight at most cap
+    exactly.  The cap doubles from 2 to l_max, which defaults to the
+    certified bound for the eulerian kind, and each pass reduces the
+    weights it adds in ascending order.  Every prefix of an eulerian or
+    ordinary trail is one, so a summand whose top weight is at most
+    cap - D, D the largest finite distance, lost no step to the cap: it
+    is whole and the doubling stops.  The ordinary complex is whole only
+    on acyclic digraphs, so its loop runs to l_max elsewhere, and True
+    means diagonal up to l_max.  The discriminant kind is refused: its
+    repeat trails have prefixes without a repeat, so a short summand
+    does not show that no trail was cut.
     """
-    bound = certified_length_bound(G)
+    if kind not in ("eulerian", "ordinary"):
+        raise ValueError(f"no diagonality verdict for the {kind!r} complex")
+    if l_max is None:
+        if kind != "eulerian":
+            raise ValueError(f"the {kind} complex is unbounded in length; pass l_max")
+        l_max = certified_length_bound(G)
     reach = eccentricity_bound(G)
     for orbit in vertex_orbits(G):
-        done, cap = -1, min(2, bound)
+        done, cap = -1, min(2, l_max)
         while True:
-            complex_ = trail_complex(G, "eulerian", cap, starts=orbit[:1])
+            complex_ = trail_complex(G, kind, cap, starts=orbit[:1])
             for l in sorted({l for _, l in complex_.buckets if l > done}):
                 if any(k != l for k in chain_homology(complex_, "Z", weight=l)):
                     return False
-            if cap == bound or complex_.top_weight <= cap - reach:
+            if cap == l_max or complex_.top_weight <= cap - reach:
                 break
-            done, cap = cap, min(2 * cap, bound)
+            done, cap = cap, min(2 * cap, l_max)
     return True
+
+
+def is_regularly_diagonal(G):
+    """Whether the eulerian table over Z vanishes off the diagonal k = l:
+    ``is_diagonal`` at the certified bound, an exact verdict."""
+    return is_diagonal(G, "eulerian")
 
 
 def les_verify(G, l):
@@ -308,28 +330,28 @@ def les_verify(G, l):
     an all-distinct cell in degree k - 1 that die on a repeat trail in
     degree k.  A pair born on a repeat trail that dies on an all-distinct
     cell would mean E is no subcomplex of M, and raises GraphError.  The
-    homology ranks come from ``chain_homology`` on the three complexes
-    ``trail_complex`` builds apart, on purpose: they are the side of the
-    exactness identities that owes nothing to this pairing.
+    homology ranks come from ``chain_homology`` on three complexes of
+    their own, on purpose: they are the side of the exactness identities
+    that owes nothing to this pairing.  The eulerian and ordinary ones
+    are built by ``trail_complex``, and the discriminant one is selected
+    from the ordinary complex, its repeat trails of length l with their
+    masks.
     """
 
     def ranks(complex_):
         return {k: g.rank for k, g in chain_homology(complex_, "Q", weight=l).items()}
 
     ordinary = trail_complex(G, "ordinary", l)
+    # the quotient's basis at length l: the repeat trails, with their masks
+    discriminant = ordinary.select(weight=l, keep=has_repeat)
     e = ranks(trail_complex(G, "eulerian", l))
     m = ranks(ordinary)
-    d = ranks(trail_complex(G, "discriminant", l))
+    d = ranks(discriminant)
 
     # the graded piece at length l, all-distinct trails first, and per
     # degree the number of them
-    buckets, cut = {}, {}
-    for (k, w), cells in ordinary.buckets.items():
-        if w == l:
-            distinct = tuple(t for t in cells if len(set(t)) == len(t))
-            cut[k] = len(distinct)
-            buckets[(k, l)] = distinct + tuple(t for t in cells if len(set(t)) < len(t))
-    piece = FilteredComplex(buckets, ordinary.dist)
+    piece = ordinary.select(weight=l, key=has_repeat)
+    cut = {k: piece.dim(k, l) - discriminant.dim(k, l) for k, _ in piece.buckets}
 
     r_incl, r_proj, r_conn = Counter(), Counter(), Counter()
     dead = []  # the degree-k cells paired with a cell of degree k - 1

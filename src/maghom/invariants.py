@@ -5,11 +5,12 @@ so it is exact and finite; the ordinary magnitude series has to be
 truncated at a length cap.  Both are counted along
 ``chains.finite_steps`` without building a trail.  The remaining
 operations are classifiers and metrics: diagonality of the homology
-tables (the regular verdict is ``homology.is_regularly_diagonal``,
-exported here too), the girth bound on subdiagonal vanishing, the
-network of connected spanning subgraphs of K_n with its path metric, and
-the extremal girth number gamma(n, s), read off the triangle-free
-classes with the matching edge count of ``graphs.connected_graph_classes``.
+tables (both verdicts come from ``homology.is_diagonal``; the regular
+one, ``is_regularly_diagonal``, is exported here too), the girth bound
+on subdiagonal vanishing, the network of connected spanning subgraphs of
+K_n with its path metric, and the extremal girth number gamma(n, s),
+read off the triangle-free classes with the matching edge count of
+``graphs.connected_graph_classes``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .graphs import (
     is_weakly_connected,
     rho,
 )
-from .homology import homology_table, is_regularly_diagonal
+from .homology import homology_table, is_diagonal, is_regularly_diagonal
 
 INF = float("inf")
 
@@ -131,19 +132,18 @@ def magnitude_series(G, l_max):
 
 
 def classify_diagonality(G, l_max=None):
-    """Diagonality of both homology tables.
+    """Diagonality of both homology tables, from ``homology.is_diagonal``.
 
-    The regular verdict is exact (``homology.is_regularly_diagonal``);
-    the ordinary one is only meaningful up to the cap, which defaults to
-    the certified regular bound.
+    The regular verdict is exact; the ordinary one is only meaningful up
+    to the cap, which defaults to the certified regular bound.  Neither
+    builds a table: both stop at the first group off the diagonal.
     """
     if l_max is None:
         l_max = certified_length_bound(G)
-    ordinary = homology_table(G, "ordinary", "Z", l_max=l_max)
     return {
         "regularly_diagonal": is_regularly_diagonal(G),
         "regular_certified": True,
-        "diagonal_up_to_lmax": ordinary.diagonal,
+        "diagonal_up_to_lmax": is_diagonal(G, "ordinary", l_max),
         "l_max": l_max,
         "ordinary_truncated": True,
     }

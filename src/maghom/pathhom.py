@@ -48,7 +48,7 @@ from .matrices import reduce_columns
 def _paths(G, top, strong):
     """Allowed paths of every degree up to top: walks along edges, bucketed (n, n)."""
     steps = tuple(tuple((v, 1) for v in vs) for vs in adjacency(G))
-    return walks(steps, range(G.n), top, strong)
+    return walks(steps, range(G.n), top, strong)[0]
 
 
 def allowed_paths(G, n, strong=False):

@@ -6,9 +6,15 @@ from hypothesis import strategies as st
 from test_chains import boundary_oracle, brute_trails, compose, dense
 from test_snf import small_digraphs
 
-from maghom.chains import FilteredComplex, certified_length_bound, trail_complex
+from maghom.chains import (
+    FilteredComplex,
+    certified_length_bound,
+    finite_steps,
+    trail_complex,
+    walks,
+)
 from maghom.errors import GraphError
-from maghom.graphs import digraph, family, transitive_tournament
+from maghom.graphs import adjacency, digraph, distance_matrix, family, transitive_tournament
 from maghom.homology import chain_homology
 from maghom.words import injective_words_via_flag
 
@@ -112,13 +118,14 @@ def test_full_boundary_needs_closed_cells():
         fc.boundary(1)
 
 
-def face_loop(fc, k, weight):
+def face_loop(fc, k, weight, dist=None):
     """Reference: the differential out of degree k as sparse columns, one
     per degree-k cell in cell order, by deleting each entry of each cell
-    and looking the face up."""
+    and looking the face up.  With dist, the graded piece of the trail
+    differential: an interior entry is deleted only when it lies on a
+    geodesic between its neighbours."""
     index = {t: i for i, t in enumerate(fc.cells(k - 1, weight))}
     sign = (1, -1)
-    dist = None if weight is None else fc.dist
     cols = []
     for t in fc.cells(k, weight):
         col = {}
@@ -149,17 +156,18 @@ def anti_transpose(cols, nrows):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    small_digraphs(),
+    small_digraphs(max_n=6),
     st.sampled_from(["eulerian", "ordinary", "discriminant"]),
     st.integers(0, 4),
 )
 def test_coboundary_is_the_anti_transposed_face_loop(G, kind, l_max):
     fc = trail_complex(G, kind, None if kind == "eulerian" else l_max)
+    dist = distance_matrix(G)
     # the quotient has no full face sum: its faces may be all-distinct
     total = () if kind == "discriminant" else (None,)
     for weight in (*total, *sorted({l for _, l in fc.buckets})):
         for k in range(-1, fc.top_degree + 1):
-            want = face_loop(fc, k + 1, weight)
+            want = face_loop(fc, k + 1, weight, None if weight is None else dist)
             cols = fc.coboundary(k, weight)
             assert cols == anti_transpose(want, fc.dim(k, weight)), (k, weight)
             assert fc.boundary(k + 1, weight) == want, (k, weight)
@@ -194,3 +202,66 @@ def test_graded_boundary_is_the_associated_graded(G, kind):
         full = cell_entries(fc.boundary(k), fc.cells(k - 1), fc.cells(k))
         block = {key: v for key, v in full.items() if key[0] in rows and key[1] in cols}
         assert cell_entries(graded, rows, cols) == block, (k, l)
+
+
+def depth_first_walks(steps, starts, cap=None, distinct=False):
+    """Reference: every walk along steps from the starts, bucketed by
+    (entries - 1, weight), by one depth-first pre-order pass per start, in
+    ascending order over ascending steps, so each bucket is in
+    lexicographic order.  A negative cap leaves no walk."""
+    cap = float("inf") if cap is None else cap
+    if cap < 0:
+        return {}
+    buckets = {}
+    stack = []
+    blocked = stack if distinct else ()
+
+    def extend(last, weight):
+        buckets.setdefault((len(stack) - 1, weight), []).append(tuple(stack))
+        for v, d in steps[last]:
+            if v not in blocked and weight + d <= cap:
+                stack.append(v)
+                extend(v, weight + d)
+                stack.pop()
+
+    for start in sorted(starts):
+        stack.append(start)
+        extend(start, 0)
+        stack.pop()
+    return {key: tuple(cells) for key, cells in buckets.items()}
+
+
+def geodesic_marks(dist, t):
+    """Reference mask of a trail: bit i for each interior entry on a
+    geodesic between its neighbours."""
+    return sum(
+        1 << i
+        for i in range(1, len(t) - 1)
+        if dist[t[i - 1]][t[i]] + dist[t[i]][t[i + 1]] == dist[t[i - 1]][t[i + 1]]
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    small_digraphs(max_n=6),
+    st.booleans(),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(-2, 5)),
+    st.data(),
+)
+def test_walks_match_the_depth_first_reference(G, along_edges, distinct, cap, data):
+    if cap is None:
+        distinct = True  # the only walks that end without a cap
+    starts = data.draw(st.sets(st.integers(0, G.n - 1)), label="starts")
+    dist = distance_matrix(G)
+    if along_edges:
+        steps = tuple(tuple((v, 1) for v in vs) for vs in adjacency(G))
+    else:
+        steps = finite_steps(G)
+    want = depth_first_walks(steps, starts, cap, distinct)
+    assert walks(steps, starts, cap, distinct) == (want, None)
+    buckets, masks = walks(steps, starts, cap, distinct, dist)
+    assert buckets == want
+    assert masks.keys() == buckets.keys()
+    for key, cells in buckets.items():
+        assert masks[key] == tuple(geodesic_marks(dist, t) for t in cells), key

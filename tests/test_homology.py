@@ -34,6 +34,7 @@ from maghom.homology import (
     chain_homology,
     homology_table,
     invariant_factors,
+    is_diagonal,
     is_regularly_diagonal,
     les_verify,
     parse_ring,
@@ -631,6 +632,48 @@ DIAGONALITY_INPUTS = st.one_of(
 @given(DIAGONALITY_INPUTS)
 def test_diagonality_verdict_matches_the_full_table(G):
     assert is_regularly_diagonal(G) == homology_table(G, "eulerian", "Z").diagonal
+
+
+VERDICT_KINDS = st.sampled_from(("eulerian", "ordinary"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(DIAGONALITY_INPUTS, VERDICT_KINDS, st.integers(-1, 4))
+def test_capped_verdict_matches_the_capped_table(G, kind, l_max):
+    assert is_diagonal(G, kind, l_max) == homology_table(G, kind, "Z", l_max).diagonal
+
+
+# caps past the third doubling, on inputs small enough for the ordinary table
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(small_digraphs(max_n=4), undirected_graphs(max_n=4), acyclic_digraphs()),
+    VERDICT_KINDS,
+    st.integers(5, 8),
+)
+def test_verdict_at_long_caps_matches_the_capped_table(G, kind, l_max):
+    assert is_diagonal(G, kind, l_max) == homology_table(G, kind, "Z", l_max).diagonal
+
+
+@pytest.mark.parametrize("kind", ["eulerian", "ordinary"])
+@pytest.mark.parametrize("spec", ["dir_cycle:5", "cycle:5", "complete:4", "tournament:5"])
+def test_verdict_at_cap_8_matches_the_table(spec, kind):
+    name, n = spec.split(":")
+    G = family(name, int(n))
+    assert is_diagonal(G, kind, 8) == homology_table(G, kind, "Z", 8).diagonal
+
+
+def test_unbounded_verdict_needs_a_cap():
+    with pytest.raises(ValueError):
+        is_diagonal(family("cycle", 4), "ordinary")
+
+
+def test_no_discriminant_verdict():
+    # at cap 4 the repeat trails of the directed 5-cycle are empty, yet the
+    # table up to length 8 has Z at (2, 5): a short summand proves nothing
+    G = family("dir_cycle", 5)
+    assert not homology_table(G, "discriminant", "Z", 8).diagonal
+    with pytest.raises(ValueError):
+        is_diagonal(G, "discriminant", 8)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_homology import signed_counts
 from test_snf import small_digraphs
 
-from maghom.chains import trail_complex
+from maghom.chains import certified_length_bound, trail_complex
 from maghom.errors import GraphError, ResourceCapError
 from maghom.graphs import (
     canonical_form,
@@ -257,6 +257,23 @@ def test_classify_diagonality():
     assert report["ordinary_truncated"]
     assert is_regularly_diagonal(family("complete", 5))
     assert not is_regularly_diagonal(family("cycle", 5))
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        family(name, n)
+        for name in ("complete", "tournament", "cycle", "dir_cycle", "dir_linear")
+        for n in range(3, 7)
+    ],
+)
+def test_classify_diagonality_matches_the_full_tables(G):
+    # the ordinary table below the default cap, which reaches 15 for C_6
+    l_max = min(certified_length_bound(G), 6)
+    report = classify_diagonality(G, l_max)
+    ordinary = homology_table(G, "ordinary", "Z", l_max)
+    assert report["diagonal_up_to_lmax"] == ordinary.diagonal
+    assert report["regularly_diagonal"] == homology_table(G, "eulerian", "Z").diagonal
 
 
 def test_complete_detector_matches_diagonality():

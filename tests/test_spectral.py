@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 from test_chains import dense
+from test_filtration import depth_first_walks
 from test_snf import small_digraphs
 
 from maghom import spectral
-from maghom.chains import FilteredComplex, trail_complex
+from maghom.chains import FilteredComplex, finite_steps, trail_complex
 from maghom.graphs import digraph, family, transitive_tournament
-from maghom.homology import chain_homology, homology_table
+from maghom.homology import chain_homology, coboundary_pass, homology_table
 from maghom.matrices import reduce_column
 from maghom.pathhom import path_homology
 from maghom.spectral import (
@@ -355,7 +356,20 @@ def test_readers_leave_the_cached_boundaries_intact(G):
             chain_homology(fc, ring, weight=l)
     for ring in ("Q", "Fp:2", "Fp:3"):
         SpectralSequence(fc, ring).page(2)
-    fresh = FilteredComplex(fc.buckets, fc.dist)
+    fresh = FilteredComplex(fc.buckets, fc.masks)
     assert fc._boundaries
     for (k, w), cols in fc._boundaries.items():
         assert cols == fresh.boundary(k, w), (k, w)
+
+
+@pytest.mark.parametrize(
+    "G", [family("cycle", 6), family("complete", 4), transitive_tournament(5)]
+)
+def test_rmpss_pairs_match_the_depth_first_cells(G):
+    # the pairing of rmpss, on the cells of the degree-by-degree walk and
+    # on those of the depth-first reference: same cells in the same order,
+    # so the same pairs and divisors
+    reference = FilteredComplex(depth_first_walks(finite_steps(G), range(G.n), distinct=True))
+    got = list(coboundary_pass(rmpss(G).fc, "Q"))
+    assert got == list(coboundary_pass(reference, "Q"))
+    assert sum(len(pairs) for _, pairs, _ in got) > 0
