@@ -73,10 +73,11 @@ def walks(steps, starts, cap=None, distinct=False, dist=None):
     steps gives, per vertex, the ascending (target, weight) pairs a walk
     may take from it.  cap bounds the total weight: no walk steps past
     it, and a negative cap leaves no walk at all.  distinct keeps only
-    walks whose entries are pairwise distinct.  The walks of one degree
-    are one flat list, grown from the sorted starts by each walk's steps
-    in ascending order, so every degree and every bucket is in
-    lexicographic order.
+    walks whose entries are pairwise distinct; steps has one entry per
+    vertex, so such a walk stops once it holds all of them.  The walks
+    of one degree are one flat list, grown from the sorted starts by each
+    walk's steps in ascending order, so every degree and every bucket is
+    in lexicographic order.
 
     Returns (buckets, masks).  With dist, the metric the weights are
     lengths in, masks parallels buckets: one int per walk, whose bit i is
@@ -104,6 +105,8 @@ def walks(steps, starts, cap=None, distinct=False, dist=None):
             buckets[(k, w)] = tuple(at)
             if masks is not None:
                 masks[(k, w)] = tuple(at_marks)
+        if distinct and k + 1 == len(steps):
+            break  # every walk holds every vertex: none takes a step
         grown, grown_weights, grown_marks = [], [], []
         add, add_weight, add_mark = grown.append, grown_weights.append, grown_marks.append
         bit = 1 << k  # the old last entry is entry k of the new walk

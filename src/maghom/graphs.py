@@ -20,24 +20,22 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
 from .errors import GraphError, ParseError
+from .record import Record
 
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
+class DirectedGraph(Record, frozen=True):
     """Loop-free simple digraph on vertex set {0, ..., n-1}."""
 
-    n: int
-    edges: frozenset
-    symmetric: bool = False
+    _fields = ("n", "edges", "symmetric")
 
-    def __post_init__(self):
+    def __init__(self, n, edges, symmetric=False):
+        self.__dict__.update(n=n, edges=edges, symmetric=symmetric)
         if self.n < 0:
             raise GraphError("vertex count must be non-negative")
         for e in self.edges:

@@ -39,12 +39,12 @@ gives the pages of its spectral sequence.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .chains import KINDS, certified_length_bound, has_repeat, trail_complex
 from .errors import GraphError
 from .graphs import eccentricity_bound, vertex_orbits
 from .matrices import parse_ring, reduce_columns
+from .record import Record
 
 
 def parse_field(ring, needs):
@@ -66,12 +66,13 @@ def ring_name(ring):
     return f"F{ring}"
 
 
-@dataclass(frozen=True)
-class AbelianGroupInvariant:
+class AbelianGroupInvariant(Record, frozen=True):
     """Rank plus torsion divisor chain; over a field the torsion is empty."""
 
-    rank: int
-    torsion: tuple = ()
+    _fields = ("rank", "torsion")
+
+    def __init__(self, rank, torsion=()):
+        self.__dict__.update(rank=rank, torsion=torsion)
 
     @property
     def trivial(self):

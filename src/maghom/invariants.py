@@ -16,7 +16,6 @@ read off the triangle-free classes with the matching edge count of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, perm
 
 from .chains import certified_length_bound, finite_steps
@@ -29,21 +28,21 @@ from .graphs import (
     rho,
 )
 from .homology import homology_table, is_diagonal, is_regularly_diagonal
+from .record import Record
 
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record, frozen=True):
     """Integer polynomial in q, stored densely by degree."""
 
-    coefficients: tuple
+    _fields = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
+    def __init__(self, coefficients):
+        coeffs = tuple(coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        self.__dict__["coefficients"] = coeffs
 
     @classmethod
     def from_map(cls, by_degree):
@@ -190,14 +189,16 @@ def subdiagonal_bound(G):
     }
 
 
-@dataclass(frozen=True)
-class SubgraphNetwork:
+class SubgraphNetwork(Record, frozen=True):
     """Isomorphism classes of connected spanning subgraphs of K_n, with
-    the degree-difference adjacency between classes."""
+    the degree-difference adjacency between classes: ``classes`` holds
+    canonical edge tuples, sorted by (size, form), and ``adjacency`` the
+    sorted tuple of neighbour indices of each class."""
 
-    n: int
-    classes: tuple  # canonical edge tuples, sorted by (size, form)
-    adjacency: tuple  # per class, sorted tuple of neighbour indices
+    _fields = ("n", "classes", "adjacency")
+
+    def __init__(self, n, classes, adjacency):
+        self.__dict__.update(n=n, classes=classes, adjacency=adjacency)
 
     @property
     def input_max_degree(self):

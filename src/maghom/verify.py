@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from math import comb, perm
 
 from .chains import trail_complex
@@ -41,6 +40,7 @@ from .invariants import (
     subgraph_network,
 )
 from .pathhom import path_homology
+from .record import Record
 from .spectral import page_one_inclusion_report, rmpss_report
 from .words import derangement_count, injective_words_via_flag
 
@@ -52,13 +52,15 @@ SPHERE_1 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (2, 3), (1, 3)])
 SPHERE_2 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (3, 1), (3, 2)])
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    seconds: float
-    details: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+class CheckResult(Record):
+    _fields = ("name", "passed", "seconds", "details", "failures")
+
+    def __init__(self, name, passed, seconds, details=None, failures=None):
+        self.name = name
+        self.passed = passed
+        self.seconds = seconds
+        self.details = [] if details is None else details
+        self.failures = [] if failures is None else failures
 
 
 class Recorder:
@@ -113,17 +115,16 @@ def check_lower_triangular(r):
 
 
 def check_cycle_extremes(r):
+    tables = {}
     for n in range(3, 7):
-        table = homology_table(family("cycle", n), "eulerian", "Z")
+        table = tables[n] = homology_table(family("cycle", n), "eulerian", "Z")
         top_l = n * n // 2 - n + 1 if n % 2 == 0 else (n - 1) ** 2 // 2
         r.expect(
             table.top_bidegree() == (n - 1, top_l),
             f"C_{n} top nonzero bidegree is ({n - 1}, {top_l})",
         )
-    c3 = homology_table(family("cycle", 3), "eulerian", "Z")
-    r.expect(c3.rank(2, 2) == 6, "C_3 rank at (2,2) is 6")
-    c4 = homology_table(family("cycle", 4), "eulerian", "Z")
-    r.expect(c4.rank(2, 2) == 4, "C_4 rank at (2,2) is 4")
+    r.expect(tables[3].rank(2, 2) == 6, "C_3 rank at (2,2) is 6")
+    r.expect(tables[4].rank(2, 2) == 4, "C_4 rank at (2,2) is 4")
 
 
 def check_girth_vanishing(r):
