@@ -23,6 +23,15 @@ operation; the columns that end on another entry are left to a dense
 least-magnitude-pivot Smith reduction, ``_dense_snf``, once the unit
 pivots' rows are cleared from them.  Arithmetic is plain Python int, so
 there is no overflow to manage.
+
+``reduce_bitsets`` is the same left-to-right reduction over F_2 on
+columns packed as ints by ``bitset``, bit r for row r: an addition is one
+XOR and the lowest row the top bit.  Path homology over F_2 uses it,
+since its face sums fill in.  The coboundary passes keep dict columns
+over F_2 as well: their columns need one or two additions each, so
+packing a wide column costs more than its XORs save.  Packing every
+coboundary column made ``rmpss_report`` of C_8 over F_2 take 1.15 s
+instead of 0.85 s (2-core VM).
 """
 
 from __future__ import annotations
@@ -164,6 +173,40 @@ def reduce_columns(cols, ring, skip=(), record=False):
     if aside:
         divisors += _residue_divisors(aside, pivots)
     return pivots, kernel, divisors
+
+
+def bitset(rows):
+    """Distinct rows packed as an int, bit r set for row r: a column over
+    F_2 in the form ``reduce_bitsets`` reads."""
+    x = 0
+    for r in rows:
+        x |= 1 << r  # not sum(): on big ints | costs a sixth of +
+    return x
+
+
+def reduce_bitsets(cols, skip=()):
+    """Reduce columns over F_2 left to right, each packed as an int with
+    bit r set for row r (see ``bitset``); returns {lowest row: reduced
+    column}.
+
+    A column addition is one XOR and the lowest row is the top bit, so a
+    column that fills in costs a big-integer operation per addition, not
+    a dict update per entry.  Ints are immutable, so unlike
+    ``reduce_columns`` this leaves cols as they were.  A column whose
+    index is in skip is left out, as in ``reduce_columns``.
+    """
+    pivots = {}
+    for j, x in enumerate(cols):
+        if j in skip:
+            continue
+        while x:
+            low = x.bit_length() - 1
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = x
+                break
+            x ^= piv
+    return pivots
 
 
 def _residue_divisors(aside, pivots):

@@ -26,23 +26,36 @@ rank H_n = dim Omega_n - rank d_n - rank d_{n+1} gives
 with the augmentation (rank 1 on a nonempty vertex set) in place of
 full_0 for reduced homology.  One sparse column reduction of full_n
 (``matrices.reduce_columns``, exact over Q and mod p, on the same +-1
-face columns for every field) gives both ranks of a degree.  The stray
-rows come last, so in R = full_n V they form stray_n V, already in
-echelon form: rank full_n counts the pivots and rank stray_n those with
-a stray lowest row.  Degrees run from the top down with clearing (Chen &
-Kerber, *Persistent homology computation with a twist*, 2011): a
-degree-(n+1) pivot whose lowest row is the allowed path j has no stray
-entry, so it lies in span(A_n), full_n kills it, and column j is
-skipped.  ``omega_basis`` records V: Omega_n is spanned by the V columns
-whose R column is zero or has an allowed lowest row.
+face columns for every field; over F_2, see below) gives both ranks
+of a degree.  The stray rows come last, so in R = full_n V they form
+stray_n V, already in echelon form: rank full_n counts the pivots and
+rank stray_n those with a stray lowest row.  Degrees run from the top
+down with clearing (Chen & Kerber, *Persistent homology computation
+with a twist*, 2011): a degree-(n+1) pivot whose lowest row is the
+allowed path j has no stray entry, so it lies in span(A_n), full_n kills
+it, and column j is skipped.  ``omega_basis`` records V: Omega_n is
+spanned by the V columns whose R column is zero or has an allowed lowest
+row.
+
+Over F_2 the face sums fill in: the 81,920 top-degree columns of K_5 at
+kmax 6 need about 605,000 additions, and adding dict columns entry by
+entry took most of the time.  So ``path_homology`` packs each face sum
+into an int bitset, bit r for row r (``matrices.bitset``), and reduces
+with ``matrices.reduce_bitsets``, where an addition is one XOR (Bauer,
+Kerber, Reininghaus & Wagner, *Phat*, J. Symbolic Comput. 2017); same
+rows, same order, same clearing.  Q and odd p, and ``omega_basis``,
+which needs V, keep the dict columns, as do the coboundary passes over
+F_2 (see ``maghom.matrices``).
 """
 
 from __future__ import annotations
 
+from itertools import combinations, repeat
+
 from .chains import walks
 from .graphs import adjacency
 from .homology import parse_field
-from .matrices import reduce_columns
+from .matrices import bitset, reduce_bitsets, reduce_columns
 
 
 def _paths(G, top, strong):
@@ -56,23 +69,32 @@ def allowed_paths(G, n, strong=False):
     return _paths(G, n, strong).get((n, n), ())
 
 
-def _face_columns(paths, n):
-    """full_n as sparse columns {row: +-1}, and base = |A_{n-1}|.
+def _face_columns(paths, n, packed=False):
+    """full_n as sparse columns {row: +-1}, or packed over F_2 as ints with
+    bit r set for row r, one per allowed n-path and made as the reduction
+    reads them; and base = |A_{n-1}|.
 
     paths holds the allowed paths of degrees n - 1 and n, as ``_paths``
     buckets them.  Row i < base is the allowed (n-1)-path of index i;
-    other faces get rows from base up, in first-hit order.  A graph has
-    no loops, so the faces of one path are distinct.  The differential
-    vanishes on vertices, so n = 0 gives zero columns.
+    other faces get rows from base up, in first-hit order, the faces of
+    a path taken from deleting vertex 0 to deleting vertex n.  That is
+    the order in which ``combinations`` yields the faces of the reversed
+    path, in one C call, and reversed tuples serve as keys just as well.
+    A graph has no loops, so the faces of one path are distinct.  The
+    differential vanishes on vertices, so n = 0 gives zero columns.
     """
     lower = paths.get((n - 1, n - 1), ())
-    index = {t: i for i, t in enumerate(lower)}
-    sign = (1, -1)
-    faces = range(n + 1) if n else ()
-    cols = [
-        {index.setdefault(t[:i] + t[i + 1 :], len(index)): sign[i % 2] for i in faces}
-        for t in paths.get((n, n), ())
-    ]
+    upper = paths.get((n, n), ())
+    if not (n and upper):
+        return [0 if packed else {} for _ in upper], len(lower)
+    index = {t[::-1]: i for i, t in enumerate(lower)}
+    rows = [index.setdefault(f, len(index)) for t in upper for f in combinations(t[::-1], n)]
+    faces = zip(*[iter(rows)] * (n + 1))  # the n + 1 face rows of each path
+    if packed:
+        cols = map(bitset, faces)
+    else:
+        # face i has sign (-1)^i; zip stops at the last face
+        cols = map(dict, map(zip, faces, repeat((1, -1) * (n // 2 + 1))))
     return cols, len(lower)
 
 
@@ -105,10 +127,14 @@ def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):
     full = {0: 1 if reduced and G.n else 0}
     stray = {}
     cleared = set()
+    packed = ring == 2
     for n in range(top + 1, 0, -1):
-        cols, base = _face_columns(paths, n)
+        cols, base = _face_columns(paths, n, packed)
         # a lowest row one degree up is below its base: an allowed path
-        pivots = reduce_columns(cols, ring, skip=cleared)[0]
+        if packed:
+            pivots = reduce_bitsets(cols, skip=cleared)
+        else:
+            pivots = reduce_columns(cols, ring, skip=cleared)[0]
         full[n] = len(pivots)
         stray[n] = sum(low >= base for low in pivots)
         cleared = set(pivots)

@@ -40,7 +40,6 @@ with ``matrices.combine``.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from fractions import Fraction
 from math import inf
 
 from .errors import GraphError
@@ -183,6 +182,10 @@ class SpectralSequence:
         off; an image that does not reduce to zero raises.
         """
         pivots = self._page_one_entry(p, n)[1]
+        if self.ring == "Q":
+            # imported here: fractions loads decimal and numbers, and
+            # nothing else on a command-line call needs them
+            from fractions import Fraction
         cols = []
         for image in images:
             ops = {-1: 1}

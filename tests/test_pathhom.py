@@ -11,8 +11,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from maghom.chains import KINDS, trail_complex
 from maghom.graphs import digraph, family, point, transitive_tournament
-from maghom.matrices import combine, reduce_columns
-from maghom.pathhom import _paths, allowed_paths, omega_basis, path_homology
+from maghom.matrices import combine, reduce_bitsets, reduce_columns
+from maghom.pathhom import _face_columns, _paths, allowed_paths, omega_basis, path_homology
 from test_snf import residues, small_digraphs, snf_rank
 
 
@@ -391,3 +391,28 @@ def test_one_cleared_reduction_matches_two_matrices_on_random_digraphs(
 ):
     want = two_matrix_homology(G, 4, strong, p, reduced)
     assert path_homology(G, 4, strong, ring_of(p), reduced) == want
+
+
+def packed(col):
+    """A sparse column mod 2 packed as an int, bit r for row r."""
+    return sum(1 << r for r, v in col.items() if v % 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_digraphs(max_n=6), st.booleans())
+def test_bitset_reduction_matches_the_dict_reduction_mod_2(G, strong):
+    # the face sums of every degree path_homology reduces at kmax 4, top
+    # down with the same clearing: clearing reads the lowest rows, so the
+    # pivots must agree row by row, and the reduced columns with them
+    paths = _paths(G, 5, strong)
+    cleared = set()
+    for n in range(5, 0, -1):
+        cols, base = _face_columns(paths, n)
+        bits, same_base = _face_columns(paths, n, packed=True)
+        bits = list(bits)
+        cols = list(cols)
+        assert same_base == base and bits == [packed(col) for col in cols], n
+        want = reduce_columns(cols, 2, skip=cleared)[0]
+        got = reduce_bitsets(bits, skip=cleared)
+        assert got == {low: packed(col) for low, (_, col, _) in want.items()}, n
+        cleared = set(got)

@@ -182,9 +182,21 @@ def test_distances_stay_a_cached_property():
     assert copy == G and copy.distances == G.distances
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # both cost most of a cold start; this guards them without a timing bound
-    code = "import maghom.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def loaded_by_importing_the_cli(modules):
+    """The modules among the given ones that ``import maghom.cli`` loads,
+    sorted, in a fresh interpreter."""
+    code = f"import maghom.cli, sys; print(sorted({set(modules)!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # both cost most of a cold start; this guards them without a timing bound
+    assert loaded_by_importing_the_cli({"dataclasses", "inspect"}) == "[]"
+
+
+def test_importing_the_cli_loads_no_fractions():
+    # fractions pulls in decimal and numbers; only page-one coordinates over
+    # Q need it, and they import it when they run
+    assert loaded_by_importing_the_cli({"fractions", "decimal", "numbers"}) == "[]"
