@@ -11,13 +11,7 @@ gives the torsion.
 """
 
 from .chains import FilteredComplex, certified_length_bound, trail_complex
-from .errors import (
-    GraphError,
-    MaghomError,
-    ParseError,
-    ResourceCapError,
-    VerificationFailure,
-)
+from .errors import GraphError, MaghomError, ParseError, ResourceCapError
 from .graphs import (
     DirectedGraph,
     alternating,
@@ -82,7 +76,6 @@ __all__ = [
     "Polynomial",
     "ResourceCapError",
     "SpectralSequence",
-    "VerificationFailure",
     "allowed_paths",
     "alternating",
     "are_isomorphic",

@@ -21,7 +21,3 @@ class ParseError(GraphError):
 
 class ResourceCapError(MaghomError):
     """A size cap on an exhaustive computation was exceeded."""
-
-
-class VerificationFailure(MaghomError):
-    """A verification run found at least one failing check."""

@@ -26,12 +26,13 @@ there is no overflow to manage.
 
 ``reduce_bitsets`` is the same left-to-right reduction over F_2 on
 columns packed as ints by ``bitset``, bit r for row r: an addition is one
-XOR and the lowest row the top bit.  Path homology over F_2 uses it,
-since its face sums fill in.  The coboundary passes keep dict columns
-over F_2 as well: their columns need one or two additions each, so
-packing a wide column costs more than its XORs save.  Packing every
-coboundary column made ``rmpss_report`` of C_8 over F_2 take 1.15 s
-instead of 0.85 s (2-core VM).
+XOR and the lowest row the top bit.  It returns the pivots only, which
+is all path homology over F_2 reads; it uses the bitsets since its face
+sums fill in.  The coboundary passes keep dict columns over F_2 as
+well: their columns need one or two additions each, so packing a wide
+column costs more than its XORs save.  Packing every coboundary column
+made ``rmpss_report`` of C_8 over F_2 take 1.15 s instead of 0.85 s
+(2-core VM).
 """
 
 from __future__ import annotations
@@ -184,21 +185,18 @@ def bitset(rows):
     return x
 
 
-def reduce_bitsets(cols, skip=()):
+def reduce_bitsets(cols):
     """Reduce columns over F_2 left to right, each packed as an int with
     bit r set for row r (see ``bitset``); returns {lowest row: reduced
-    column}.
+    column}.  Every other column reduced to zero.
 
     A column addition is one XOR and the lowest row is the top bit, so a
     column that fills in costs a big-integer operation per addition, not
     a dict update per entry.  Ints are immutable, so unlike
-    ``reduce_columns`` this leaves cols as they were.  A column whose
-    index is in skip is left out, as in ``reduce_columns``.
+    ``reduce_columns`` this leaves cols as they were.
     """
     pivots = {}
-    for j, x in enumerate(cols):
-        if j in skip:
-            continue
+    for x in cols:
         while x:
             low = x.bit_length() - 1
             piv = pivots.get(low)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from maghom import pathhom
 from maghom.chains import KINDS, trail_complex
 from maghom.graphs import digraph, family, point, transitive_tournament
 from maghom.matrices import combine, reduce_bitsets, reduce_columns
@@ -407,12 +408,59 @@ def test_bitset_reduction_matches_the_dict_reduction_mod_2(G, strong):
     paths = _paths(G, 5, strong)
     cleared = set()
     for n in range(5, 0, -1):
-        cols, base = _face_columns(paths, n)
-        bits, same_base = _face_columns(paths, n, packed=True)
-        bits = list(bits)
-        cols = list(cols)
-        assert same_base == base and bits == [packed(col) for col in cols], n
-        want = reduce_columns(cols, 2, skip=cleared)[0]
-        got = reduce_bitsets(bits, skip=cleared)
+        lower = paths.get((n - 1, n - 1), ())
+        upper = [t for i, t in enumerate(paths.get((n, n), ())) if i not in cleared]
+        cols = list(_face_columns(lower, upper, n))
+        bits = list(_face_columns(lower, upper, n, packed=True))
+        assert bits == [packed(col) for col in cols], n
+        want = reduce_columns(cols, 2)[0]
+        got = reduce_bitsets(bits)
         assert got == {low: packed(col) for low, (_, col, _) in want.items()}, n
-        cleared = set(got)
+        cleared = {low for low in got if low < len(lower)}
+
+
+@pytest.mark.parametrize("p", [None, 2, 3], ids=["Q", "F2", "F3"])
+def test_degree_zero_edge_cases_match_the_four_rank_formula(p):
+    # degree 0 counts the vertices no edge clears, less the augmentation;
+    # small_digraphs never draws the empty digraph
+    cases = [digraph(0, ()), point(), family("dir_cycle", 3), family("complete", 3)]
+    for G, kmax, strong, reduced in itertools.product(cases, (0, 2), (False, True), (False, True)):
+        want = two_matrix_homology(G, kmax, strong, p, reduced)
+        assert path_homology(G, kmax, strong, ring_of(p), reduced) == want, (G, kmax)
+    for G, reduced in itertools.product(cases[:2], (False, True)):
+        want = two_matrix_homology(G, G.n, True, p, reduced)
+        assert path_homology(G, strong=True, ring=ring_of(p), reduced=reduced) == want
+    assert path_homology(point(), strong=True, ring=ring_of(p)) == {0: 1}
+    assert path_homology(digraph(0, ()), kmax=3, ring=ring_of(p)) == {}
+
+
+@pytest.mark.parametrize("p", [None, 2], ids=["Q", "F2"])
+def test_a_cleared_path_is_never_built(monkeypatch, p):
+    # a degree-(n+1) pivot whose lowest row is an allowed n-path clears
+    # that path: its face sum must never reach the reduction
+    G, kmax = family("complete", 4), 4
+    paths = _paths(G, kmax + 1, False)  # nothing clears the top degree
+
+    def rank(n, stray_only):
+        cols, _ = face_sums(paths, n, stray_only)
+        return len(reduce_columns(residues(cols, p), p or "Q")[0])
+
+    want = [
+        len(paths[(n, n)]) - rank(n + 1, False) + rank(n + 1, True)
+        for n in range(kmax + 1, 0, -1)
+    ]
+    built = []
+
+    def counting(reduce):
+        def wrapped(cols, *args, **kwargs):
+            cols = list(cols)
+            built.append(len(cols))
+            return reduce(cols, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(pathhom, "reduce_bitsets", counting(pathhom.reduce_bitsets))
+    monkeypatch.setattr(pathhom, "reduce_columns", counting(pathhom.reduce_columns))
+    path_homology(G, kmax, ring=ring_of(p))
+    assert built == want
+    assert sum(want) < sum(len(paths[(n, n)]) for n in range(1, kmax + 2))
