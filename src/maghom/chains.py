@@ -51,8 +51,6 @@ Willerton, *Categorifying the magnitude of a graph*, HHA 2017).
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .errors import GraphError
 from .graphs import distance_matrix, eccentricity_bound
 
@@ -216,10 +214,6 @@ class FilteredComplex:
 
     def dim(self, k, weight=None):
         return len(self.cells(k, weight))
-
-    def prefix_dim(self, k, p):
-        """Dimension of the filtration stage at weight p in degree k."""
-        return bisect_right(self.weights(k), p)
 
     def graded_counts(self):
         return {key: len(cells) for key, cells in self.buckets.items()}

@@ -28,12 +28,15 @@ order under a doubling length cap, and stops at the first group off the
 diagonal.  Every caller that reads only a verdict uses it, the eulerian
 one through ``is_regularly_diagonal``.
 
-``les_verify`` checks the long exact sequence at one length.  Its map
+``les_verify`` checks the long exact sequence at one length, over a
+field, one orbit summand at a time as ``homology_table`` does.  Its map
 ranks are counts of the persistence pairs of one coboundary pass over
-the ordinary graded piece, its all-distinct trails ordered first: the
+the ordinary summand, its all-distinct trails ordered first: the
 pairing of a complex with a subcomplex gives the ranks of inclusion,
 projection and connecting map, as the pairing of a filtered complex
-gives the pages of its spectral sequence.
+gives the pages of its spectral sequence.  The inclusion's ranks are
+those of the page-one inclusion of the regular magnitude-path spectral
+sequence into the ordinary one (``spectral.page_one_inclusion_report``).
 """
 
 from __future__ import annotations
@@ -313,84 +316,95 @@ def is_regularly_diagonal(G):
     return is_diagonal(G, "eulerian")
 
 
-def les_verify(G, l):
+def les_verify(G, l, ring="Q"):
     """Rank bookkeeping for the inclusion/projection/connecting maps at level l.
 
     At a fixed length the ordinary complex is finite (each step has length
     at least one), so no truncation is involved.  Returns per-degree ranks
-    of the three homologies and of the maps between them, plus the three
-    exactness identities the ranks must satisfy.
+    over the field ring of the three homologies and of the maps between
+    them, plus the three exactness identities the ranks must satisfy.
 
-    The map ranks count the persistence pairs of one ``coboundary_pass``
-    over Q on the ordinary graded piece M, its cells in stable order with
-    the all-distinct trails E first (Cohen-Steiner, Edelsbrunner, Harer &
-    Morozov, *Persistent homology for kernels, images, and cokernels*,
-    SODA 2009).  In degree k the inclusion's rank is the number of
-    unpaired all-distinct cells, the projection's the number of unpaired
-    repeat trails, and the connecting map's the number of pairs born on
-    an all-distinct cell in degree k - 1 that die on a repeat trail in
-    degree k.  A pair born on a repeat trail that dies on an all-distinct
-    cell would mean E is no subcomplex of M, and raises GraphError.  The
-    homology ranks come from ``chain_homology`` on three complexes of
-    their own, on purpose: they are the side of the exactness identities
-    that owes nothing to this pairing.  The eulerian and ordinary ones
-    are built by ``trail_complex``, and the discriminant one is selected
-    from the ordinary complex, its repeat trails of length l with their
-    masks.
+    At fixed length all three differentials keep a trail's first vertex,
+    so each complex splits into summands by first vertex, and an
+    automorphism carries the summand of one vertex onto that of any other
+    in its orbit (``graphs.vertex_orbits``).  Each orbit's summands are
+    built from its least vertex alone, and every rank counts once per
+    orbit vertex.  The map ranks count the persistence pairs of one
+    ``coboundary_pass`` on the ordinary summand M, its cells in stable
+    order with the all-distinct trails E first (Cohen-Steiner, Edelsbrunner,
+    Harer & Morozov, *Persistent homology for kernels, images, and
+    cokernels*, SODA 2009).  In degree k the inclusion's rank is the
+    number of unpaired all-distinct cells, the projection's the number of
+    unpaired repeat trails, and the connecting map's the number of pairs
+    born on an all-distinct cell in degree k - 1 that die on a repeat
+    trail in degree k.  A pair born on a repeat trail that dies on an
+    all-distinct cell would mean E is no subcomplex of M, and raises
+    GraphError.  The homology ranks come from ``chain_homology`` on three
+    summands of their own, on purpose: they are the side of the exactness
+    identities that owes nothing to this pairing.  The eulerian and
+    ordinary ones are built by ``trail_complex``, and the discriminant one
+    is selected from the ordinary summand, its repeat trails of length l
+    with their masks.
     """
-
-    def ranks(complex_):
-        return {k: g.rank for k, g in chain_homology(complex_, "Q", weight=l).items()}
-
-    ordinary = trail_complex(G, "ordinary", l)
-    # the quotient's basis at length l: the repeat trails, with their masks
-    discriminant = ordinary.select(weight=l, keep=has_repeat)
-    e = ranks(trail_complex(G, "eulerian", l))
-    m = ranks(ordinary)
-    d = ranks(discriminant)
-
-    # the graded piece at length l, all-distinct trails first, and per
-    # degree the number of them
-    piece = ordinary.select(weight=l, key=has_repeat)
-    cut = {k: piece.dim(k, l) - discriminant.dim(k, l) for k, _ in piece.buckets}
-
+    ring = parse_field(ring, "the long exact sequence needs")
+    e, m, d = Counter(), Counter(), Counter()
     r_incl, r_proj, r_conn = Counter(), Counter(), Counter()
-    dead = []  # the degree-k cells paired with a cell of degree k - 1
-    for k, pairs, _ in coboundary_pass(piece, "Q", weight=l):
-        here, above = cut.get(k, 0), cut.get(k + 1, 0)
-        for birth, death in pairs:
-            if birth >= here and death < above:
-                raise GraphError(
-                    f"all-distinct trail {piece.cells(k + 1, l)[death]} pairs"
-                    f" with repeat trail {piece.cells(k, l)[birth]}"
-                )
-        r_conn[k + 1] = sum(birth < here and death >= above for birth, death in pairs)
-        paired = [birth for birth, _ in pairs] + dead
-        r_incl[k] = here - sum(i < here for i in paired)
-        r_proj[k] = piece.dim(k, l) - here - sum(i >= here for i in paired)
-        dead = [death for _, death in pairs]
+    for orbit in vertex_orbits(G):
+        size = len(orbit)
+        ordinary = trail_complex(G, "ordinary", l, starts=orbit[:1])
+        # the quotient's basis at length l: the repeat trails, with their masks
+        discriminant = ordinary.select(weight=l, keep=has_repeat)
+        eulerian = trail_complex(G, "eulerian", l, starts=orbit[:1])
+        for ranks, complex_ in ((e, eulerian), (m, ordinary), (d, discriminant)):
+            for k, g in chain_homology(complex_, ring, weight=l).items():
+                ranks[k] += size * g.rank
+
+        # the graded piece at length l, all-distinct trails first, and per
+        # degree the number of them
+        piece = ordinary.select(weight=l, key=has_repeat)
+        cut = {k: piece.dim(k, l) - discriminant.dim(k, l) for k, _ in piece.buckets}
+        dead = []  # the degree-k cells paired with a cell of degree k - 1
+        for k, pairs, _ in coboundary_pass(piece, ring, weight=l):
+            here, above = cut.get(k, 0), cut.get(k + 1, 0)
+            for birth, death in pairs:
+                if birth >= here and death < above:
+                    raise GraphError(
+                        f"all-distinct trail {piece.cells(k + 1, l)[death]} pairs"
+                        f" with repeat trail {piece.cells(k, l)[birth]}"
+                    )
+            conn = sum(birth < here and death >= above for birth, death in pairs)
+            paired = [birth for birth, _ in pairs] + dead
+            incl = here - sum(i < here for i in paired)
+            r_conn[k + 1] += size * conn
+            r_incl[k] += size * incl
+            r_proj[k] += size * (piece.dim(k, l) - len(paired) - incl)
+            dead = [death for _, death in pairs]
 
     checks = []
     failures = []
     for k in range(l + 1):
         row = {
             "k": k,
-            "exact_at_ordinary": r_incl[k] + r_proj[k] == m.get(k, 0),
-            "exact_at_discriminant": r_proj[k] + r_conn[k] == d.get(k, 0),
-            "exact_at_eulerian": r_conn[k + 1] + r_incl[k] == e.get(k, 0),
+            "exact_at_ordinary": r_incl[k] + r_proj[k] == m[k],
+            "exact_at_discriminant": r_proj[k] + r_conn[k] == d[k],
+            "exact_at_eulerian": r_conn[k + 1] + r_incl[k] == e[k],
         }
         checks.append(row)
         for name in ("ordinary", "discriminant", "eulerian"):
             if not row[f"exact_at_{name}"]:
                 failures.append(f"degree {k} at the {name} term")
+
+    def nonzero(ranks):
+        return {k: ranks[k] for k in range(l + 1) if ranks[k]}
+
     return {
         "l": l,
-        "eulerian": e,
-        "ordinary": m,
-        "discriminant": d,
-        "rank_inclusion": {k: r_incl[k] for k in range(l + 1) if r_incl[k]},
-        "rank_projection": {k: r_proj[k] for k in range(l + 1) if r_proj[k]},
-        "rank_connecting": {k: r_conn[k] for k in range(l + 1) if r_conn[k]},
+        "eulerian": nonzero(e),
+        "ordinary": nonzero(m),
+        "discriminant": nonzero(d),
+        "rank_inclusion": nonzero(r_incl),
+        "rank_projection": nonzero(r_proj),
+        "rank_connecting": nonzero(r_conn),
         "checks": checks,
         "failures": failures,
         "exact": not failures,

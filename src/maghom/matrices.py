@@ -1,11 +1,11 @@
-"""The column reduction that every rank, basis, coordinate, persistence
-pair and Smith divisor comes from.
+"""The column reduction that every rank, basis, persistence pair and
+Smith divisor comes from.
 
 A matrix is a list of sparse columns {row: coeff}, zero entries absent,
 as ``chains.FilteredComplex.coboundary`` and ``boundary`` build them;
 the reductions here change the columns they are given in place.
-``combine`` and ``reduce_columns`` take a ring as ``parse_ring`` reads
-it, "Z", "Q", "Fp:<p>" or a prime p, and work with it as "Z", "Q" or p.
+``reduce_columns`` takes a ring as ``parse_ring`` reads it, "Z", "Q",
+"Fp:<p>" or a prime p, and works with it as "Z", "Q" or p.
 The face sums write +-1 whatever the ring, and this is the one module
 that works mod p: over F_p it reads integer entries mod p and writes
 them in range(p).
@@ -16,7 +16,7 @@ to right: ``reduce_column`` clears the lowest entry of a column against
 earlier columns with the same lowest row.  Over Q and Z it is
 fraction-free in integers, over F_p in integers mod p.  Recording V
 makes each column that reduces to zero a kernel vector, with its own
-index as lowest entry.  The pivots give the persistence pairs, and the
+index as lowest entry, as ``pathhom.omega_basis`` reads them.  The pivots give the persistence pairs, and the
 Smith divisors of the matrix come with them.  Over Z only pivots with
 lowest entry +-1 are taken, so every step is a unimodular column
 operation; the columns that end on another entry are left to a dense
@@ -51,18 +51,6 @@ def parse_ring(ring):
             raise ValueError(f"modulus must be prime, got {ring}")
         return ring
     raise ValueError(f"unknown ring {ring!r}; expected Z, Q, or Fp:<p>")
-
-
-def combine(cols, vec, ring="Q"):
-    """The sparse column sum of cols[j] * vec[j], zeros dropped."""
-    ring = parse_ring(ring)
-    out = {}
-    for j, x in vec.items():
-        for i, v in cols[j].items():
-            out[i] = out.get(i, 0) + x * v
-    if isinstance(ring, int):
-        out = {i: v % ring for i, v in out.items()}
-    return {i: v for i, v in out.items() if v}
 
 
 def _subtract(col, a, c, piv):

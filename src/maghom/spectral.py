@@ -25,16 +25,10 @@ The reduction is the package's one column reduction,
 ``matrices.reduce_columns``: sparse, fraction-free over Q and mod p over
 F_p, on the same +-1 columns for every field.
 
-Differentials and page maps are matrices of page one, where E_1(p, n)
-is the homology of the graded piece at weight p.  The same reduction,
-recording its column operations, gives each entry's representatives,
-and the class coordinates of an image are read off by reducing it
-against those and the boundaries (``matrices.reduce_column``).  The
-graded boundaries are weight blocks sliced from
-``FilteredComplex.boundary``, built once and cached for every entry of
-page one.  A matrix is a list of sparse columns {row: coefficient}, one
-per source class, as ``reduce_columns`` makes them, and maps compose
-with ``matrices.combine``.
+The page-one inclusion of the regular sequence into the ordinary one
+is the inclusion of eulerian into ordinary trails on each graded piece,
+so its ranks are read off the long exact sequence of that pair at each
+weight (``homology.les_verify``), and no page-one matrix is built.
 """
 
 from __future__ import annotations
@@ -50,9 +44,9 @@ from .homology import (
     coboundary_pass,
     homology_table,
     is_regularly_diagonal,
+    les_verify,
     parse_field,
 )
-from .matrices import combine, reduce_column, reduce_columns
 from .pathhom import path_homology
 from .words import injective_word_ranks
 
@@ -67,7 +61,6 @@ class SpectralSequence:
         self.fc = filtered
         self.ring = parse_field(ring, "spectral sequences need")
         self._bars = None
-        self._page_one = {}
 
     @property
     def top_weight(self):
@@ -138,90 +131,6 @@ class SpectralSequence:
             out[n] = out.get(n, 0) + m
         return out
 
-    def _graded(self, n, p):
-        """Index range [a, b) of the degree-n cells of weight exactly p."""
-        return self.fc.prefix_dim(n, p - 1), self.fc.prefix_dim(n, p)
-
-    def _columns(self, n, p_from, p_to):
-        """Sparse columns of the degree-n boundary from the cells of weight
-        p_from to those of weight p_to, each indexed within its weight.
-
-        The slices are new dicts, so the cached boundary, which every
-        entry of page one reads, stays intact when they are reduced."""
-        a, b = self._graded(n, p_from)
-        lo, hi = self._graded(n - 1, p_to)
-        return [
-            {i - lo: v for i, v in col.items() if lo <= i < hi}
-            for col in self.fc.boundary(n)[a:b]
-        ]
-
-    def _page_one_entry(self, p, n):
-        """Representatives of E_1(p, n) and the pivots that read off classes.
-
-        Vectors are sparse on the degree-n cells of weight p.  The reduced
-        boundaries from degree n + 1 are cleared from the reduction of
-        degree n, so its kernel columns are the representatives, each with
-        its own index as lowest entry.  With those boundaries they have
-        distinct lowest entries: a basis of the cycles of the graded piece.
-        """
-        if (p, n) not in self._page_one:
-            bounds = reduce_columns(self._columns(n + 1, p, p), self.ring)[0]
-            here = self._columns(n, p, p)
-            reps = reduce_columns(here, self.ring, skip=bounds, record=True)[1]
-            pivots = {low: (j, col, {}) for low, (j, col, _) in bounds.items()}
-            pivots.update((max(z), (i, z, {i: 1})) for i, z in enumerate(reps))
-            self._page_one[(p, n)] = (reps, pivots)
-        return self._page_one[(p, n)]
-
-    def _coordinates(self, p, n, images):
-        """Sparse columns of the page-one classes of images (sparse chains)
-        in E_1(p, n).
-
-        Each image is reduced by lowest entries against the representatives
-        and boundaries, keeping the multiples of the representatives taken
-        off; an image that does not reduce to zero raises.
-        """
-        pivots = self._page_one_entry(p, n)[1]
-        if self.ring == "Q":
-            # imported here: fractions loads decimal and numbers, and
-            # nothing else on a command-line call needs them
-            from fractions import Fraction
-        cols = []
-        for image in images:
-            ops = {-1: 1}
-            if reduce_column(image, pivots, self.ring, ops) is not None:
-                raise ArithmeticError(f"an image in E_1({p},{n}) is not a page-one class")
-            # scale * image = -sum ops[i] * rep_i + boundaries; mod p the
-            # image is never scaled, so scale is 1
-            scale = ops.pop(-1)
-            if self.ring == "Q":
-                cols.append({i: Fraction(-x, scale) for i, x in ops.items()})
-            else:
-                cols.append({i: -x % self.ring for i, x in ops.items()})
-        return cols
-
-    def differential(self, p, n):
-        """Sparse columns of d_1 from E_1(p, n) to E_1(p - 1, n - 1)."""
-        down = self._columns(n, p, p - 1)
-        images = [combine(down, z, self.ring) for z in self._page_one_entry(p, n)[0]]
-        return self._coordinates(p - 1, n - 1, images)
-
-
-def page_map(source, target, p, n):
-    """Sparse columns on E_1(p, n) of the inclusion of source's cells
-    into target's, one per source class; weights must match exactly."""
-    if source.ring != target.ring:
-        raise ValueError("page maps need matching coefficient fields")
-    a, b = source._graded(n, p)
-    ta, tb = target._graded(n, p)
-    index = {c: i for i, c in enumerate(target.fc.cells(n)[ta:tb])}
-    cells = source.fc.cells(n)[a:b]
-    images = [
-        {index[cells[j]]: v for j, v in z.items()}
-        for z in source._page_one_entry(p, n)[0]
-    ]
-    return target._coordinates(p, n, images)
-
 
 def rmpss(G, ring="Q"):
     return SpectralSequence(trail_complex(G), ring)
@@ -281,39 +190,40 @@ def rmpss_report(G, ring="Q", rmax=None):
     }
 
 
-def _compose(outer, inner, ring):
-    """The product outer * inner of matrices given as sparse columns."""
-    return [combine(outer, col, ring) for col in inner]
-
-
-def _inclusion_commutes(reg, ord_):
-    """Check that the page-one inclusion of reg into ord_ commutes with d_1."""
-    checked = 0
-    for (p, n) in sorted(reg.page(1)):
-        f_here = page_map(reg, ord_, p, n)
-        f_down = page_map(reg, ord_, p - 1, n - 1)
-        left = _compose(f_down, reg.differential(p, n), reg.ring)
-        right = _compose(ord_.differential(p, n), f_here, reg.ring)
-        if left != right:
-            return {"commutes": False, "failed_at": (p, n), "checked": checked}
-        checked += 1
-    return {"commutes": True, "failed_at": None, "checked": checked}
+def _inclusion_ranks(G, words, ring):
+    """The page-one inclusion of the regular sequence into the ordinary
+    one, read off the long exact sequence at each weight of words, the
+    eulerian trail complex of G."""
+    ranks, inexact = [], []
+    for p in sorted({w for _, w in words.buckets}):
+        les = les_verify(G, p, ring)
+        if les["eulerian"]:
+            incl = les["rank_inclusion"]
+            ranks += [{"l": p, "k": n, "rank": incl.get(n, 0)} for n in les["eulerian"]]
+            if not les["exact"]:
+                inexact.append(p)
+    return {"exact": not inexact, "inexact_weights": inexact, "ranks": ranks}
 
 
 def page_one_inclusion_report(G, l_max, ring="Q"):
-    """Check the page-one map induced by including words into trails.
+    """Ranks of the page-one map induced by including words into trails.
 
-    At page one the map is the basis inclusion of all-distinct trails;
-    the check asserts it commutes with the page-one differentials at
-    every populated source bidegree.  Needs l_max to cover every
-    injective word, otherwise the target complex misses some cells.
+    E_1(p, n) of either sequence is the homology of its graded piece at
+    weight p, so at page one the map is the inclusion of the eulerian
+    graded piece into the ordinary one, the first map of the long exact
+    sequence at length p.  Its rank at each populated entry (p, n) of the
+    regular page one is ``les_verify(G, p, ring)["rank_inclusion"][n]``,
+    and the report is exact when that sequence is exact at each populated
+    weight p.  Needs l_max to cover every injective word, otherwise the
+    target sequence misses some cells.
     """
-    reg = rmpss(G, ring)
-    if reg.top_weight > l_max:
+    ring = parse_field(ring, "spectral sequences need")
+    words = trail_complex(G)
+    if words.top_weight > l_max:
         raise ValueError(
-            f"l_max={l_max} is below the top injective word length {reg.top_weight}"
+            f"l_max={l_max} is below the top injective word length {words.top_weight}"
         )
-    return _inclusion_commutes(reg, mpss(G, l_max, ring))
+    return _inclusion_ranks(G, words, ring)
 
 
 def mpss_report(G, l_max, ring="Q", rmax=2):
@@ -321,13 +231,15 @@ def mpss_report(G, l_max, ring="Q", rmax=2):
 
     Page one must be the (truncated) ordinary trail homology.  Every page
     is read off the same persistence pairing, so raising rmax costs
-    next to nothing.
+    next to nothing.  page_one_inclusion is the report of
+    ``page_one_inclusion_report``, or None when l_max is below the top
+    injective word length.
     """
     ss = mpss(G, l_max, ring)
     mh = homology_table(G, "ordinary", ss.ring, l_max=l_max)
     mismatches = _table_mismatch(ss.page(1), mh)
-    reg = rmpss(G, ring)
-    inclusion = _inclusion_commutes(reg, ss) if reg.top_weight <= l_max else None
+    words = trail_complex(G)
+    inclusion = _inclusion_ranks(G, words, ss.ring) if words.top_weight <= l_max else None
     return {
         "l_max": l_max,
         "truncated": True,

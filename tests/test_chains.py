@@ -16,7 +16,7 @@ from maghom.graphs import (
     transitive_tournament,
 )
 from maghom.homology import homology_table
-from maghom.matrices import combine
+from maghom.matrices import parse_ring
 
 
 def brute_trails(G, kind, k, l):
@@ -45,9 +45,22 @@ def dense(cols, nrows):
     return [[col.get(i, 0) for col in cols] for i in range(nrows)]
 
 
-def compose(a, b):
-    """Sparse columns of the product a b, composed with matrices.combine."""
-    return [combine(a, col) for col in b]
+def combine(cols, vec, ring="Q"):
+    """The sparse column sum of cols[j] * vec[j], zeros dropped; over F_p
+    reduced mod p."""
+    ring = parse_ring(ring)
+    out = {}
+    for j, x in vec.items():
+        for i, v in cols[j].items():
+            out[i] = out.get(i, 0) + x * v
+    if isinstance(ring, int):
+        out = {i: v % ring for i, v in out.items()}
+    return {i: v for i, v in out.items() if v}
+
+
+def compose(a, b, ring="Q"):
+    """Sparse columns of the product a b, composed with combine."""
+    return [combine(a, col, ring) for col in b]
 
 
 def graded_boundary(G, kind, k, l):

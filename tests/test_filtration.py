@@ -52,11 +52,11 @@ def test_weights_sorted_and_prefixes():
     for k in fc.degrees():
         ws = fc.weights(k)
         assert list(ws) == sorted(ws)
-        assert fc.prefix_dim(k, -1) == 0
-        assert fc.prefix_dim(k, fc.top_weight) == fc.dim(k)
-        # stage dimension counts exactly the cells of weight <= p
-        for p in range(fc.top_weight + 1):
-            assert fc.prefix_dim(k, p) == sum(1 for w in ws if w <= p)
+        # each filtration stage, the cells of weight <= p, is a prefix
+        for p in range(-1, fc.top_weight + 1):
+            stage = [c for w in range(p + 1) for c in fc.cells(k, w)]
+            assert list(fc.cells(k)[: len(stage)]) == stage
+        assert len(fc.cells(k)) == sum(len(fc.cells(k, w)) for w in set(ws))
 
 
 def test_boundary_respects_filtration():

@@ -15,23 +15,28 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_chains import combine
 from test_graphs import SYMMETRIC_GRAPHS, relabel
 from test_pathhom import four_rank_homology
 from test_snf import small_digraphs, smith_divisors, snf_rank
 
-from maghom.chains import KINDS, trail_complex
+from maghom.chains import KINDS, has_repeat, trail_complex
 from maghom.errors import GraphError
 from maghom.graphs import (
+    cartesian,
+    cone,
     connected_graph_classes,
     digraph,
     family,
     opposite,
+    point,
     rho,
     transitive_tournament,
 )
 from maghom.homology import (
     AbelianGroupInvariant,
     chain_homology,
+    coboundary_pass,
     homology_table,
     invariant_factors,
     is_diagonal,
@@ -43,7 +48,7 @@ from maghom.homology import (
     splitting_check,
 )
 from maghom.invariants import Polynomial, magnitude_series, regular_magnitude
-from maghom.matrices import combine, reduce_column, reduce_columns
+from maghom.matrices import reduce_column, reduce_columns
 from maghom.pathhom import _paths, path_homology
 from maghom.spectral import rmpss_report
 from maghom.words import order_complex
@@ -374,6 +379,89 @@ def test_les_pairing_matches_the_chain_level_map_ranks_on_families(name, n):
     G = family(name, n)
     for l in range(7):
         assert les_verify(G, l) == ref_les_verify(G, l), l
+
+
+# Reference: les_verify as it was before it split by vertex orbit, over
+# any field: one pairing of the whole ordinary graded piece, and the three
+# homologies of the whole graded pieces.
+def unsplit_les_verify(G, l, ring):
+    def ranks(complex_):
+        return {k: g.rank for k, g in chain_homology(complex_, ring, weight=l).items()}
+
+    ordinary = trail_complex(G, "ordinary", l)
+    discriminant = ordinary.select(weight=l, keep=has_repeat)
+    e = ranks(trail_complex(G, "eulerian", l))
+    m = ranks(ordinary)
+    d = ranks(discriminant)
+    piece = ordinary.select(weight=l, key=has_repeat)
+    cut = {k: piece.dim(k, l) - discriminant.dim(k, l) for k, _ in piece.buckets}
+    r_incl, r_proj, r_conn = {}, {}, {}
+    dead = []
+    for k, pairs, _ in coboundary_pass(piece, ring, weight=l):
+        here, above = cut.get(k, 0), cut.get(k + 1, 0)
+        assert not any(b >= here and d < above for b, d in pairs)
+        r_conn[k + 1] = sum(b < here and d >= above for b, d in pairs)
+        paired = [b for b, _ in pairs] + dead
+        r_incl[k] = here - sum(i < here for i in paired)
+        r_proj[k] = piece.dim(k, l) - here - sum(i >= here for i in paired)
+        dead = [d for _, d in pairs]
+    return {
+        "eulerian": e,
+        "ordinary": m,
+        "discriminant": d,
+        "rank_inclusion": {k: v for k, v in r_incl.items() if v and k <= l},
+        "rank_projection": {k: v for k, v in r_proj.items() if v and k <= l},
+        "rank_connecting": {k: v for k, v in r_conn.items() if v and k <= l},
+    }
+
+
+# orbits of mixed sizes: the cone's apex and its base, and the two sides of
+# K_{2,3}; one orbit of six in the prism C_3 x K_2, C_6 and directed C_6
+MIXED_ORBITS = [
+    cone(family("cycle", 4)),
+    cartesian(family("cycle", 3), family("complete", 2)),
+    rho(5, [(i, j) for i in (0, 1) for j in (2, 3, 4)]),
+    family("cycle", 6),
+    family("dir_cycle", 6),
+]
+
+
+@pytest.mark.parametrize("G", MIXED_ORBITS)
+def test_les_orbit_summands_match_the_whole_graded_piece(G):
+    for l in range(8):
+        assert les_verify(G, l) == ref_les_verify(G, l), l
+
+
+@pytest.mark.parametrize("G", [digraph(0, []), point()])
+def test_les_of_graphs_the_strategy_does_not_draw(G):
+    for l in range(3):
+        assert les_verify(G, l) == ref_les_verify(G, l), l
+    assert les_verify(G, 0)["exact"]
+
+
+@pytest.mark.parametrize("ring", ["Fp:2", "Fp:3"])
+def test_les_orbit_summands_over_prime_fields(ring):
+    keys = ("eulerian", "ordinary", "discriminant")
+    keys += ("rank_inclusion", "rank_projection", "rank_connecting")
+    for G in MIXED_ORBITS[:3] + [digraph(0, []), point(), family("complete", 4)]:
+        for l in range(6):
+            report = les_verify(G, l, ring)
+            assert report["exact"], (G, l)
+            assert {key: report[key] for key in keys} == unsplit_les_verify(G, l, ring)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_digraphs(), st.integers(0, 5), st.sampled_from(["Fp:2", "Fp:3"]))
+def test_les_orbit_summands_match_the_unsplit_pairing_mod_p(G, l, ring):
+    report = les_verify(G, l, ring)
+    want = unsplit_les_verify(G, l, ring)
+    assert {key: report[key] for key in want} == want
+    assert report["exact"]
+
+
+def test_les_needs_a_field():
+    with pytest.raises(ValueError):
+        les_verify(family("cycle", 4), 2, "Z")
 
 
 def test_table_serializations():

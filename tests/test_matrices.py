@@ -7,10 +7,11 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_chains import combine
 from test_snf import as_columns, domain_rank, int_matrices, residues, small_digraphs, snf_rank
 
 from maghom.chains import trail_complex
-from maghom.matrices import _dense_snf, combine, reduce_columns
+from maghom.matrices import _dense_snf, reduce_columns
 
 FIELDS = st.sampled_from([None, 2, 3])
 

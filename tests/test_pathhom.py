@@ -12,8 +12,9 @@ from sympy.polys.matrices import DomainMatrix
 from maghom import pathhom
 from maghom.chains import KINDS, trail_complex
 from maghom.graphs import digraph, family, point, transitive_tournament
-from maghom.matrices import combine, reduce_bitsets, reduce_columns
+from maghom.matrices import reduce_bitsets, reduce_columns
 from maghom.pathhom import _face_columns, _paths, allowed_paths, omega_basis, path_homology
+from test_chains import combine
 from test_snf import residues, small_digraphs, snf_rank
 
 

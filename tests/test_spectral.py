@@ -1,6 +1,8 @@
 """Spectral sequences of the length filtration."""
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
+from fractions import Fraction
 from math import inf
 
 import pytest
@@ -8,30 +10,134 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
-from test_chains import dense
+from test_chains import combine, dense
 from test_filtration import depth_first_walks
 from test_snf import small_digraphs
 
-from maghom import spectral
 from maghom.chains import FilteredComplex, finite_steps, trail_complex
 from maghom.graphs import digraph, family, transitive_tournament
 from maghom.homology import chain_homology, coboundary_pass, homology_table
-from maghom.matrices import reduce_column
+from maghom.matrices import reduce_column, reduce_columns
 from maghom.pathhom import path_homology
 from maghom.spectral import (
     SpectralSequence,
-    _compose as compose,
     diagonal_convergence,
     mpss,
     mpss_report,
-    page_map,
     page_one_inclusion_report,
     rmpss,
     rmpss_report,
 )
+from maghom.verify import SPHERE_1
 from maghom.words import injective_words_via_flag
 
 SPHERE_2 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (3, 1), (3, 2)])
+
+# the graphs of the rmpss check of verify-paper
+RMPSS_CHECK_GRAPHS = [
+    family("complete", 3),
+    family("complete", 4),
+    family("tournament", 4),
+    family("dir_linear", 4),
+    family("dir_cycle", 4),
+    SPHERE_1,
+    SPHERE_2,
+]
+
+
+# Reference: page one as matrices, as the spectral module built it before
+# the page-one inclusion was read off the long exact sequence.  E_1(p, n)
+# is the homology of the graded piece at weight p; the reduction that
+# records its column operations gives each entry's representatives, and
+# the class coordinates of an image are read off by reducing it against
+# those and the boundaries.  A matrix is a list of sparse columns, one per
+# source class.
+def graded(fc, n, p):
+    """Index range [a, b) of the degree-n cells of weight exactly p."""
+    ws = fc.weights(n)
+    return bisect_right(ws, p - 1), bisect_right(ws, p)
+
+
+class PageOne:
+    def __init__(self, ss):
+        self.fc, self.ring = ss.fc, ss.ring
+        self._entries = {}
+
+    def columns(self, n, p_from, p_to):
+        """Sparse columns of the degree-n boundary from the cells of weight
+        p_from to those of weight p_to, each indexed within its weight; new
+        dicts, so the cached boundary stays intact when they are reduced."""
+        a, b = graded(self.fc, n, p_from)
+        lo, hi = graded(self.fc, n - 1, p_to)
+        return [
+            {i - lo: v for i, v in col.items() if lo <= i < hi}
+            for col in self.fc.boundary(n)[a:b]
+        ]
+
+    def entry(self, p, n):
+        """Representatives of E_1(p, n) and the pivots that read off
+        classes: the kernel columns of the degree-n reduction with the
+        boundaries from degree n + 1 cleared, and those boundaries."""
+        if (p, n) not in self._entries:
+            bounds = reduce_columns(self.columns(n + 1, p, p), self.ring)[0]
+            here = self.columns(n, p, p)
+            reps = reduce_columns(here, self.ring, skip=bounds, record=True)[1]
+            pivots = {low: (j, col, {}) for low, (j, col, _) in bounds.items()}
+            pivots.update((max(z), (i, z, {i: 1})) for i, z in enumerate(reps))
+            self._entries[(p, n)] = (reps, pivots)
+        return self._entries[(p, n)]
+
+    def coordinates(self, p, n, images):
+        """Sparse columns of the classes of images in E_1(p, n); an image
+        that is not a page-one class raises."""
+        pivots = self.entry(p, n)[1]
+        cols = []
+        for image in images:
+            ops = {-1: 1}
+            if reduce_column(image, pivots, self.ring, ops) is not None:
+                raise ArithmeticError(f"an image in E_1({p},{n}) is not a page-one class")
+            # scale * image = -sum ops[i] * rep_i + boundaries
+            scale = ops.pop(-1)
+            if self.ring == "Q":
+                cols.append({i: Fraction(-x, scale) for i, x in ops.items()})
+            else:
+                cols.append({i: -x % self.ring for i, x in ops.items()})
+        return cols
+
+    def differential(self, p, n):
+        """Sparse columns of d_1 from E_1(p, n) to E_1(p - 1, n - 1)."""
+        down = self.columns(n, p, p - 1)
+        images = [combine(down, z, self.ring) for z in self.entry(p, n)[0]]
+        return self.coordinates(p - 1, n - 1, images)
+
+
+def page_map(source, target, p, n):
+    """Sparse columns on E_1(p, n) of the inclusion of source's cells into
+    target's (both PageOne), one per source class."""
+    a, b = graded(source.fc, n, p)
+    ta, tb = graded(target.fc, n, p)
+    index = {c: i for i, c in enumerate(target.fc.cells(n)[ta:tb])}
+    cells = source.fc.cells(n)[a:b]
+    images = [{index[cells[j]]: v for j, v in z.items()} for z in source.entry(p, n)[0]]
+    return target.coordinates(p, n, images)
+
+
+def compose(outer, inner, ring):
+    """The product outer * inner of matrices given as sparse columns."""
+    return [combine(outer, col, ring) for col in inner]
+
+
+def inclusion_commutes(reg, ord_, regular_page_one):
+    """Whether the page-one inclusion of reg into ord_ (both PageOne)
+    commutes with d_1 at every entry of regular_page_one."""
+    for p, n in sorted(regular_page_one):
+        f_here = page_map(reg, ord_, p, n)
+        f_down = page_map(reg, ord_, p - 1, n - 1)
+        left = compose(f_down, reg.differential(p, n), reg.ring)
+        right = compose(ord_.differential(p, n), f_here, reg.ring)
+        if left != right:
+            return False
+    return True
 
 GRAPHS = [
     family("complete", 3),
@@ -118,9 +224,12 @@ def test_truncated_sequence_and_inclusion():
     assert ss.page(1) == want
 
     report = page_one_inclusion_report(G, l_max=4)
-    assert report["commutes"]
-    assert report["failed_at"] is None
-    assert report["checked"] > 0
+    assert report["exact"]
+    assert report["inexact_weights"] == []
+    reg = rmpss(G)
+    assert [(e["l"], e["k"]) for e in report["ranks"]] == sorted(reg.page(1))
+    # the reference: page-one matrices commute with d_1
+    assert inclusion_commutes(PageOne(reg), PageOne(ss), reg.page(1))
 
 
 def test_inclusion_needs_room_for_the_whole_word_complex():
@@ -133,8 +242,9 @@ def test_page_map_identity_commutes():
     G = family("complete", 3)
     ss = rmpss(G)
     # identity inclusion of the sequence into itself is full rank
+    one = PageOne(ss)
     for (p, n), rank in ss.page(1).items():
-        mat = page_map(ss, ss, p, n)
+        mat = page_map(one, one, p, n)
         assert len(mat) == rank
         assert sum(1 for col in mat for v in col.values() if v) >= rank
 
@@ -145,9 +255,10 @@ def test_identity_page_map_is_the_identity_matrix(ring):
     # the sign and scale the reduction took out put back
     for G in GRAPHS:
         for ss in (rmpss(G, ring), mpss(G, 3, ring)):
+            one = PageOne(ss)
             for (p, n), m in ss.page(1).items():
                 want = [{j: 1} for j in range(m)]
-                assert page_map(ss, ss, p, n) == want, (G, p, n)
+                assert page_map(one, one, p, n) == want, (G, p, n)
 
 
 def test_reports_are_json_ready():
@@ -168,7 +279,7 @@ def test_reports_are_json_ready():
     assert trep["truncated"] is True
     assert trep["l_max"] == 4
     assert trep["e1_matches_ordinary_homology"]
-    assert trep["page_one_inclusion"]["commutes"]
+    assert trep["page_one_inclusion"]["exact"]
 
 
 def test_diagonal_convergence_report():
@@ -239,9 +350,10 @@ def test_pages_against_smith_form_homology(G, ring, regular):
             into = ss.differential_rank(r, p + r, n + 1)
             assert ss.entry_rank(r + 1, p, n) == m - out - into, (r, p, n)
     # page-one matrices have the shapes and ranks the pairing counts
+    one = PageOne(ss)
     for (p, n), m in ss.page(1).items():
-        assert matrix_rank(dense(page_map(ss, ss, p, n), m), ss.ring) == m
-        d1 = ss.differential(p, n)
+        assert matrix_rank(dense(page_map(one, one, p, n), m), ss.ring) == m
+        d1 = one.differential(p, n)
         below = ss.entry_rank(1, p - 1, n - 1)
         assert len(d1) == m
         assert all(0 <= i < below for col in d1 for i in col)
@@ -265,24 +377,64 @@ def test_reports_take_prime_field_rings():
 )
 def test_page_one_differential_squares_to_zero(G, ring, regular):
     ss = rmpss(G, ring) if regular else mpss(G, 3, ring)
+    one = PageOne(ss)
     for p, n in ss.page(1):
-        square = compose(ss.differential(p - 1, n - 1), ss.differential(p, n), ss.ring)
+        square = compose(one.differential(p - 1, n - 1), one.differential(p, n), ss.ring)
         assert not any(square), (p, n)
 
 
 def test_page_one_inclusion_composes_nonzero_columns(monkeypatch):
-    # the commuting check of complete:4 compares products that are not
-    # all zero, so it does not pass by comparing empty columns
+    # the reference commuting check of complete:4 compares products that
+    # are not all zero, so it does not pass by comparing empty columns
     products = []
+    original = compose
 
     def recording(outer, inner, p):
-        out = compose(outer, inner, p)
+        out = original(outer, inner, p)
         products.append(out)
         return out
 
-    monkeypatch.setattr(spectral, "_compose", recording)
-    assert page_one_inclusion_report(family("complete", 4), 3)["commutes"]
+    monkeypatch.setitem(globals(), "compose", recording)
+    reg = rmpss(family("complete", 4))
+    assert inclusion_commutes(PageOne(reg), PageOne(mpss(family("complete", 4), 3)), reg.page(1))
     assert any(col for product in products for col in product)
+    assert page_one_inclusion_report(family("complete", 4), 3)["exact"]
+
+
+def inclusion_matrix_ranks(G):
+    """Reference: the rank of the page-one inclusion matrix of G at each
+    entry of the regular page one, over Q."""
+    reg = rmpss(G)
+    source, target = PageOne(reg), PageOne(mpss(G, reg.top_weight))
+    out = []
+    for p, n in sorted(reg.page(1)):
+        rows = target.fc.dim(n, p)  # an upper bound on the rank of E_1(p, n)
+        rank = matrix_rank(dense(page_map(source, target, p, n), rows), "Q")
+        out.append({"l": p, "k": n, "rank": rank})
+    return out
+
+
+@pytest.mark.parametrize("G", RMPSS_CHECK_GRAPHS)
+def test_page_one_inclusion_ranks_match_the_page_one_matrices(G):
+    report = page_one_inclusion_report(G, rmpss(G).top_weight)
+    assert report["exact"]
+    assert report["ranks"] == inclusion_matrix_ranks(G)
+    assert any(entry["rank"] for entry in report["ranks"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_digraphs(max_n=4))
+def test_page_one_inclusion_ranks_match_the_page_one_matrices_on_random_digraphs(G):
+    report = page_one_inclusion_report(G, rmpss(G).top_weight)
+    assert report["exact"]
+    assert report["ranks"] == inclusion_matrix_ranks(G)
+
+
+def test_mpss_report_leaves_the_inclusion_out_below_the_top_word_length():
+    # the top injective word of C_4 has length 5, above l_max = 4
+    assert rmpss(family("cycle", 4)).top_weight == 5
+    assert mpss_report(family("cycle", 4), 4)["page_one_inclusion"] is None
+    assert mpss_report(family("cycle", 4), 5)["page_one_inclusion"]["exact"]
 
 
 def top_down_pairing(ss):
@@ -348,8 +500,9 @@ def test_readers_leave_the_cached_boundaries_intact(G):
     fc = trail_complex(G)
     for ring in ("Q", "Fp:2", "Fp:3"):
         ss = SpectralSequence(fc, ring)
+        one = PageOne(ss)
         for p, n in ss.page(1):
-            ss.differential(p, n)
+            one.differential(p, n)
     for ring in ("Z", "Q", "Fp:2", "Fp:3"):
         chain_homology(fc, ring)
         for l in sorted({l for _, l in fc.buckets}):
