@@ -26,10 +26,8 @@ column, building either differential anti-transposed, as the list of
 sparse columns {row: coeff} that the coboundary pass reduces in place.
 A trail complex carries one mask per cell, its length-preserving
 deletions as bits, so a graded piece visits only the faces it keeps and
-tests no geodesic.  Its columns are new on every call.
-``FilteredComplex.boundary`` is their anti-transpose, cached per
-(degree, weight) for the readers that read it more than once.  Entries
-are +-1 whatever the ring; ``matrices`` reads them mod p over F_p.
+tests no geodesic.  Its columns are new on every call.  Entries are
++-1 whatever the ring; ``matrices`` reads them mod p over F_p.
 
 At fixed length the differential deletes interior entries only, so each
 graded piece splits by first vertex: ``trail_complex`` with starts builds
@@ -176,8 +174,8 @@ class FilteredComplex:
     buckets maps (degree, weight) to the sorted cells there; masks, when
     given, maps the same keys to one int per cell, in cell order, whose
     bit i marks the deletion of entry i as one of the graded piece at
-    that weight, and makes coboundary(k, weight) and boundary(k, weight)
-    graded pieces of the trail differential.
+    that weight, and makes coboundary(k, weight) a graded piece of the
+    trail differential.
     Cells of one degree are ordered by (weight, cell), so every
     filtration stage is a coordinate prefix.
     """
@@ -188,7 +186,6 @@ class FilteredComplex:
         self.top_degree = max((k for k, _ in buckets), default=-1)
         self.top_weight = max((w for _, w in buckets), default=0)
         self._degrees = {}
-        self._boundaries = {}
         self._spots = {}  # mask -> the entries it marks, with their signs
 
     def _degree(self, k):
@@ -289,25 +286,6 @@ class FilteredComplex:
                     elif all(a != b for a, b in zip(face, face[1:])):
                         raise GraphError(f"face {face} of {t} is missing")
         return cols
-
-    def boundary(self, k, weight=None):
-        """Differential out of degree k, or out of its graded piece at
-        weight, as sparse columns {row: +-1}, one per degree-k cell, in
-        cell order: the anti-transpose of coboundary(k - 1, weight).
-
-        For readers that read it more than once; the list is cached and
-        shared, so a caller that reduces columns in place reduces copies.
-        """
-        key = (k, weight)
-        if key not in self._boundaries:
-            co = self.coboundary(k - 1, weight)
-            top_row, top_col = len(co) - 1, self.dim(k, weight) - 1
-            cols = [{} for _ in range(top_col + 1)]
-            for c, col in enumerate(co):
-                for r, v in col.items():
-                    cols[top_col - r][top_row - c] = v
-            self._boundaries[key] = cols
-        return self._boundaries[key]
 
     def __eq__(self, other):
         """Same cells in every degree; weights are not compared."""

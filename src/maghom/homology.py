@@ -186,10 +186,8 @@ def coboundary_pass(complex_, ring, weight=None):
             yield k, [], ()
             continue
         top_row, top_col = here - 1, above - 1
-        pivots, _, divisors = reduce_columns(
-            complex_.coboundary(k, weight), ring, skip=cleared
-        )
-        pairs = [(top_row - j, top_col - low) for low, (j, _, _) in pivots.items()]
+        pivots, divisors = reduce_columns(complex_.coboundary(k, weight), ring, skip=cleared)
+        pairs = [(top_row - j, top_col - low) for low, (j, _) in pivots.items()]
         # only the lowest rows outlive this degree, not its reduced columns
         cleared = set(pivots)
         del pivots
@@ -233,7 +231,7 @@ def invariant_factors(orders):
     of the cyclic groups Z/d for d in orders: the Smith divisors above 1
     of the diagonal matrix of orders.
     """
-    divisors = reduce_columns([{i: d} for i, d in enumerate(orders)], "Z")[2]
+    divisors = reduce_columns([{i: d} for i, d in enumerate(orders)], "Z")[1]
     return tuple(d for d in divisors if d > 1)
 
 

@@ -2,8 +2,8 @@
 Smith divisor comes from.
 
 A matrix is a list of sparse columns {row: coeff}, zero entries absent,
-as ``chains.FilteredComplex.coboundary`` and ``boundary`` build them;
-the reductions here change the columns they are given in place.
+as ``chains.FilteredComplex.coboundary`` builds them; the reductions
+here change the columns they are given in place.
 ``reduce_columns`` takes a ring as ``parse_ring`` reads it, "Z", "Q",
 "Fp:<p>" or a prime p, and works with it as "Z", "Q" or p.
 The face sums write +-1 whatever the ring, and this is the one module
@@ -14,14 +14,14 @@ them in range(p).
 (Edelsbrunner & Harer, *Computational Topology*, 2010, ch. VII), left
 to right: ``reduce_column`` clears the lowest entry of a column against
 earlier columns with the same lowest row.  Over Q and Z it is
-fraction-free in integers, over F_p in integers mod p.  Recording V
-makes each column that reduces to zero a kernel vector, with its own
-index as lowest entry, as ``pathhom.omega_basis`` reads them.  The pivots give the persistence pairs, and the
-Smith divisors of the matrix come with them.  Over Z only pivots with
-lowest entry +-1 are taken, so every step is a unimodular column
-operation; the columns that end on another entry are left to a dense
-least-magnitude-pivot Smith reduction, ``_dense_snf``, once the unit
-pivots' rows are cleared from them.  Arithmetic is plain Python int, so
+fraction-free in integers, over F_p in integers mod p.  V is not
+kept: ``pathhom.omega_basis`` reads it off identity rows set below D.
+The pivots give the persistence pairs, and the Smith divisors of the
+matrix come with them.  Over Z only pivots with lowest entry +-1 are
+taken, so every step is a unimodular column operation; the columns
+that end on another entry are left to a dense least-magnitude-pivot
+Smith reduction, ``_dense_snf``, once the unit pivots' rows are
+cleared from them.  Arithmetic is plain Python int, so
 there is no overflow to manage.
 
 ``reduce_bitsets`` is the same left-to-right reduction over F_2 on
@@ -75,20 +75,17 @@ def _subtract_mod(col, c, piv, p):
             col.pop(i, None)  # input entries 0 mod p make zeros col lacks
 
 
-def reduce_column(col, pivots, ring, ops=None):
+def reduce_column(col, pivots, ring):
     """Clear the lowest entry of col against pivots while one matches;
     returns the lowest row left, or None once col is zero.
 
     col maps rows to nonzero integers and is changed in place; over F_p a
     lowest entry that is 0 mod p is dropped.  pivots maps a lowest row to
-    a (column index, reduced column, V column) triple.  ops, when given,
-    is col's column of V, {input column: coefficient}, and undergoes the
-    same operations, so the V columns of the pivots must be given too.
-    Over Z and Q the step col <- a * col - c * piv keeps the entries
-    integral; while every pivot's lowest entry is +-1, a is +-1 and each
-    step is an integer column operation.  Over Q the content common to
-    col and ops is then divided out, in place.  Over F_p the step is
-    col <- col - c * piv mod p.
+    a (column index, reduced column) pair.  Over Z and Q the step
+    col <- a * col - c * piv keeps the entries integral; while every
+    pivot's lowest entry is +-1, a is +-1 and each step is an integer
+    column operation.  Over Q the content of col is then divided out, in
+    place.  Over F_p the step is col <- col - c * piv mod p.
     """
     p = ring if isinstance(ring, int) else None
     while col:
@@ -98,47 +95,37 @@ def reduce_column(col, pivots, ring, ops=None):
                 del col[low]
                 continue
             break
-        _, piv, piv_ops = pivots[low]
+        piv = pivots[low][1]
         if p:
-            c = col[low] * pow(piv[low], -1, p)
-            _subtract_mod(col, c, piv, p)
-            if ops is not None:
-                _subtract_mod(ops, c, piv_ops, p)
+            _subtract_mod(col, col[low] * pow(piv[low], -1, p), piv, p)
             continue
         g = gcd(piv[low], col[low])
-        a, c = piv[low] // g, col[low] // g
-        _subtract(col, a, c, piv)
-        if ops is not None:
-            _subtract(ops, a, c, piv_ops)
+        _subtract(col, piv[low] // g, col[low] // g, piv)
     else:
         low = None
     if ring == "Q":
-        g = gcd(*col.values(), *(ops or {}).values())
+        g = gcd(*col.values())
         if g > 1:
-            for part in (col, ops or {}):
-                for i in part:
-                    part[i] //= g
+            for i in col:
+                col[i] //= g
     return low
 
 
-def reduce_columns(cols, ring, skip=(), record=False):
-    """Reduce the columns of D left to right; returns (pivots, kernel,
-    divisors).
+def reduce_columns(cols, ring, skip=()):
+    """Reduce the columns of D left to right; returns (pivots, divisors).
 
     pivots maps the lowest row of each pivot to its (column index,
-    reduced column, V column) triple, the V column None without record.
-    kernel lists, in column order, the V columns of the columns that
-    reduced to zero (None each without record).  A column whose index is
-    in skip is left out.  With skip the lowest rows of the reduction one
-    degree away, this is clearing: those columns are boundaries or
-    cycles already, and kernel holds the remaining ones.  divisors are
-    the nonzero Smith divisors of D (of D without the skipped columns),
-    in divisibility order; over a field, one 1 per pivot.
+    reduced column) pair; every other column reduced to zero.  A column
+    whose index is in skip is left out.  With skip the lowest rows of the
+    reduction one degree away, this is clearing: those columns are
+    boundaries or cycles already.  divisors are the nonzero Smith
+    divisors of D (of D without the skipped columns), in divisibility
+    order; over a field, one 1 per pivot.
 
     Over Z a column that reduces to a lowest entry other than +-1 is set
-    aside and is neither a pivot nor in kernel.  The pivots have no entry
-    below their lowest rows, so clearing each set-aside column's entries
-    in pivot rows, highest row first, is a sequence of unimodular column
+    aside and is not a pivot.  The pivots have no entry below their
+    lowest rows, so clearing each set-aside column's entries in pivot
+    rows, highest row first, is a sequence of unimodular column
     operations.  Restricted to their rows the pivots are then triangular
     with a +-1 diagonal, and row operations on those rows, which the
     set-aside columns no longer meet, split them off.  The divisors are
@@ -146,22 +133,21 @@ def reduce_columns(cols, ring, skip=(), record=False):
     """
     ring = parse_ring(ring)
     integral = ring == "Z"
-    pivots, kernel, aside = {}, [], []
+    pivots, aside = {}, []
     for j, col in enumerate(cols):
-        if j in skip:
+        if j in skip or not col:
             continue
-        ops = {j: 1} if record else None
-        low = reduce_column(col, pivots, ring, ops) if col else None
+        low = reduce_column(col, pivots, ring)
         if low is None:
-            kernel.append(ops)
-        elif integral and col[low] not in (1, -1):
+            continue
+        if integral and col[low] not in (1, -1):
             aside.append(col)
         else:
-            pivots[low] = (j, col, ops)
+            pivots[low] = (j, col)
     divisors = (1,) * len(pivots)
     if aside:
         divisors += _residue_divisors(aside, pivots)
-    return pivots, kernel, divisors
+    return pivots, divisors
 
 
 def bitset(rows):

@@ -35,8 +35,12 @@ sum is never built.  The cleared n-paths number rank d_{n+1}, so
 
 The face sums of vertices are zero, so degree 0 counts the uncleared
 vertices, one fewer for reduced homology of a nonempty vertex set (the
-augmentation).  ``omega_basis`` records V: Omega_n is spanned by the V
-columns whose R column is zero or has an allowed lowest row.
+augmentation).  ``omega_basis`` reads V off identity rows below the face
+rows, row j - |A_n| for column j: Omega_n is spanned by the identity
+parts of the columns whose lowest row is allowed or an identity row.
+The identity rows must ascend with j: column j's identity part lies in
+the rows of columns 0..j, so once its face rows are cleared it ends on
+its own row, and kernel columns never reduce against each other.
 
 Over F_2 the face sums fill in: the 81,920 top-degree columns of K_5 at
 kmax 6 need about 605,000 additions, and adding dict columns entry by
@@ -44,9 +48,9 @@ entry took most of the time.  So ``path_homology`` packs each face sum
 into an int bitset, bit r for row r (``matrices.bitset``), and reduces
 with ``matrices.reduce_bitsets``, where an addition is one XOR (Bauer,
 Kerber, Reininghaus & Wagner, *Phat*, J. Symbolic Comput. 2017); same
-rows, same order, same clearing.  Q and odd p, and ``omega_basis``,
-which needs V, keep the dict columns, as do the coboundary passes over
-F_2 (see ``maghom.matrices``).
+rows, same order, same clearing.  Q and odd p keep the dict columns,
+as do ``omega_basis`` and the coboundary passes over F_2 (see
+``maghom.matrices``).
 """
 
 from __future__ import annotations
@@ -99,10 +103,14 @@ def omega_basis(G, n, strong=False, ring="Q"):
     in allowed_paths(G, n, strong): coeff}, by increasing lowest index."""
     ring = parse_field(ring, "path homology needs")
     paths = _paths(G, n, strong)
-    lower = paths.get((n - 1, n - 1), ())
-    cols = _face_columns(lower, paths.get((n, n), ()), n)
-    pivots, kernel, _ = reduce_columns(cols, ring, record=True)
-    return sorted(kernel + [v for low, (_, _, v) in pivots.items() if low < len(lower)], key=max)
+    lower, upper = paths.get((n - 1, n - 1), ()), paths.get((n, n), ())
+    cols = list(_face_columns(lower, upper, n))
+    for j, col in enumerate(cols, -len(upper)):
+        col[j] = 1  # the identity row of column j + len(upper)
+    pivots = reduce_columns(cols, ring)[0]
+    # pivots are in column order, and each ends its identity part on its own row
+    kept = [col for low, (_, col) in pivots.items() if low < len(lower)]
+    return [{j + len(upper): v for j, v in col.items() if j < 0} for col in kept]
 
 
 def path_homology(G, kmax=None, strong=False, ring="Q", reduced=False):

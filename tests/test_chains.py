@@ -63,11 +63,23 @@ def compose(a, b, ring="Q"):
     return [combine(a, col, ring) for col in b]
 
 
+def boundary(fc, k, weight=None):
+    """Differential of fc out of degree k, or out of its graded piece at
+    weight, as sparse columns {row: +-1}, one per degree-k cell, in cell
+    order: the anti-transpose of fc.coboundary(k - 1, weight)."""
+    top_row, top_col = fc.dim(k - 1, weight) - 1, fc.dim(k, weight) - 1
+    cols = [{} for _ in range(top_col + 1)]
+    for c, col in enumerate(fc.coboundary(k - 1, weight)):
+        for r, v in col.items():
+            cols[top_col - r][top_row - c] = v
+    return cols
+
+
 def graded_boundary(G, kind, k, l):
     """Differential of the trail complex from bidegree (k, l) to (k - 1, l),
     as (sparse columns, row count)."""
     complex_ = trail_complex(G, kind, l)
-    return complex_.boundary(k, l), complex_.dim(k - 1, l)
+    return boundary(complex_, k, l), complex_.dim(k - 1, l)
 
 
 def random_digraph(rng, n, p):

@@ -15,8 +15,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_chains import combine
+from test_chains import boundary, combine
 from test_graphs import SYMMETRIC_GRAPHS, relabel
+from test_matrices import ref_reduce_column, ref_reduce_columns
 from test_pathhom import four_rank_homology
 from test_snf import small_digraphs, smith_divisors, snf_rank
 
@@ -48,7 +49,6 @@ from maghom.homology import (
     splitting_check,
 )
 from maghom.invariants import Polynomial, magnitude_series, regular_magnitude
-from maghom.matrices import reduce_column, reduce_columns
 from maghom.pathhom import _paths, path_homology
 from maghom.spectral import rmpss_report
 from maghom.words import order_complex
@@ -270,9 +270,10 @@ def test_diagonal_graphs_split_with_zero_connecting_rank(G):
 
 
 # Reference: les_verify as it was before its map ranks were read off the
-# persistence pairs of one coboundary pass.  Cycle bases are recorded V
-# columns of a top-down boundary reduction, pushed through the three
-# chain maps, and each map rank is the number of pivots its images add.
+# persistence pairs of one coboundary pass.  Cycle bases are the V
+# columns of a top-down boundary reduction, recorded by the reference
+# ``test_matrices.ref_reduce_columns``, pushed through the three chain
+# maps, and each map rank is the number of pivots its images add.
 def ref_map_rank(images, pivots):
     """Rank on homology of a map, from chain-level images of a cycle basis.
 
@@ -282,10 +283,9 @@ def ref_map_rank(images, pivots):
     pivots = dict(pivots)
     added = 0
     for image in images:
-        col = dict(image)
-        low = reduce_column(col, pivots, "Q")
-        if low is not None:
-            pivots[low] = (None, col, None)
+        col, _ = ref_reduce_column(dict(image), pivots)
+        if col:
+            pivots[max(col)] = (col, None)
             added += 1
     return added
 
@@ -303,10 +303,10 @@ def ref_les_verify(G, l):
     above = [{}, {}, {}]
     for k in range(l, -1, -1):
         here = [
-            reduce_columns([dict(col) for col in c.boundary(k, l)], "Q", skip, record=True)
+            ref_reduce_columns(boundary(c, k, l), None, skip, record=True)
             for c, skip in zip(complexes, above)
         ]
-        (e_piv, e_cyc, _), (_, m_cyc, _), (_, d_cyc, _) = here
+        (e_piv, e_cyc), (_, m_cyc), (_, d_cyc) = here
         emc, mc, dmc = emx.cells(k, l), mx.cells(k, l), dmx.cells(k, l)
         mc_index = {t: i for i, t in enumerate(mc)}
         dmc_index = {t: i for i, t in enumerate(dmc)}
@@ -324,7 +324,7 @@ def ref_les_verify(G, l):
 
         # connecting map: lift a quotient cycle, push it through the full
         # differential, read the result in the all-distinct basis
-        full = mx.boundary(k, l)
+        full = boundary(mx, k, l)
         lower = mx.cells(k - 1, l)
         lower_index = {t: i for i, t in enumerate(emx.cells(k - 1, l))}
         images = []
@@ -337,7 +337,7 @@ def ref_les_verify(G, l):
                     )
             images.append({lower_index[lower[i]]: v for i, v in pushed.items()})
         r_conn[k] = ref_map_rank(images, e_piv)
-        above = [pivots for pivots, _, _ in here]
+        above = [pivots for pivots, _ in here]
 
     checks = []
     failures = []
@@ -489,7 +489,7 @@ def snf_homology(complex_, ring="Z", reduced=False, weight=None):
     def divisors(k):
         if k < 1 or not complex_.dim(k, weight):
             return ()
-        return smith_divisors(complex_.boundary(k, weight), complex_.dim(k - 1, weight))
+        return smith_divisors(boundary(complex_, k, weight), complex_.dim(k - 1, weight))
 
     def rank(divs):
         return len(divs) if ring in ("Z", "Q") else sum(1 for d in divs if d % ring)

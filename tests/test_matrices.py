@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_chains import combine
+from test_chains import boundary, combine
 from test_snf import as_columns, domain_rank, int_matrices, residues, small_digraphs, snf_rank
 
 from maghom.chains import trail_complex
@@ -18,9 +18,10 @@ FIELDS = st.sampled_from([None, 2, 3])
 
 def check_reduction(mat, nrows, p):
     """Check the reduction of the integer matrix with nrows rows and the
-    sparse columns mat, taken mod p; mat may be a cached boundary, so
-    the reduction gets copies."""
-    pivots, kernel, _ = reduce_columns(residues(mat, p), p or "Q", record=True)
+    sparse columns mat, taken mod p, and the kernel that the V-recording
+    reference reads off the same reduction; each reduction gets copies."""
+    pivots, _ = reduce_columns(residues(mat, p), p or "Q")
+    ref_pivots, kernel = ref_reduce_columns(residues(mat, p), p, record=True)
     cols = residues(mat, p)
     domain = sympy.GF(p) if p else sympy.QQ
     rank = domain_rank(mat, nrows, domain) if nrows and mat else 0
@@ -31,9 +32,12 @@ def check_reduction(mat, nrows, p):
     for z in kernel:
         assert combine(cols, z, p or "Q") == {}
     assert len({max(z) for z in kernel}) == len(kernel)
-    # every reduced column is D times its column of V
-    for low, (_, col, ops) in pivots.items():
+    # the pivots end on the reference's rows, and every reduced column of
+    # the reference is D times its column of V
+    for low, (_, col) in pivots.items():
         assert max(col) == low
+    assert ref_pivots.keys() == pivots.keys()
+    for col, ops in ref_pivots.values():
         assert combine(cols, ops, p or "Q") == col
 
 
@@ -48,7 +52,7 @@ def test_reduction_of_integer_matrices(rows, p):
 def test_reduction_of_eulerian_boundaries(G, p):
     complex_ = trail_complex(G, "eulerian")
     for k, l in complex_.graded_counts():
-        check_reduction(complex_.boundary(k, l), complex_.dim(k - 1, l), p)
+        check_reduction(boundary(complex_, k, l), complex_.dim(k - 1, l), p)
 
 
 @st.composite
@@ -67,23 +71,29 @@ def small_int_columns(draw):
 def test_reduction_over_a_prime_field_reads_entries_mod_p(mat, p, record):
     # the face sums write +-1 whatever the ring, so over F_p the reduction
     # must give on integer columns what it gives on their residues
-    pivots, kernel, divisors = reduce_columns(residues(mat, p), p, record=record)
-    raw_pivots, raw_kernel, raw_divisors = reduce_columns(mat, p, record=record)
-    assert {low: (j, ops) for low, (j, _, ops) in raw_pivots.items()} == {
-        low: (j, ops) for low, (j, _, ops) in pivots.items()
+    pivots, divisors = reduce_columns(residues(mat, p), p)
+    raw_pivots, raw_divisors = reduce_columns(residues(mat, None), p)
+    assert {low: j for low, (j, _) in raw_pivots.items()} == {
+        low: j for low, (j, _) in pivots.items()
     }
-    assert raw_kernel == kernel
     assert raw_divisors == divisors
     # a reduced column may keep an input entry that no step touched
-    assert {low: residues([col], p)[0] for low, (_, col, _) in raw_pivots.items()} == {
-        low: col for low, (_, col, _) in pivots.items()
+    assert {low: residues([col], p)[0] for low, (_, col) in raw_pivots.items()} == {
+        low: col for low, (_, col) in pivots.items()
     }
+    if record:
+        # the kernel the V-recording reference reads off the residues is
+        # that of the integer columns mod p, one vector per non-pivot
+        _, kernel = ref_reduce_columns(residues(mat, p), p, record=True)
+        assert len(kernel) == len(mat) - len(raw_pivots)
+        assert all(combine(mat, z, p) == {} for z in kernel)
 
 
 def test_the_ring_is_parsed_before_the_reduction():
     # "Fp:2" works mod 2 as 2 does, and a name that is not a ring is refused
-    pivots, kernel, divisors = reduce_columns([{0: 2}], "Fp:2", record=True)
-    assert pivots == {} and kernel == [{0: 1}] and divisors == ()
+    cols = [{0: 2}]
+    pivots, divisors = reduce_columns(cols, "Fp:2")
+    assert pivots == {} and cols == [{}] and divisors == ()
     assert combine([{0: 1}], {0: 3}, "Fp:2") == {0: 1}
     with pytest.raises(ValueError):
         reduce_columns([{0: 1}], "F2")
@@ -95,6 +105,9 @@ def test_the_ring_is_parsed_before_the_reduction():
 # before, with one ring convention each: ``ref_reduce_columns`` took a
 # modulus or None for Q and recorded V, ``ref_pivot_pairs`` took "Z", "Q"
 # or p and returned pairs {lowest row: column} and Smith divisors.
+# ``reduce_columns`` records no V, so ``ref_reduce_columns(..., record=True)``
+# is the V-recording reduction that the tests of kernels and cycle bases
+# read.
 
 
 def ref_subtract(col, a, c, piv, p):
@@ -211,27 +224,32 @@ def sparse_int_matrices(draw):
 def test_reduction_matches_the_two_it_replaced(matrix, ring, record):
     mat, skip = matrix
     p = ring if isinstance(ring, int) else None
-    pivots, kernel, divisors = reduce_columns(residues(mat, p), ring, skip, record)
+    pivots, divisors = reduce_columns(residues(mat, p), ring, skip)
     ref_cols = residues(mat, p)
     pairs, ref_divisors = ref_pivot_pairs(ref_cols, ring, skip)
-    assert {low: j for low, (j, _, _) in pivots.items()} == pairs
+    assert {low: j for low, (j, _) in pivots.items()} == pairs
     assert divisors == ref_divisors
     if ring == "Z":
         # the reference reduces its pivot columns in place, to the same
-        # columns; it records no V, so V is checked as R = D V
-        assert {low: col for low, (_, col, _) in pivots.items()} == {
+        # columns
+        assert {low: col for low, (_, col) in pivots.items()} == {
             low: ref_cols[j] for low, j in pairs.items()
         }
-        cols = residues(mat, p)
-        if record:
-            for low, (_, col, ops) in pivots.items():
-                assert combine(cols, ops) == col
-            for z in kernel:
-                assert combine(cols, z) == {}
-            assert len({max(z) for z in kernel}) == len(kernel)
-        else:
-            assert set(kernel) <= {None}
     else:
-        ref_pivots, ref_kernel = ref_reduce_columns(residues(mat, p), p, skip, record)
-        assert {low: (col, ops) for low, (_, col, ops) in pivots.items()} == ref_pivots
-        assert kernel == ref_kernel
+        ref_pivots = ref_reduce_columns(residues(mat, p), p, skip)[0]
+        assert {low: col for low, (_, col) in pivots.items()} == {
+            low: col for low, (col, _) in ref_pivots.items()
+        }
+    if record:
+        # reduce_columns records no V; the V-recording reference, over Q in
+        # place of Z, has one kernel vector per column that is neither
+        # skipped nor counted by a divisor, and R = D V
+        field = ring if p else "Q"
+        cols = residues(mat, p)
+        v_pivots, kernel = ref_reduce_columns(residues(mat, p), p, skip, record=True)
+        assert len(kernel) == len(mat) - len(skip) - len(divisors)
+        for col, ops in v_pivots.values():
+            assert combine(cols, ops, field) == col
+        for z in kernel:
+            assert combine(cols, z, field) == {}
+        assert len({max(z) for z in kernel}) == len(kernel)

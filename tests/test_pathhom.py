@@ -15,6 +15,7 @@ from maghom.graphs import digraph, family, point, transitive_tournament
 from maghom.matrices import reduce_bitsets, reduce_columns
 from maghom.pathhom import _face_columns, _paths, allowed_paths, omega_basis, path_homology
 from test_chains import combine
+from test_matrices import ref_reduce_columns
 from test_snf import residues, small_digraphs, snf_rank
 
 
@@ -169,6 +170,37 @@ def test_omega_basis_columns_are_independent_and_in_the_kernel(p):
                 assert all(z and combine(stray, z, ring_of(p)) == {} for z in basis)
                 lows = [max(z) for z in basis]
                 assert len(set(lows)) == len(lows), (G, strong, n, p)
+
+
+def ref_omega_basis(G, n, strong, p):
+    """Reference: ``omega_basis`` as it was while the reduction recorded V,
+    on the tests' V-recording reduction: the V columns whose face-sum
+    column reduces to zero or to an allowed lowest row."""
+    paths = _paths(G, n, strong)
+    lower = paths.get((n - 1, n - 1), ())
+    cols = list(_face_columns(lower, paths.get((n, n), ()), n))
+    pivots, kernel = ref_reduce_columns(cols, p, record=True)
+    return sorted(kernel + [v for low, (_, v) in pivots.items() if low < len(lower)], key=max)
+
+
+def check_omega_basis_against_the_reference(G):
+    for p in (None, 2, 3):
+        for strong in (False, True):
+            for n in range(5):
+                got = omega_basis(G, n, strong, ring_of(p))
+                assert got == ref_omega_basis(G, n, strong, p), (G, p, strong, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_digraphs())
+def test_omega_basis_matches_the_v_recording_reduction(G):
+    # column for column and in order: the identity rows below the face
+    # rows carry exactly the V columns the reference records
+    check_omega_basis_against_the_reference(G)
+
+
+def test_omega_basis_of_k5_matches_the_v_recording_reduction():
+    check_omega_basis_against_the_reference(family("complete", 5))
 
 
 def test_homology_matches_oracle():
@@ -416,7 +448,7 @@ def test_bitset_reduction_matches_the_dict_reduction_mod_2(G, strong):
         assert bits == [packed(col) for col in cols], n
         want = reduce_columns(cols, 2)[0]
         got = reduce_bitsets(bits)
-        assert got == {low: packed(col) for low, (_, col, _) in want.items()}, n
+        assert got == {low: packed(col) for low, (_, col) in want.items()}, n
         cleared = {low for low in got if low < len(lower)}
 
 

@@ -16,7 +16,7 @@ from sympy.polys.matrices import DomainMatrix
 from maghom.chains import trail_complex
 from maghom.graphs import digraph
 from maghom.matrices import _dense_snf, reduce_columns
-from test_chains import dense
+from test_chains import boundary, dense
 
 
 def oracle_divisors(rows):
@@ -46,11 +46,11 @@ def smith_divisors(cols, nrows):
     """Nonzero Smith divisors of the integer matrix with nrows rows and
     these sparse columns, in divisibility order.
 
-    The reduction changes its columns in place, so it gets copies; cols
-    may be a cached boundary.
+    The reduction changes its columns in place, so it gets copies; the
+    caller may read cols again.
     """
     assert all(0 <= i < nrows for col in cols for i in col)
-    return reduce_columns(residues(cols, None), "Z")[2]
+    return reduce_columns(residues(cols, None), "Z")[1]
 
 
 def snf(rows):
@@ -260,7 +260,7 @@ def domain_rank(cols, nrows, domain):
 def test_boundary_ranks_match_sympy(G, kind, p):
     complex_ = trail_complex(G, kind, None if kind == "eulerian" else 3)
     for k, l in complex_.graded_counts():
-        cols, nrows = complex_.boundary(k, l), complex_.dim(k - 1, l)
+        cols, nrows = boundary(complex_, k, l), complex_.dim(k - 1, l)
         if not (nrows and cols):
             continue
         assert snf_rank(cols, nrows) == domain_rank(cols, nrows, sympy.QQ), (k, l)

@@ -20,7 +20,7 @@ from maghom.words import (
     injective_words_via_flag,
     order_complex,
 )
-from test_chains import compose
+from test_chains import boundary, compose
 
 SPHERE_1 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (2, 3), (1, 3)])
 SPHERE_2 = digraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (3, 1), (3, 2)])
@@ -98,7 +98,7 @@ def test_flag_vs_word_complexes():
 def test_word_complex_boundaries_square_to_zero():
     wc = trail_complex(SPHERE_1)
     for k in range(2, wc.top_degree + 1):
-        assert not any(compose(wc.boundary(k - 1), wc.boundary(k)))
+        assert not any(compose(boundary(wc, k - 1), boundary(wc, k)))
     # face counts agree with the f-vector
     assert tuple(len(wc.cells(d)) for d in wc.degrees()) == wc.f_vector()
 
