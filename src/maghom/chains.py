@@ -55,14 +55,6 @@ from .graphs import distance_matrix, eccentricity_bound
 KINDS = ("eulerian", "ordinary", "discriminant")
 
 
-def finite_steps(G):
-    """Per vertex, the ascending (target, distance) pairs at finite positive distance."""
-    return tuple(
-        tuple((v, d) for v, d in enumerate(row) if v != u and d != float("inf"))
-        for u, row in enumerate(distance_matrix(G))
-    )
-
-
 def walks(steps, starts, cap=None, distinct=False, dist=None):
     """Every walk along steps from the starts, bucketed by (entries - 1, weight).
 
@@ -156,7 +148,7 @@ def trail_complex(G, kind="eulerian", l_max=None, starts=None):
         raise ValueError(f"the {kind} complex is unbounded in length; pass l_max")
     starts = range(G.n) if starts is None else starts
     buckets, masks = walks(
-        finite_steps(G),
+        G.steps,
         starts,
         l_max,
         distinct=kind == "eulerian",

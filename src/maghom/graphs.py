@@ -8,12 +8,18 @@ insist on it.
 
 Canonical forms, isomorphism and automorphism all colour vertices with one
 refinement, ``_refine``: degree first, then the multisets of neighbour
-colours, until the colours are stable.  Isomorphism and automorphism share
-one backtracking search, which places vertices so that distances are
+colours, until the colours are stable.  Twins are two vertices whose swap
+maps the edges onto themselves (``_twins``).  Isomorphism and automorphism
+share one backtracking search, which places vertices so that distances are
 preserved, each among the vertices of its colour; ``vertex_orbits`` colours
-a graph once and merges the cycles of every automorphism it confirms.  A
-graph computes its distance matrix once and keeps it for as long as the
-graph lives; no cache keyed by graphs outlives them.
+a graph once, merges its twins, and merges the cycles of every automorphism
+it confirms.  A canonical form is the least relabelled edge list over the
+orders of each colour class, one order per class of twins; the labellings
+that tie the least one, and the twin swaps, generate the form's
+automorphism group, and ``connected_graph_classes`` tries one augmenting
+set per orbit of it.  A graph computes its distance matrix and its step
+lists once and keeps them for as long as the graph lives; no cache keyed
+by graphs outlives them.
 """
 
 from __future__ import annotations
@@ -72,6 +78,15 @@ class DirectedGraph(Record, frozen=True):
                         q.append(v)
             rows.append(tuple(dist))
         return tuple(rows)
+
+    @cached_property
+    def steps(self):
+        """Per vertex, the ascending (target, distance) pairs at finite
+        positive distance, read off ``distances`` on first use."""
+        return tuple(
+            tuple((v, d) for v, d in enumerate(row) if v != u and d is not INF)
+            for u, row in enumerate(self.distances)
+        )
 
     @property
     def m(self):
@@ -484,16 +499,50 @@ def automorphism(G, u, v):
     return _pinned(G, _refine(adjacency(G)), u, v)
 
 
+def _twins(out, into, colour):
+    """Each vertex's least twin: a list of vertices, a vertex its own.
+
+    out and into hold each vertex's successors and predecessors as sets;
+    an undirected graph passes its neighbours as both.  Vertices u and v
+    are twins when swapping them maps the edges onto themselves: they
+    have the same successors and the same predecessors apart from each
+    other, and both or neither of (u, v) and (v, u) is an edge.  The swap
+    of u and w is the swap of v and w conjugated by the swap of u and v,
+    so twins fall into classes, and each vertex is tested only against
+    the least vertex of every class of its colour found so far.
+    """
+    lead = list(range(len(out)))
+    firsts = {}
+    for v in range(len(out)):
+        for u in firsts.setdefault(colour[v], []):
+            pair = {u, v}
+            if (
+                out[u] ^ out[v] <= pair
+                and into[u] ^ into[v] <= pair
+                and (v in out[u]) == (u in out[v])
+            ):
+                lead[v] = u
+                break
+        else:
+            firsts[colour[v]].append(v)
+    return lead
+
+
 def vertex_orbits(G):
     """Orbits of Aut(G) on the vertices: ascending tuples, by least vertex.
 
-    Each vertex is tried against the least vertex of every orbit found so
-    far; an automorphism taking one to the other merges every cycle it
-    has, so later vertices are mostly placed without a search.  G is
-    coloured once for all of these searches.
+    Twins share an orbit without a search.  Each other vertex is tried
+    against the least vertex of every orbit found so far; an automorphism
+    taking one to the other merges every cycle it has, so later vertices
+    are mostly placed without a search.  G is coloured once for all of
+    these searches.
     """
-    colour = _refine(adjacency(G))
-    root = list(range(G.n))
+    succ = adjacency(G)
+    colour = _refine(succ)
+    into = [set() for _ in range(G.n)]
+    for u, v in G.edges:
+        into[v].add(u)
+    root = _twins([set(s) for s in succ], into, colour)
 
     def find(x):
         while root[x] != x:
@@ -520,43 +569,105 @@ def vertex_orbits(G):
     return tuple(tuple(orbit) for orbit in orbits.values())
 
 
-def canonical_form(n, pairs):
-    """Canonical labelling of an undirected graph given as unordered pairs.
+def _labelling(n, pairs):
+    """The canonical form of an undirected graph, and automorphisms of it.
 
-    Returns a sorted tuple of sorted pairs, minimal over all vertex
-    permutations compatible with ``_refine``'s colours.
+    A labelling numbers the colour classes of ``_refine`` in ascending
+    colour order, each class's labels going to its vertices in some
+    order; the form is the least sorted tuple of sorted pairs over these
+    labellings.  Swapping two twins (``_twins``) relabels no edge, so
+    each twin class takes its labels in ascending vertex order, and
+    only one order of each twin class is tried.
+
+    Returns (form, automorphisms).  The automorphisms are tuples of
+    images of the labels of form, and they generate its automorphism
+    group: every labelling that ties the least one, composed with the
+    inverse of the first, and the swap of each vertex with its least
+    twin.
     """
-    pairs = [tuple(sorted(p)) for p in pairs]
     adj = [set() for _ in range(n)]
     for u, v in pairs:
         adj[u].add(v)
         adj[v].add(u)
-    color = _refine(adj)
-    cells = {}
+    colour = _refine(adj)
+    lead = _twins(adj, adj, colour)
+    twins = [[] for _ in range(n)]
+    by_colour = {}
     for v in range(n):
-        cells.setdefault(color[v], []).append(v)
-    groups = [cells[c] for c in sorted(cells)]
+        twins[lead[v]].append(v)
+        if lead[v] == v:
+            by_colour.setdefault(colour[v], []).append(twins[v])
+    # the twin classes that label i may go to, each to its next vertex
+    choices = [by_colour[c] for c in sorted(colour)]
+    used = [0] * n  # per twin class, by its least vertex: the vertices labelled
+    label = [0] * n
+    best = first = None
+    ties = []
 
-    best = None
-    perm = [-1] * n
-    slots = [list(g) for g in groups]
-
-    def assign(gi, offset):
-        nonlocal best
-        if gi == len(groups):
-            relabeled = tuple(
-                sorted(tuple(sorted((perm[u], perm[v]))) for u, v in pairs)
+    def place(i):
+        nonlocal best, first, ties
+        if i == n:
+            # the pair (a, b), a < b, as a * n + b: ints sort as the pairs do
+            codes = sorted(
+                [
+                    label[u] * n + label[v] if label[u] < label[v] else label[v] * n + label[u]
+                    for u, v in pairs
+                ]
             )
-            if best is None or relabeled < best:
-                best = relabeled
+            if best is None or codes < best:
+                best, first, ties = codes, label[:], []
+            elif codes == best:
+                ties.append(label[:])
             return
-        for p in itertools.permutations(slots[gi]):
-            for i, v in enumerate(p):
-                perm[v] = offset + i
-            assign(gi + 1, offset + len(p))
+        for cls in choices[i]:
+            k = used[cls[0]]
+            if k < len(cls):
+                label[cls[k]] = i
+                used[cls[0]] = k + 1
+                place(i + 1)
+                used[cls[0]] = k
 
-    assign(0, 0)
-    return best
+    place(0)
+    vertex = [0] * n
+    for v, i in enumerate(first):
+        vertex[i] = v
+    autos = [tuple(tie[v] for v in vertex) for tie in ties]
+    for v in range(n):
+        if lead[v] != v:
+            swap = list(range(n))
+            a, b = first[lead[v]], first[v]
+            swap[a], swap[b] = b, a
+            autos.append(tuple(swap))
+    return tuple(divmod(code, n) for code in best), autos
+
+
+def canonical_form(n, pairs):
+    """Canonical labelling of an undirected graph given as unordered pairs.
+
+    Returns a sorted tuple of sorted pairs, minimal over all vertex
+    permutations compatible with ``_refine``'s colours; the search tries
+    one order of each class of twins (``_labelling``).
+    """
+    return _labelling(n, pairs)[0]
+
+
+def _orbit_firsts(m, size, autos):
+    """The least size-subset of range(m) in each orbit of the group that
+    autos generate, in ascending order."""
+    seen = set()
+    for S in itertools.combinations(range(m), size):
+        if S in seen:
+            continue
+        seen.add(S)
+        todo = [S]
+        while todo:
+            T = todo.pop()
+            for g in autos:
+                image = tuple(sorted([g[x] for x in T]))
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+        yield S
 
 
 # ---------------------------------------------------------------------------
@@ -569,34 +680,40 @@ def connected_graph_classes(n, min_girth=None, edge_count=None):
     Every connected graph has a non-cut vertex, so each class on n
     vertices is a class on n - 1 vertices plus a new vertex joined to a
     nonempty set S of old ones (McKay, *Isomorph-free exhaustive
-    generation*, J. Algorithms 26, 1998).  Girth is inherited by induced
-    subgraphs, and the shortest cycle through the new vertex has length
-    2 + the least distance between two members of S, so with min_girth
-    set S must be spread at least min_girth - 2 apart.  Forests count as
-    girth INF and always pass.  The distances cost a search from every
-    vertex of each smaller class, so they are computed only with
-    min_girth.  With edge_count, only the classes with that many edges:
-    a vertex joined to m old ones brings between 1 and m edges, so S is
-    only as large as lets the vertices still to come reach edge_count.
+    generation*, J. Algorithms 26, 1998).  An automorphism of the smaller
+    class that maps S to S' extends to an isomorphism of the two larger
+    graphs, so only the least S of each orbit is tried.  Each class keeps
+    the automorphisms of the labelling that first found it, and a set of
+    canonical forms drops the classes found from more than one smaller
+    class.  Girth is inherited by induced subgraphs, and the shortest
+    cycle through the new vertex has length 2 + the least distance
+    between two members of S, so with min_girth set S must be spread at
+    least min_girth - 2 apart.  Forests count as girth INF and always
+    pass.  The distances cost a search from every vertex of each smaller
+    class, so they are computed only with min_girth.  With edge_count,
+    only the classes with that many edges: a vertex joined to m old ones
+    brings between 1 and m edges, so S is only as large as lets the
+    vertices still to come reach edge_count.
     """
     if n < 1:
         raise GraphError("need n >= 1")
     gap = (min_girth or 0) - 2
-    classes = [()]
+    classes = [((), [])]
     for m in range(1, n):
-        found = set()
+        found = {}
         # the vertices after this one bring at least `left` edges, at most `room`
         left, room = n - m - 1, comb(n, 2) - comb(m + 1, 2)
-        for edges in classes:
+        for edges, autos in classes:
             dist = distance_matrix(rho(m, edges)) if min_girth else None
             lo, hi = 1, m
             if edge_count is not None:
                 need = edge_count - len(edges)
                 lo, hi = max(lo, need - room), min(hi, need - left)
             for size in range(lo, hi + 1):
-                for S in itertools.combinations(range(m), size):
+                for S in _orbit_firsts(m, size, autos):
                     if dist and any(dist[u][v] < gap for u, v in itertools.combinations(S, 2)):
                         continue
-                    found.add(canonical_form(m + 1, edges + tuple((v, m) for v in S)))
-        classes = sorted(found)
-    return [c for c in classes if edge_count in (None, len(c))]
+                    form, gens = _labelling(m + 1, edges + tuple((v, m) for v in S))
+                    found.setdefault(form, gens)
+        classes = sorted(found.items())
+    return [c for c, _ in classes if edge_count in (None, len(c))]

@@ -3,7 +3,7 @@
 The regular magnitude polynomial counts all-distinct trails with signs,
 so it is exact and finite; the ordinary magnitude series has to be
 truncated at a length cap.  Both are counted along
-``chains.finite_steps`` without building a trail.  The remaining
+``DirectedGraph.steps`` without building a trail.  The remaining
 operations are classifiers and metrics: diagonality of the homology
 tables (both verdicts come from ``homology.is_diagonal``; the regular
 one, ``is_regularly_diagonal``, is exported here too), the girth bound
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from math import comb, perm
 
-from .chains import certified_length_bound, finite_steps
+from .chains import certified_length_bound
 from .errors import GraphError, ResourceCapError
 from .graphs import (
     canonical_form,
@@ -81,7 +81,7 @@ def regular_magnitude(G):
     """Exact signed count of all-distinct trails, graded by length.
 
     No trail is built: a pass over states (set of entries, last entry)
-    adds one entry per layer, along ``chains.finite_steps``.  A state packs
+    adds one entry per layer, along ``DirectedGraph.steps``.  A state packs
     its trail counts by length into one int, w bits per length, so a step
     of distance d is a shift by w * d.  No count exceeds the number of
     injective words, so nothing carries, and the sum of the layer of
@@ -89,7 +89,7 @@ def regular_magnitude(G):
     """
     w = sum(perm(G.n, k) for k in range(G.n + 1)).bit_length()
     slot = (1 << w) - 1
-    shifts = [[(v, w * d) for v, d in steps] for steps in finite_steps(G)]
+    shifts = [[(v, w * d) for v, d in steps] for steps in G.steps]
     layer = {(1 << v, v): 1 for v in range(G.n)}
     by_length = {}
     sign = 1
@@ -113,7 +113,7 @@ def magnitude_series(G, l_max):
     No trail is built.  The signed count c_l(v) of the trails of length
     l that start at v satisfies c_0(v) = 1 and, for l > 0,
     c_l(v) = -sum c_{l - d(v, w)}(w) over the steps (w, d(v, w)) of
-    ``chains.finite_steps`` with d(v, w) <= l: such a trail is the step
+    ``DirectedGraph.steps`` with d(v, w) <= l: such a trail is the step
     from v to w, then a shorter trail from w.  Summed over v, this is the
     expansion of the sum of the entries of Z_G(q)^{-1}, with
     Z_G(q)[u][v] = q^d(u, v) (Leinster, *The magnitude of a graph*, Math.
@@ -121,7 +121,7 @@ def magnitude_series(G, l_max):
     """
     if l_max is None or l_max < 0:
         raise GraphError("magnitude series needs a finite degree cap")
-    steps = finite_steps(G)
+    steps = G.steps
     counts = [[1] * G.n]
     for l in range(1, l_max + 1):
         counts.append(

@@ -9,7 +9,6 @@ from test_snf import small_digraphs
 from maghom.chains import (
     FilteredComplex,
     certified_length_bound,
-    finite_steps,
     trail_complex,
     walks,
 )
@@ -257,7 +256,7 @@ def test_walks_match_the_depth_first_reference(G, along_edges, distinct, cap, da
     if along_edges:
         steps = tuple(tuple((v, 1) for v in vs) for vs in adjacency(G))
     else:
-        steps = finite_steps(G)
+        steps = G.steps
     want = depth_first_walks(steps, starts, cap, distinct)
     assert walks(steps, starts, cap, distinct) == (want, None)
     buckets, masks = walks(steps, starts, cap, distinct, dist)

@@ -9,6 +9,10 @@ from test_snf import small_digraphs
 from maghom.errors import GraphError, ParseError
 from maghom.graphs import (
     DirectedGraph,
+    _labelling,
+    _refine,
+    _twins,
+    adjacency,
     alternating,
     are_isomorphic,
     automorphism,
@@ -246,6 +250,66 @@ def test_connected_classes_girth_filter():
     assert counts == [1, 1, 1, 2, 4, 8]
 
 
+def reference_canonical_form(n, pairs):
+    """The labelling that canonical_form replaced: the least sorted tuple
+    of sorted pairs over every order of every colour class of _refine,
+    twins included."""
+    pairs = [tuple(sorted(p)) for p in pairs]
+    adj = [set() for _ in range(n)]
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    color = _refine(adj)
+    cells = {}
+    for v in range(n):
+        cells.setdefault(color[v], []).append(v)
+    groups = [cells[c] for c in sorted(cells)]
+
+    best = None
+    perm = [-1] * n
+
+    def assign(gi, offset):
+        nonlocal best
+        if gi == len(groups):
+            relabeled = tuple(
+                sorted(tuple(sorted((perm[u], perm[v]))) for u, v in pairs)
+            )
+            if best is None or relabeled < best:
+                best = relabeled
+            return
+        for p in itertools.permutations(groups[gi]):
+            for i, v in enumerate(p):
+                perm[v] = offset + i
+            assign(gi + 1, offset + len(p))
+
+    assign(0, 0)
+    return best
+
+
+def reference_connected_graph_classes(n, min_girth=None, edge_count=None):
+    """The augmentation that connected_graph_classes replaced: every
+    nonempty set S of old vertices joined to the new one, each child
+    labelled by reference_canonical_form."""
+    gap = (min_girth or 0) - 2
+    classes = [()]
+    for m in range(1, n):
+        found = set()
+        left, room = n - m - 1, math.comb(n, 2) - math.comb(m + 1, 2)
+        for edges in classes:
+            dist = distance_matrix(rho(m, edges)) if min_girth else None
+            lo, hi = 1, m
+            if edge_count is not None:
+                need = edge_count - len(edges)
+                lo, hi = max(lo, need - room), min(hi, need - left)
+            for size in range(lo, hi + 1):
+                for S in itertools.combinations(range(m), size):
+                    if dist and any(dist[u][v] < gap for u, v in itertools.combinations(S, 2)):
+                        continue
+                    found.add(reference_canonical_form(m + 1, edges + tuple((v, m) for v in S)))
+        classes = sorted(found)
+    return [c for c in classes if edge_count in (None, len(c))]
+
+
 def _labeled_sweep_classes(n, min_girth):
     """Brute-force oracle: canonical forms of every connected edge subset of K_n."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -257,7 +321,7 @@ def _labeled_sweep_classes(n, min_girth):
                 continue
             if min_girth is not None and girth(G) < min_girth:
                 continue
-            out.add(canonical_form(n, edges))
+            out.add(reference_canonical_form(n, edges))
     return out
 
 
@@ -282,6 +346,105 @@ def test_an_edge_count_prunes_to_the_classes_with_that_many_edges(min_girth):
         for m in range(-1, math.comb(n, 2) + 2):
             want = [edges for edges in classes if len(edges) == m]
             assert connected_graph_classes(n, min_girth, edge_count=m) == want, (n, m)
+
+
+@pytest.mark.parametrize("min_girth", [None, 4, 5])
+def test_classes_equal_the_reference_augmentation(min_girth):
+    for n in range(1, 8):
+        assert connected_graph_classes(n, min_girth) == reference_connected_graph_classes(
+            n, min_girth
+        ), n
+        for m in range(-1, math.comb(n, 2) + 2):
+            assert connected_graph_classes(
+                n, min_girth, edge_count=m
+            ) == reference_connected_graph_classes(n, min_girth, m), (n, m)
+
+
+NAMED_GRAPHS = (
+    [(n, [(0, v) for v in range(1, n)]) for n in range(1, 8)]  # stars
+    + [(n, [(v, v + 1) for v in range(n - 1)]) for n in range(2, 8)]  # paths
+    + [(n, list(itertools.combinations(range(n), 2))) for n in range(2, 8)]  # K_n
+    + [(n, [(v, (v + 1) % n) for v in range(n)]) for n in range(3, 8)]  # C_n
+    + [(5, [(u, v) for u in range(2) for v in range(2, 5)])]  # K_{2,3}
+)
+
+
+@st.composite
+def undirected_graphs(draw, max_n=7):
+    """(n, pairs) of a random graph on at most max_n vertices, or of one
+    of NAMED_GRAPHS, relabelled at random."""
+    if draw(st.booleans()):
+        n, pairs = draw(st.sampled_from([g for g in NAMED_GRAPHS if g[0] <= max_n]))
+    else:
+        n = draw(st.integers(0, max_n))
+        every = list(itertools.combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+        pairs = [p for p, kept in zip(every, keep) if kept]
+    perm = draw(st.permutations(range(n)))
+    return n, [(perm[u], perm[v]) for u, v in pairs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(undirected_graphs())
+def test_labels_equal_the_reference(graph):
+    n, pairs = graph
+    assert canonical_form(n, pairs) == reference_canonical_form(n, pairs)
+
+
+def generated_group(n, gens):
+    """Every product of the generators, as tuples of images."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        g = todo.pop()
+        for h in gens:
+            gh = tuple(g[h[x]] for x in range(n))
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    return group
+
+
+@settings(max_examples=100, deadline=None)
+@given(undirected_graphs(max_n=6))
+def test_returned_automorphisms_generate_the_automorphism_group(graph):
+    n, pairs = graph
+    form, autos = _labelling(n, pairs)
+    edges = set(form)
+    for g in autos:
+        assert {tuple(sorted((g[u], g[v]))) for u, v in form} == edges
+    group = generated_group(n, autos)
+    brute = {
+        p
+        for p in itertools.permutations(range(n))
+        if {tuple(sorted((p[u], p[v]))) for u, v in form} == edges
+    }
+    assert group == brute
+    orbits = {tuple(sorted({g[v] for g in group})) for v in range(n)}
+    assert orbits == brute_orbits(rho(n, form))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_digraphs(6), undirected_graphs(6).map(lambda g: rho(*g))))
+def test_twins_are_the_vertices_whose_swap_is_an_automorphism(G):
+    out = [set(vs) for vs in adjacency(G)]
+    into = [{u for u in range(G.n) if v in out[u]} for v in range(G.n)]
+    lead = _twins(out, into, [0] * G.n)
+    for v in range(G.n):
+        swaps = [u for u in range(v) if relabel(G, transposition(G.n, u, v)).edges == G.edges]
+        assert lead[v] == min(swaps, default=v), v
+
+
+def transposition(n, u, v):
+    swap = list(range(n))
+    swap[u], swap[v] = v, u
+    return swap
+
+
+def test_step_lists_are_read_once_off_the_distances():
+    G = family("dir_linear", 3)
+    assert G.steps == (((1, 1), (2, 2)), ((2, 1),), ())
+    assert G.steps is G.steps
 
 
 def relabel(G, perm):

@@ -104,7 +104,7 @@ def test_series_equals_the_enumerated_signed_counts(G, l_max):
 def incoming_series(G, l_max):
     """Reference: the magnitude series counted by last vertex, over the
     incoming (u, d(u, v)) lists of the distance matrix, as it was before
-    the count went by first vertex over ``chains.finite_steps``."""
+    the count went by first vertex over ``DirectedGraph.steps``."""
     dist = distance_matrix(G)
     steps = [
         [(u, row[v]) for u, row in enumerate(dist) if u != v and row[v] != float("inf")]

@@ -15,7 +15,7 @@ from test_filtration import depth_first_walks
 from test_matrices import ref_reduce_column, ref_reduce_columns
 from test_snf import small_digraphs
 
-from maghom.chains import FilteredComplex, finite_steps, trail_complex
+from maghom.chains import FilteredComplex, trail_complex
 from maghom.graphs import digraph, family, transitive_tournament
 from maghom.homology import chain_homology, coboundary_pass, homology_table
 from maghom.matrices import reduce_column, reduce_columns
@@ -522,7 +522,7 @@ def test_rmpss_pairs_match_the_depth_first_cells(G):
     # the pairing of rmpss, on the cells of the degree-by-degree walk and
     # on those of the depth-first reference: same cells in the same order,
     # so the same pairs and divisors
-    reference = FilteredComplex(depth_first_walks(finite_steps(G), range(G.n), distinct=True))
+    reference = FilteredComplex(depth_first_walks(G.steps, range(G.n), distinct=True))
     got = list(coboundary_pass(rmpss(G).fc, "Q"))
     assert got == list(coboundary_pass(reference, "Q"))
     assert sum(len(pairs) for _, pairs, _ in got) > 0
